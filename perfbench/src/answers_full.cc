@@ -4,7 +4,8 @@
 // so the answer cache must recompute the whole answer set, and the next
 // first page pays for candidate enumeration (cq), the FO program (fo)
 // and the pool fan-out. A Boolean scan over two relations the deltas do
-// not touch gives the solve class.
+// not touch and its certain twin, two Solve requests of about the same
+// cost, give the solve class.
 
 #include <cstdio>
 #include <memory>
@@ -32,8 +33,7 @@ constexpr int kSetups = 15;
 struct Inputs {
   Database db;
   AnswerStream answers;
-  cqa::Query scan;
-  bool scan_certain = false;
+  std::vector<BoolQuery> scan;  // the scan and its certain twin
 };
 
 Inputs MakeInputs(uint64_t seed) {
@@ -42,14 +42,14 @@ Inputs MakeInputs(uint64_t seed) {
   AddUnpinnedAnswers(kRBlocks, kSBlocks, &rng, &in.db, &in.answers);
   in.scan = AddBooleanScan("XA", "XB", kScanBlocks, true, &rng, &in.db);
   ComputeExpected(in.db, &in.answers);
-  in.scan_certain = ExpectedVerdict(in.scan, in.db);
+  FillVerdicts(in.db, &in.scan);
   return in;
 }
 
 struct Fixture {
   std::unique_ptr<Service> service;
   cqa::PreparedQueryHandle answers;
-  cqa::PreparedQueryHandle scan;
+  std::vector<Service::SolveRequest> scan;  // the scan, then its twin
   uint64_t base_epoch = 0;
 };
 
@@ -67,46 +67,40 @@ bool SetUp(const Inputs& in, Fixture* fx, Ledger* ledger) {
   cqa::Status st = fx->service->CreateDatabase(kDb, std::move(copy));
   if (!st.ok()) return ledger->Fail("create: " + st.message());
   auto answers = fx->service->Prepare(in.answers.query, in.answers.free_vars);
-  auto scan = fx->service->Prepare(in.scan);
-  if (!answers.ok() || !scan.ok()) return ledger->Fail("prepare");
+  if (!answers.ok()) return ledger->Fail("prepare");
   fx->answers = *answers;
-  fx->scan = *scan;
+  for (const BoolQuery& q : in.scan) {
+    auto handle = fx->service->Prepare(q.query);
+    if (!handle.ok()) return ledger->Fail("prepare " + q.name);
+    fx->scan.emplace_back();
+    fx->scan.back().database = kDb;
+    fx->scan.back().prepared = *handle;
+  }
   Service::CertainAnswersRequest page;
   page.database = kDb;
   page.prepared = fx->answers;
   page.page_size = in.answers.page_size;
   auto first = fx->service->CertainAnswers(page);
-  Service::SolveRequest solve;
-  solve.database = kDb;
-  solve.prepared = fx->scan;
-  auto verdict = fx->service->Solve(solve);
-  if (!first.ok() || !verdict.ok()) return ledger->Fail("warm-up");
+  if (!first.ok()) return ledger->Fail("warm-up page");
+  for (size_t i = 0; i < fx->scan.size(); ++i) {
+    if (!CheckReplies({fx->service->Solve(fx->scan[i])}, {in.scan[i]},
+                      ledger)) {
+      return false;
+    }
+  }
   fx->base_epoch = first->epoch;
   return true;
 }
 
-/// One iteration: Boolean scan, delta, first page — each checked.
+/// One iteration: the Boolean scan and its twin, delta, first page —
+/// each checked.
 /// `tracer` (nullable) gets one span per Service call.
 void Iterate(const Inputs& in, Fixture* fx, uint64_t* epoch,
              EndToEnd* run, Ledger* ledger, Tracer* tracer) {
   const AnswerStream& stream = in.answers;
-  {
-    Service::SolveRequest req;
-    req.database = kDb;
-    req.prepared = fx->scan;
-    ++ledger->attempted;
-    Clock::time_point t = Clock::now();
-    cqa::Result<Service::SolveResponse> r = [&] {
-      ScopedSpan span(tracer, "serve.solve");
-      return fx->service->Solve(req);
-    }();
-    double us = MicrosSince(t);
-    if (!r.ok()) {
-      ledger->Fail("solve: " + r.status().message());
-    } else if (r->outcome.certain != in.scan_certain) {
-      ledger->Mismatch("scan verdict");
-    } else {
-      run->solve.Add(us);
+  for (size_t i = 0; i < fx->scan.size(); ++i) {
+    if (TimedSolve(fx->service.get(), fx->scan[i], in.scan[i], &run->solve,
+                   ledger, tracer)) {
       ++run->completed;
     }
   }
@@ -228,76 +222,62 @@ LayerReport ReplayAnswersFull(const Args& args, Tracer* tracer, int requests,
   uint64_t rows = 0;
   uint64_t computes = 0;
   double decide_ns = 0;
-  // Spans alternate off and on from one iteration to the next, so both
-  // halves of the replay see the same host; the difference is the
-  // tracer's own overhead.
-  for (int i = 0; i < 2 * requests; ++i) {
-    const int pass = i % 2;  // 1: spans on
-    tracer->set_enabled(pass == 1);
-    double& replay_s = pass == 0 ? report.off_s : report.on_s;
-    tracer->BeginRequest(static_cast<uint64_t>(i));
-    Clock::time_point t = Clock::now();
-    {
-      ScopedSpan root(tracer, "request");
-      Iterate(in, &fx, &epoch, &sink, ledger, tracer);
-    }
-    replay_s += SecondsSince(t);
-    ScopedSpan probe(tracer, "probe");
-    cqa::EvalContext& state = *ctx[(epoch - fx.base_epoch) % 2];
-    std::vector<std::vector<cqa::SymbolId>> candidates;
-    {
-      ScopedSpan span(tracer, "cq.enumerate");
-      candidates = cqa::CollectProjectionsSorted(
-          state.fact_index(), in.answers.query, cqa::Valuation(),
-          in.answers.free_vars);
-    }
-    Clock::time_point d = Clock::now();
-    {
-      ScopedSpan span(tracer, "fo.decide_rows");
-      (void)(*plan)->IsCertainRows(state, candidates);
-    }
-    decide_ns += MicrosSince(d) * 1000.0;
-    rows += candidates.size();
-    ++computes;
-  }
-  tracer->set_enabled(true);
+  ReplayAlternating(
+      tracer, requests, 1, 0,
+      [&](int) { Iterate(in, &fx, &epoch, &sink, ledger, tracer); },
+      [&](int) {
+        cqa::EvalContext& state = *ctx[(epoch - fx.base_epoch) % 2];
+        std::vector<std::vector<cqa::SymbolId>> candidates;
+        {
+          ScopedSpan span(tracer, "cq.enumerate");
+          candidates = cqa::CollectProjectionsSorted(
+              state.fact_index(), in.answers.query, cqa::Valuation(),
+              in.answers.free_vars);
+        }
+        Clock::time_point d = Clock::now();
+        {
+          ScopedSpan span(tracer, "fo.decide_rows");
+          (void)(*plan)->IsCertainRows(state, candidates);
+        }
+        decide_ns += MicrosSince(d) * 1000.0;
+        rows += candidates.size();
+        ++computes;
+      },
+      &report);
   auto after = fx.service->Stats({});
   if (!before.ok() || !after.ok()) {
     ledger->Fail("stats");
     return report;
   }
-  const cqa::Session::Stats& b = before->session;
-  const cqa::Session::Stats& a = after->session;
-  uint64_t serves = (a.answers_cached - b.answers_cached) +
-                    (a.answers_incremental - b.answers_incremental) +
-                    (a.answers_full - b.answers_full);
+  const ServeCounts serves(before->session, after->session);
+  // Every iteration serves one first page.
+  const uint64_t pages = 2 * static_cast<uint64_t>(requests);
   report.metrics = {
       {"serve.first_page_us", MeanSelfUs(*tracer, kName, "serve.first_page"),
        "us"},
-      {"serve.parallel_chunks",
-       static_cast<double>(a.parallel_chunks - b.parallel_chunks), "count"},
+      {"serve.parallel_chunks", Ratio(serves.chunks, pages), "chunks/page"},
       {"cq.enumerate_us", MeanSelfUs(*tracer, kName, "cq.enumerate"), "us"},
-      {"cq.candidate_rows",
-       computes ? static_cast<double>(rows) / static_cast<double>(computes)
-                : 0,
-       "count"},
+      {"cq.candidate_rows", Ratio(rows, computes), "count"},
       {"fo.decide_rows_us", MeanSelfUs(*tracer, kName, "fo.decide_rows"),
        "us"},
       {"fo.ns_per_row", rows ? decide_ns / static_cast<double>(rows) : 0,
        "ns/row"},
   };
   std::printf("ratio base: answers_full serve.cache_hit_ratio = %llu cached "
-              "/ %llu serves\n",
-              static_cast<unsigned long long>(a.answers_cached -
-                                              b.answers_cached),
-              static_cast<unsigned long long>(serves));
+              "/ %llu serves; serve.parallel_chunks = %llu chunks / %llu "
+              "first pages\n",
+              static_cast<unsigned long long>(serves.cached),
+              static_cast<unsigned long long>(serves.serves()),
+              static_cast<unsigned long long>(serves.chunks),
+              static_cast<unsigned long long>(pages));
   report.work = {
-      {"answers_full", a.answers_full - b.answers_full},
-      {"answers_cached", a.answers_cached - b.answers_cached},
-      {"rows_decided", a.rows_decided - b.rows_decided},
+      {"answers_full", serves.full},
+      {"answers_cached", serves.cached},
+      {"rows_decided", serves.decided},
       {"candidate_rows", rows},
-      {"parallel_chunks", a.parallel_chunks - b.parallel_chunks},
-      {"deltas", a.deltas_applied - b.deltas_applied},
+      {"parallel_chunks", serves.chunks},
+      {"deltas", after->session.deltas_applied -
+                     before->session.deltas_applied},
   };
   return report;
 }

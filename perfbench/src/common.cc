@@ -22,6 +22,15 @@ double Quantile(std::vector<double> v, double q) {
   return v[lo] + (v[hi] - v[lo]) * frac;
 }
 
+double TrimmedMean(std::vector<double> v, double trim) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  size_t drop = static_cast<size_t>(trim * static_cast<double>(v.size()));
+  double sum = 0;
+  for (size_t i = drop; i < v.size() - drop; ++i) sum += v[i];
+  return sum / static_cast<double>(v.size() - 2 * drop);
+}
+
 double BlockQuantile(const Samples& s, double q) {
   std::vector<size_t> order(s.us.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -36,7 +45,7 @@ double BlockQuantile(const Samples& s, double q) {
     for (size_t i = begin; i < end; ++i) block.push_back(s.us[order[i]]);
     per_block.push_back(Quantile(std::move(block), q));
   }
-  return Median(std::move(per_block));
+  return TrimmedMean(std::move(per_block), kTrim);
 }
 
 double TrimmedRate(const std::vector<const Samples*>& classes) {
@@ -55,12 +64,12 @@ double TrimmedRate(const std::vector<const Samples*>& classes) {
         std::chrono::duration<double>(t - *first).count());
     if (window < seconds) counts[window] += 1;
   }
-  std::sort(counts.begin(), counts.end());
-  size_t lo = counts.size() / 4;
-  size_t hi = counts.size() - lo;
-  double sum = 0;
-  for (size_t i = lo; i < hi; ++i) sum += counts[i];
-  return sum / static_cast<double>(hi - lo);
+  return TrimmedMean(std::move(counts), kTrim);
+}
+
+double Ratio(uint64_t num, uint64_t den) {
+  return den == 0 ? 0.0
+                  : static_cast<double>(num) / static_cast<double>(den);
 }
 
 double PeakRssMiB() {

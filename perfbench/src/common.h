@@ -62,16 +62,31 @@ struct Samples {
 /// 10 samples beyond it.
 constexpr size_t kBlockSamples = 200;
 
+/// Mean of the middle of `v`: the lowest and the highest `trim` share of
+/// the values (rounded down) are dropped; 0 when empty.
+double TrimmedMean(std::vector<double> v, double trim);
+
+/// Share of the values TrimmedMean drops at each end in BlockQuantile and
+/// TrimmedRate.
+constexpr double kTrim = 0.1;
+
 /// The q-quantile of each run of `kBlockSamples` consecutive samples (in
-/// completion order), and the median of those. A burst of host
-/// contention that spans a minority of blocks does not move it. With
-/// fewer samples than one block, the plain quantile.
+/// completion order), averaged over the blocks with the highest and the
+/// lowest tenth dropped. Averaging tracks the host's mean speed over the
+/// run: when the host switches between speed levels, the result moves
+/// with the share of time spent at each instead of snapping to
+/// whichever level held in more blocks, and a burst that spans a few
+/// blocks is trimmed away. With fewer samples than one block, the plain
+/// quantile.
 double BlockQuantile(const Samples& s, double q);
 
 /// Completions per second, counted in each whole second between the
-/// first and the last completion: the mean of the middle half of those
-/// counts (the slowest and fastest quarter of the seconds dropped).
+/// first and the last completion: the trimmed mean (kTrim) of those
+/// counts.
 double TrimmedRate(const std::vector<const Samples*>& classes);
+
+/// `num / den`, 0 when `den` is 0.
+double Ratio(uint64_t num, uint64_t den);
 
 /// Peak resident set size of this process (VmHWM), MiB.
 double PeakRssMiB();

@@ -3,9 +3,9 @@
 // interval, snapshot compaction once the WAL exceeds 256 KiB. One writer
 // applies a small delta to a P-block whose key the free variable pins
 // and reads the first page back, so every page re-decides exactly the
-// one row the delta touched. Two readers run a Boolean scan over
-// relations the deltas do not touch, holding the epoch gate shared while
-// the writer waits for it. Set-up recovers the tenant from a pre-written
+// one row the delta touched. Two readers run a Boolean scan and its
+// certain twin over relations the deltas do not touch, holding the epoch
+// gate shared while the writer waits for it. Set-up recovers the tenant from a pre-written
 // WAL through Service::OpenStore. A write-path gain that makes readers
 // wait longer, or the reverse, shows here and nowhere else.
 //
@@ -49,8 +49,7 @@ constexpr int kSetups = 15;
 struct Inputs {
   Database db;
   AnswerStream answers;
-  cqa::Query scan;
-  bool scan_certain = false;
+  std::vector<BoolQuery> scan;  // the scan and its certain twin
 };
 
 Inputs MakeInputs(uint64_t seed) {
@@ -59,7 +58,7 @@ Inputs MakeInputs(uint64_t seed) {
   AddPinnedAnswers("D", kPBlocks, kToggled, 1, true, &rng, &in.db, &in.answers);
   in.scan = AddBooleanScan("DA", "DB", kScanBlocks, true, &rng, &in.db);
   ComputeExpected(in.db, &in.answers);
-  in.scan_certain = ExpectedVerdict(in.scan, in.db);
+  FillVerdicts(in.db, &in.scan);
   return in;
 }
 
@@ -103,7 +102,7 @@ void PrewriteStore(const Inputs& in, const std::string& root) {
 struct Fixture {
   std::unique_ptr<Service> service;
   cqa::PreparedQueryHandle answers;
-  cqa::PreparedQueryHandle scan;
+  std::vector<Service::SolveRequest> scan;  // the scan, then its twin
   double recover_s = 0;
 };
 
@@ -122,10 +121,15 @@ bool SetUp(const Inputs& in, const std::string& root, Fixture* fx,
     return false;
   }
   auto answers = fx->service->Prepare(in.answers.query, in.answers.free_vars);
-  auto scan = fx->service->Prepare(in.scan);
-  if (!answers.ok() || !scan.ok()) return ledger->Fail("prepare");
+  if (!answers.ok()) return ledger->Fail("prepare");
   fx->answers = *answers;
-  fx->scan = *scan;
+  for (const BoolQuery& q : in.scan) {
+    auto handle = fx->service->Prepare(q.query);
+    if (!handle.ok()) return ledger->Fail("prepare " + q.name);
+    fx->scan.emplace_back();
+    fx->scan.back().database = kDb;
+    fx->scan.back().prepared = *handle;
+  }
   Service::CertainAnswersRequest page;
   page.database = kDb;
   page.prepared = fx->answers;
@@ -168,27 +172,16 @@ void WriteStep(const Inputs& in, Fixture* fx, uint64_t* epoch, Samples* lat,
 void ReadStep(const Inputs& in, Fixture* fx, bool page, Samples* answers,
               Samples* solve, uint64_t* completed, Ledger* ledger,
               Tracer* tracer) {
-  ++ledger->attempted;
   if (!page) {
-    Service::SolveRequest req;
-    req.database = kDb;
-    req.prepared = fx->scan;
-    Clock::time_point t = Clock::now();
-    cqa::Result<Service::SolveResponse> r = [&] {
-      ScopedSpan span(tracer, "serve.solve");
-      return fx->service->Solve(req);
-    }();
-    double us = MicrosSince(t);
-    if (!r.ok()) {
-      ledger->Fail("solve: " + r.status().message());
-    } else if (r->outcome.certain != in.scan_certain) {
-      ledger->Mismatch("scan verdict");
-    } else {
-      solve->Add(us);
-      ++*completed;
+    for (size_t i = 0; i < fx->scan.size(); ++i) {
+      if (TimedSolve(fx->service.get(), fx->scan[i], in.scan[i], solve,
+                     ledger, tracer)) {
+        ++*completed;
+      }
     }
     return;
   }
+  ++ledger->attempted;
   Service::CertainAnswersRequest req;
   req.database = kDb;
   req.prepared = fx->answers;
@@ -421,33 +414,29 @@ LayerReport ReplayDeltaDurable(const Args& args, Tracer* tracer,
   uint64_t epoch = kPrewritten;
   uint64_t completed = 0;
   Samples sink;
-  // Spans alternate off and on from one iteration to the next, so both
-  // halves of the replay see the same host; the difference is the
-  // tracer's own overhead.
-  for (int i = 0; i < 2 * requests; ++i) {
-    const int pass = i % 2;  // 1: spans on
-    tracer->set_enabled(pass == 1);
-    double& replay_s = pass == 0 ? report.off_s : report.on_s;
-    tracer->BeginRequest(static_cast<uint64_t>(i));
-    const cqa::Delta& delta = in.answers.deltas[epoch % in.answers.period()];
-    Clock::time_point t = Clock::now();
-    {
-      ScopedSpan root_span(tracer, "request");
-      WriteStep(in, &fx, &epoch, &sink, &completed, ledger, tracer);
-      ReadStep(in, &fx, true, &sink, &sink, &completed, ledger, tracer);
-      for (int r = 0; r < kReaders; ++r) {
-        ReadStep(in, &fx, false, &sink, &sink, &completed, ledger, tracer);
-      }
-    }
-    replay_s += SecondsSince(t);
-    cqa::Valuation seed;
-    seed.Bind(in.answers.free_vars[0], delta.ops().front().key[0]);
-    std::set<std::vector<cqa::SymbolId>> out;
-    ScopedSpan span(tracer, "cq.seeded_enumerate");
-    cqa::CollectProjections(ctx.fact_index(), in.answers.query, seed,
-                            in.answers.free_vars, &out);
-  }
-  tracer->set_enabled(true);
+  cqa::SymbolId dirty = 0;
+  ReplayAlternating(
+      tracer, requests, 1, 0,
+      [&](int) {
+        dirty = in.answers.deltas[epoch % in.answers.period()]
+                    .ops()
+                    .front()
+                    .key[0];
+        WriteStep(in, &fx, &epoch, &sink, &completed, ledger, tracer);
+        ReadStep(in, &fx, true, &sink, &sink, &completed, ledger, tracer);
+        for (int r = 0; r < kReaders; ++r) {
+          ReadStep(in, &fx, false, &sink, &sink, &completed, ledger, tracer);
+        }
+      },
+      [&](int) {
+        cqa::Valuation seed;
+        seed.Bind(in.answers.free_vars[0], dirty);
+        std::set<std::vector<cqa::SymbolId>> out;
+        ScopedSpan span(tracer, "cq.seeded_enumerate");
+        cqa::CollectProjections(ctx.fact_index(), in.answers.query, seed,
+                                in.answers.free_vars, &out);
+      },
+      &report);
   auto after = fx.service->Stats({});
   // Contention needs concurrency: a short run of the real thread
   // layout, untraced, supplies the gate counts.
@@ -456,42 +445,34 @@ LayerReport ReplayDeltaDurable(const Args& args, Tracer* tracer,
   auto contended_stats = fx.service->Stats({});
   fx = Fixture();
   fs::remove_all(root);
+  const int store_deltas = 200 * requests;
   StoreWork store = ReplayStore(in, StoreRoot(args, "trace-store"), tracer,
-                                requests * 200, ledger);
+                                store_deltas, ledger);
   if (!before.ok() || !after.ok() || !contended_stats.ok()) {
     ledger->Fail("stats");
     return report;
   }
-  const auto& b = before->session;
-  const auto& a = after->session;
-  uint64_t serves = (a.answers_cached - b.answers_cached) +
-                    (a.answers_incremental - b.answers_incremental) +
-                    (a.answers_full - b.answers_full);
-  uint64_t reused = a.rows_reused - b.rows_reused;
-  uint64_t decided = a.rows_decided - b.rows_decided;
+  const ServeCounts serves(before->session, after->session);
   std::printf("ratio base: delta_durable serve.cache_hit_ratio = %llu "
               "cached / %llu serves; serve.rows_reused_ratio = %llu reused "
               "/ %llu (reused + decided); store.bytes_per_user_byte = "
-              "(%llu WAL + %llu snapshot) / %llu user bytes over %d deltas; "
+              "(%llu WAL + %llu snapshot) / %llu user bytes; "
+              "store.compactions = %llu snapshots per %d deltas; "
               "gate counts over a 1 s run of 1 writer + %d readers\n",
-              static_cast<unsigned long long>(a.answers_cached -
-                                              b.answers_cached),
-              static_cast<unsigned long long>(serves),
-              static_cast<unsigned long long>(reused),
-              static_cast<unsigned long long>(reused + decided),
+              static_cast<unsigned long long>(serves.cached),
+              static_cast<unsigned long long>(serves.serves()),
+              static_cast<unsigned long long>(serves.reused),
+              static_cast<unsigned long long>(serves.reused + serves.decided),
               static_cast<unsigned long long>(store.wal_bytes),
               static_cast<unsigned long long>(store.snapshot_bytes),
               static_cast<unsigned long long>(store.user_bytes),
-              requests * 200, kReaders);
-  auto ratio = [](uint64_t num, uint64_t den) {
-    return den == 0 ? 0.0 : static_cast<double>(num) / den;
-  };
+              static_cast<unsigned long long>(store.snapshots), store_deltas,
+              kReaders);
   report.metrics = {
       {"serve.apply_delta_us", MeanSelfUs(*tracer, kName, "serve.apply_delta"),
        "us"},
-      {"serve.cache_hit_ratio",
-       ratio(a.answers_cached - b.answers_cached, serves), "ratio"},
-      {"serve.rows_reused_ratio", ratio(reused, reused + decided), "ratio"},
+      {"serve.cache_hit_ratio", serves.cache_hit_ratio(), "ratio"},
+      {"serve.rows_reused_ratio", serves.rows_reused_ratio(), "ratio"},
       {"serve.gate_reader_waits",
        static_cast<double>(contended_stats->contention.gate_reader_waits -
                            after->contention.gate_reader_waits),
@@ -505,18 +486,20 @@ LayerReport ReplayDeltaDurable(const Args& args, Tracer* tracer,
       {"store.append_us", MeanSelfUs(*tracer, kName, "store.append"), "us"},
       {"store.sync_us", MeanSelfUs(*tracer, kName, "store.sync"), "us"},
       {"store.compact_us", MeanSelfUs(*tracer, kName, "store.compact"), "us"},
-      {"store.compactions", static_cast<double>(store.snapshots), "count"},
+      {"store.compactions", 10000.0 * Ratio(store.snapshots, store_deltas),
+       "per_10k_deltas"},
       {"store.bytes_per_user_byte",
-       ratio(store.wal_bytes + store.snapshot_bytes, store.user_bytes),
+       Ratio(store.wal_bytes + store.snapshot_bytes, store.user_bytes),
        "ratio"},
       {"store.recover_s", Median(recover), "s"},
   };
   report.work = {
-      {"deltas", a.deltas_applied - b.deltas_applied},
-      {"rows_reused", reused},
-      {"rows_decided", decided},
-      {"answers_incremental", a.answers_incremental - b.answers_incremental},
-      {"answers_full", a.answers_full - b.answers_full},
+      {"deltas", after->session.deltas_applied -
+                     before->session.deltas_applied},
+      {"rows_reused", serves.reused},
+      {"rows_decided", serves.decided},
+      {"answers_incremental", serves.incremental},
+      {"answers_full", serves.full},
       {"wal_appended_bytes",
        after->store.wal_appended_bytes - before->store.wal_appended_bytes},
       {"store_replay_wal_bytes", store.wal_bytes},

@@ -1,15 +1,19 @@
 // frontier_solve: every side of the paper's frontier in one request. In
-// process. Each request is one Service::SolveBatch holding one pinned
-// handle per class (FO, terminal weak cycles, AC(3), C(4), and q0 on the
-// SAT fallback) over one database served by one session worker, so its
-// latency is the sum over the classes and the median never falls
-// between two groups of costs. Four callers each drive their own copy
-// of that database (four databases of one Service, one worker each): a
-// single core's speed swings by a quarter from one second to the next on
-// a shared host, four cores' average holds. Set-up prepares a seeded
-// catalog of random acyclic queries, which is where classification and
-// rewriting are paid. A pinned answer set on relations the batch does
-// not read carries the delta and answers classes.
+// process. Each request is one Service::SolveBatch holding two pinned
+// handles per side (FO, terminal weak cycles, AC(3), C(4), and q0 on the
+// SAT fallback): the side's query on its generated instance, and a twin
+// on a renamed copy that is certain by construction, so a solver that
+// wrongly answers either way fails the run. Every reply is also checked
+// for the solver that answered it. One database is served by one
+// session worker, so a request's latency is the sum over the classes and
+// the median never falls between two groups of costs. Four callers each
+// drive their own copy of that database (four databases of one Service,
+// one worker each): a single core's speed swings by a quarter from one
+// second to the next on a shared host, four cores' average holds.
+// Set-up prepares a seeded catalog of random acyclic queries, which is
+// where classification and rewriting are paid. A pinned answer set on
+// relations the batch does not read carries the delta and answers
+// classes.
 
 #include <cstdio>
 #include <memory>
@@ -31,7 +35,7 @@ using cqa::Service;
 constexpr const char* kName = "frontier_solve";
 constexpr int kCallers = 4;  // one database each
 constexpr int kWorkers = 1;  // per database
-constexpr int kFoBlocks = 1536;
+constexpr int kFoBlocks = 4096;
 constexpr int kCycleBlocks = 3;
 constexpr int kLayerSize = 4;
 constexpr int kSideBlocks = 256;
@@ -40,14 +44,14 @@ constexpr int kSidePerDelta = 4;
 constexpr int kCatalog = 48;
 constexpr int kSetups = 15;
 constexpr int kClasses = 5;
+// Per class; batch slots 2c and 2c + 1 are class c's query and its twin.
 const char* const kClassSpan[kClasses] = {
     "fo.bool_solve", "solvers.terminal_cycles", "solvers.ack", "solvers.ck",
     "solvers.sat"};
 
 struct Inputs {
   Database db;
-  std::vector<cqa::Query> batch;  // FO, terminal cycles, AC(3), C(4), q0
-  std::vector<bool> certain;
+  std::vector<BoolQuery> batch;
   AnswerStream side;
   std::vector<cqa::Query> catalog;
 };
@@ -55,16 +59,13 @@ struct Inputs {
 Inputs MakeInputs(uint64_t seed) {
   Inputs in;
   cqa::Rng rng(seed * 0x9e3779b97f4a7c15ull + 17);
-  Frontier f = AddFrontier(kFoBlocks, kCycleBlocks, kLayerSize, &rng, &in.db);
-  in.batch = {f.fo, f.terminal_cycles, f.ack, f.ck, f.q0};
+  in.batch = AddFrontier(kFoBlocks, kCycleBlocks, kLayerSize, &rng, &in.db);
   // The side set is consistent apart from its toggled blocks: every
   // conflicting block adds a SAT decision to the q0 solve.
   AddPinnedAnswers("F", kSideBlocks, kSideToggled, kSidePerDelta, false,
                    &rng, &in.db, &in.side);
   ComputeExpected(in.db, &in.side);
-  for (const cqa::Query& q : in.batch) {
-    in.certain.push_back(ExpectedVerdict(q, in.db));
-  }
+  FillVerdicts(in.db, &in.batch);
   for (int i = 0; i < kCatalog; ++i) {
     cqa::QueryGenOptions options;
     options.num_atoms = 3 + static_cast<int>(rng.Below(3));
@@ -98,8 +99,8 @@ bool SetUp(const Inputs& in, int databases, Fixture* fx, Ledger* ledger) {
   for (const cqa::Query& q : in.catalog) {
     if (!fx->service->Prepare(q).ok()) return ledger->Fail("catalog");
   }
-  for (const cqa::Query& q : in.batch) {
-    auto handle = fx->service->Prepare(q);
+  for (const BoolQuery& q : in.batch) {
+    auto handle = fx->service->Prepare(q.query);
     if (!handle.ok()) return ledger->Fail("prepare batch");
     fx->batch.push_back(*handle);
   }
@@ -112,11 +113,8 @@ bool SetUp(const Inputs& in, int databases, Fixture* fx, Ledger* ledger) {
       batch[i].database = DbName(d);
       batch[i].prepared = fx->batch[i];
     }
-    for (const auto& r : fx->service->SolveBatch(batch)) {
-      if (!r.ok()) {
-        ledger->Fail("warm-up: " + r.status().message());
-        return false;
-      }
+    if (!CheckReplies(fx->service->SolveBatch(batch), in.batch, ledger)) {
+      return false;
     }
     Service::CertainAnswersRequest page;
     page.database = DbName(d);
@@ -155,20 +153,11 @@ void Iterate(const Inputs& in, Fixture* fx, int d, uint64_t* epoch,
       return fx->service->SolveBatch(batch);
     }();
     double us = MicrosSince(t);
-    bool ok = true;
-    for (size_t i = 0; i < replies.size(); ++i) {
-      if (!replies[i].ok()) {
-        ledger->Fail("batch item: " + replies[i].status().message());
-        ok = false;
-      } else if (replies[i]->outcome.certain != in.certain[i]) {
-        ledger->Mismatch(std::string("verdict of ") + kClassSpan[i]);
-        ok = false;
-      } else {
-        work->sat_decisions += replies[i]->outcome.sat_decisions;
-        work->sat_clauses += replies[i]->outcome.sat_clauses;
+    if (CheckReplies(replies, in.batch, ledger)) {
+      for (const auto& r : replies) {
+        work->sat_decisions += r->outcome.sat_decisions;
+        work->sat_clauses += r->outcome.sat_clauses;
       }
-    }
-    if (ok) {
       run->solve.Add(us);
       ++run->completed;
       ++work->batches;
@@ -306,50 +295,55 @@ LayerReport ReplayFrontierSolve(const Args& args, Tracer* tracer,
   uint64_t epoch = fx.base_epoch[0];
   EndToEnd sink;
   Work work;
-  // Spans alternate off and on from one iteration to the next, so both
-  // halves of the replay see the same host; the difference is the
-  // tracer's own overhead.
-  for (int i = 0; i < 2 * requests; ++i) {
-    const int pass = i % 2;  // 1: spans on
-    tracer->set_enabled(pass == 1);
-    double& replay_s = pass == 0 ? report.off_s : report.on_s;
-    tracer->BeginRequest(1000 + static_cast<uint64_t>(i));
-    Clock::time_point t = Clock::now();
-    {
-      ScopedSpan root(tracer, "request");
-      Iterate(in, &fx, 0, &epoch, &sink, ledger, &work, tracer);
-    }
-    replay_s += SecondsSince(t);
-    ScopedSpan probe(tracer, "probe");
-    for (int c = 0; c < kClasses; ++c) {
-      ScopedSpan span(tracer, kClassSpan[c]);
-      (void)plans[c]->Solve(ctx);
-    }
-  }
-  tracer->set_enabled(true);
+  ReplayAlternating(
+      tracer, requests, 1, 1000,
+      [&](int) { Iterate(in, &fx, 0, &epoch, &sink, ledger, &work, tracer); },
+      [&](int) {
+        for (size_t i = 0; i < plans.size(); ++i) {
+          ScopedSpan span(tracer, kClassSpan[i / 2]);
+          (void)plans[i]->Solve(ctx);
+        }
+      },
+      &report);
+  // Per batch: both queries of a class, summed.
+  auto per_batch_us = [&](const char* span) {
+    return tracer->Get(kName, span).self_us / requests;
+  };
   double direct = 0;
+  for (const char* span : kClassSpan) direct += per_batch_us(span);
+  std::printf("batch shares (base: %.1f us of direct solves per batch):",
+              direct);
   for (const char* span : kClassSpan) {
-    direct += MeanSelfUs(*tracer, kName, span);
+    std::printf(" %s=%.1f%%", span, 100.0 * per_batch_us(span) / direct);
   }
+  std::printf("\n");
   double solve = MeanSelfUs(*tracer, kName, "serve.solve");
+  int64_t sat_decisions = 0;
+  int64_t sat_clauses = 0;
   cqa::EvalContext sat_ctx(in.db);
-  auto sat = plans[4]->Solve(sat_ctx);
+  for (size_t i = 2 * (kClasses - 1); i < plans.size(); ++i) {
+    auto sat = plans[i]->Solve(sat_ctx);
+    if (!sat.ok()) {
+      ledger->Fail("direct SAT solve");
+      continue;
+    }
+    sat_decisions += sat->sat_decisions;
+    sat_clauses += sat->sat_clauses;
+  }
   report.metrics = {
       {"plan.compile_us", MeanSelfUs(*tracer, kName, "plan.compile"), "us"},
       {"core.classify_us", MeanSelfUs(*tracer, kName, "core.classify"), "us"},
       {"fo.rewrite_us", MeanSelfUs(*tracer, kName, "fo.rewrite"), "us"},
       {"serve.solve_us", solve, "us"},
       {"serve.dispatch_us", solve - direct, "us"},
-      {"fo.bool_solve_us", MeanSelfUs(*tracer, kName, "fo.bool_solve"), "us"},
-      {"solvers.terminal_cycles_us",
-       MeanSelfUs(*tracer, kName, "solvers.terminal_cycles"), "us"},
-      {"solvers.ack_us", MeanSelfUs(*tracer, kName, "solvers.ack"), "us"},
-      {"solvers.ck_us", MeanSelfUs(*tracer, kName, "solvers.ck"), "us"},
-      {"solvers.sat_us", MeanSelfUs(*tracer, kName, "solvers.sat"), "us"},
-      {"solvers.sat_decisions",
-       sat.ok() ? static_cast<double>(sat->sat_decisions) : 0, "count"},
-      {"solvers.sat_clauses",
-       sat.ok() ? static_cast<double>(sat->sat_clauses) : 0, "count"},
+      {"fo.bool_solve_us", per_batch_us("fo.bool_solve"), "us"},
+      {"solvers.terminal_cycles_us", per_batch_us("solvers.terminal_cycles"),
+       "us"},
+      {"solvers.ack_us", per_batch_us("solvers.ack"), "us"},
+      {"solvers.ck_us", per_batch_us("solvers.ck"), "us"},
+      {"solvers.sat_us", per_batch_us("solvers.sat"), "us"},
+      {"solvers.sat_decisions", static_cast<double>(sat_decisions), "count"},
+      {"solvers.sat_clauses", static_cast<double>(sat_clauses), "count"},
   };
   report.work = {
       {"batches", work.batches},

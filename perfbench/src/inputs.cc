@@ -49,6 +49,57 @@ void AddRenamed(const Database& from,
   }
 }
 
+/// `q` with every relation renamed to its name plus `suffix`.
+Query RenameRelations(const Query& q, const std::string& suffix) {
+  std::vector<cqa::Atom> atoms;
+  for (const cqa::Atom& atom : q.atoms()) {
+    atoms.emplace_back(
+        InternSymbol(cqa::SymbolName(atom.relation()) + suffix),
+        atom.terms(), atom.key_arity());
+  }
+  return Query(std::move(atoms));
+}
+
+/// Adds one consistent embedding of the self-join-free `q`: each atom
+/// becomes a fact whose variables are fresh constants (`prefix` plus the
+/// variable's name), alone in its block. Every repair keeps all of them,
+/// so `q` is certain.
+void AddConsistentEmbedding(const Query& q, const std::string& prefix,
+                            Database* db) {
+  for (const cqa::Atom& atom : q.atoms()) {
+    std::vector<SymbolId> values;
+    for (const cqa::Term& t : atom.terms()) {
+      values.push_back(t.is_const()
+                           ? t.id()
+                           : InternSymbol(prefix + cqa::SymbolName(t.id())));
+    }
+    MustAdd(db, Fact(atom.relation(), values, atom.key_arity()));
+  }
+}
+
+/// Adds one side of the frontier: `part` with its relations renamed by
+/// `renames` for `q`, and a copy with every relation renamed once more
+/// (suffix "Y") plus one consistent embedding for the certain twin of
+/// `q`. Appends both queries to `out`.
+void AddSide(const std::string& name, const Database& part,
+             const std::map<std::string, std::string>& renames,
+             const Query& q, cqa::SolverKind solver,
+             std::optional<bool> by_construction, Database* db,
+             std::vector<BoolQuery>* out) {
+  std::map<std::string, std::string> twin;
+  for (const Fact& f : part.facts()) {
+    std::string relation = cqa::SymbolName(f.relation());
+    auto it = renames.find(relation);
+    twin[relation] = (it == renames.end() ? relation : it->second) + "Y";
+  }
+  AddRenamed(part, renames, db);
+  AddRenamed(part, twin, db);
+  Query twin_query = RenameRelations(q, "Y");
+  AddConsistentEmbedding(twin_query, "cw_", db);
+  out->push_back({name, q, solver, by_construction});
+  out->push_back({name + " twin", twin_query, solver, true});
+}
+
 }  // namespace
 
 void MustAdd(Database* db, const Fact& fact) {
@@ -184,38 +235,50 @@ void AddUnpinnedAnswers(int r_blocks, int s_blocks, Rng* rng, Database* db,
   out->deltas = {to_b, to_a};
 }
 
-Query AddBooleanScan(const std::string& a, const std::string& b, int blocks,
-                     bool conflicts, Rng* rng, Database* db) {
+std::vector<BoolQuery> AddBooleanScan(const std::string& a,
+                                      const std::string& b, int blocks,
+                                      bool conflicts, Rng* rng,
+                                      Database* db) {
   const int v_keys = std::max(4, blocks / 4);
   auto v_name = [&](int v) { return Name(a + "v", v); };
-  for (int v = 0; v < v_keys; ++v) {
-    MustAdd(db, Fact::Make(b, {v_name(v), "no"}, 1));
-    if (conflicts && v % 3 == 1) {
-      MustAdd(db, Fact::Make(b, {v_name(v), "yes"}, 1));
+  // v0 is the witness's target; every other <b>-block holds 'maybe',
+  // and with conflicts as many also hold 'yes' as hold 'no', so the scan
+  // and its twin do the same work per block.
+  MustAdd(db, Fact::Make(b, {v_name(0), "no"}, 1));
+  for (int v = 1; v < v_keys; ++v) {
+    MustAdd(db, Fact::Make(b, {v_name(v), "maybe"}, 1));
+    if (conflicts && v % 3 != 0) {
+      MustAdd(db, Fact::Make(b, {v_name(v), v % 3 == 1 ? "yes" : "no"}, 1));
     }
   }
-  for (int u = 0; u < blocks; ++u) {
+  for (int u = 0; u < blocks - 1; ++u) {
     std::string key = Name(a + "u", u);
-    int v = static_cast<int>(rng->Below(v_keys));
+    int v = 1 + static_cast<int>(rng->Below(v_keys - 1));
     MustAdd(db, Fact::Make(a, {key, v_name(v)}, 1));
     if (conflicts && u % 7 == 3) {
-      MustAdd(db, Fact::Make(a, {key, v_name((v + 1) % v_keys)}, 1));
+      MustAdd(db, Fact::Make(a, {key, v_name(1 + v % (v_keys - 1))}, 1));
     }
   }
-  return cqa::MustParseQuery(a + "(u | v), " + b + "(v | 'yes')");
+  MustAdd(db, Fact::Make(a, {Name(a + "u", blocks - 1), v_name(0)}, 1));
+  const cqa::SolverKind fo = cqa::SolverKind::kFoRewriting;
+  return {
+      {a + " scan", cqa::MustParseQuery(a + "(u | v), " + b + "(v | 'yes')"),
+       fo, false},
+      {a + " scan twin",
+       cqa::MustParseQuery(a + "(u | v), " + b + "(v | 'no')"), fo, true},
+  };
 }
 
-Frontier AddFrontier(int fo_blocks, int cycle_blocks, int layer_size,
-                     Rng* rng, Database* db) {
-  Frontier f;
+std::vector<BoolQuery> AddFrontier(int fo_blocks, int cycle_blocks,
+                                   int layer_size, Rng* rng, Database* db) {
   // The FO part is consistent: every conflicting block anywhere in the
   // database costs the SAT side one decision (its encoding covers the
   // whole database), and this part is the bulk of it.
-  f.fo = AddBooleanScan("FA", "FB", fo_blocks, false, rng, db);
+  std::vector<BoolQuery> out =
+      AddBooleanScan("FA", "FB", fo_blocks, false, rng, db);
 
-  // Fig. 4's three weak terminal 2-cycles (corpus::Fig4Query), over
-  // relations of their own.
-  f.terminal_cycles = cqa::MustParseQuery(
+  // Fig. 4's three weak terminal 2-cycles (corpus::Fig4Query).
+  Query cycles_query = cqa::MustParseQuery(
       "T1(x, u1 | u2, z), T2(x, u2 | u1, z), T3(x, y, u3 | u4), "
       "T4(x, y, u4 | u3), T5(y, u5 | u6), T6(y, u6 | u5)");
   cqa::BlockDbGenOptions cycles;
@@ -223,7 +286,9 @@ Frontier AddFrontier(int fo_blocks, int cycle_blocks, int layer_size,
   cycles.max_block_size = 2;
   cycles.domain_size = 5;
   cycles.seed = rng->Next();
-  AddRenamed(cqa::RandomBlockDatabase(f.terminal_cycles, cycles), {}, db);
+  AddSide("terminal cycles", cqa::RandomBlockDatabase(cycles_query, cycles),
+          {}, cycles_query, cqa::SolverKind::kTerminalCycles, std::nullopt,
+          db, &out);
 
   cqa::AckInstanceOptions ack;
   ack.k = 3;
@@ -231,20 +296,22 @@ Frontier AddFrontier(int fo_blocks, int cycle_blocks, int layer_size,
   ack.s_tuples = 2 * layer_size;
   ack.noise_edges = 2 * layer_size;
   ack.seed = rng->Next();
-  AddRenamed(cqa::RandomAckDatabase(ack),
-             {{"R1", "A1"}, {"R2", "A2"}, {"R3", "A3"}, {"S3", "AS3"}}, db);
-  f.ack = cqa::MustParseQuery(
-      "A1(x1 | x2), A2(x2 | x3), A3(x3 | x1), AS3(x1, x2, x3 |)");
+  AddSide("AC(3)", cqa::RandomAckDatabase(ack),
+          {{"R1", "A1"}, {"R2", "A2"}, {"R3", "A3"}, {"S3", "AS3"}},
+          cqa::MustParseQuery(
+              "A1(x1 | x2), A2(x2 | x3), A3(x3 | x1), AS3(x1, x2, x3 |)"),
+          cqa::SolverKind::kAck, std::nullopt, db, &out);
 
   cqa::CkInstanceOptions ck;
   ck.k = 4;
   ck.layer_size = layer_size;
   ck.edges_per_vertex = 2;
   ck.seed = rng->Next();
-  AddRenamed(cqa::RandomCkDatabase(ck),
-             {{"R1", "C1"}, {"R2", "C2"}, {"R3", "C3"}, {"R4", "C4"}}, db);
-  f.ck = cqa::MustParseQuery(
-      "C1(x1 | x2), C2(x2 | x3), C3(x3 | x4), C4(x4 | x1)");
+  AddSide("C(4)", cqa::RandomCkDatabase(ck),
+          {{"R1", "C1"}, {"R2", "C2"}, {"R3", "C3"}, {"R4", "C4"}},
+          cqa::MustParseQuery(
+              "C1(x1 | x2), C2(x2 | x3), C3(x3 | x4), C4(x4 | x1)"),
+          cqa::SolverKind::kCk, std::nullopt, db, &out);
 
   // q0 with an escape fact R0(a, e_a) in every R0-block: choosing the
   // escapes gives a repair without an embedding, so the instance is
@@ -256,17 +323,17 @@ Frontier AddFrontier(int fo_blocks, int cycle_blocks, int layer_size,
   q0.domain_size = 6;
   q0.seed = rng->Next();
   Database q0db = cqa::RandomQ0Database(q0);
-  AddRenamed(q0db, {}, db);
   std::set<SymbolId> r0_keys;
   for (const Database::Block& block : q0db.blocks()) {
     if (cqa::SymbolName(block.relation) == "R0") r0_keys.insert(block.key[0]);
   }
   for (SymbolId a : r0_keys) {
     std::string key = cqa::SymbolName(a);
-    MustAdd(db, Fact::Make("R0", {key, "esc_" + key}, 1));
+    MustAdd(&q0db, Fact::Make("R0", {key, "esc_" + key}, 1));
   }
-  f.q0 = cqa::corpus::Q0();
-  return f;
+  AddSide("q0", q0db, {}, cqa::corpus::Q0(), cqa::SolverKind::kSat, false,
+          db, &out);
+  return out;
 }
 
 void ComputeExpected(const Database& db, AnswerStream* out) {
@@ -344,6 +411,16 @@ void ComputeExpected(const Database& db, AnswerStream* out) {
       }
     }
     record(current);
+  }
+}
+
+void FillVerdicts(const Database& db, std::vector<BoolQuery>* queries) {
+  for (BoolQuery& q : *queries) {
+    q.certain = ExpectedVerdict(q.query, db);
+    if (q.by_construction.has_value() && *q.by_construction != q.certain) {
+      Die(q.name + " was built to be " +
+          (*q.by_construction ? "certain" : "not certain"));
+    }
   }
 }
 

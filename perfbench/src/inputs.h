@@ -2,12 +2,14 @@
 #define PERFBENCH_INPUTS_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cq/query.h"
 #include "db/database.h"
 #include "serve/session.h"
+#include "solvers/solver.h"
 #include "util/rng.h"
 
 /// \file
@@ -63,26 +65,54 @@ void AddPinnedAnswers(const std::string& tag, int p_blocks, int toggled,
 void AddUnpinnedAnswers(int r_blocks, int s_blocks, cqa::Rng* rng,
                         cqa::Database* db, AnswerStream* out);
 
-/// Relations <a>(u | v), <b>(v | w) and the Boolean query
-/// <a>(u | v), <b>(v | 'yes'), which is not certain: no <b>-block holds
-/// 'yes' in every repair. The certain rewriting must therefore visit
-/// every <a>-block before it can answer, so the cost is linear in
-/// `blocks` and identical across seeds. With `conflicts`, one <a>-block
-/// in seven and one <b>-block in three hold two facts.
-cqa::Query AddBooleanScan(const std::string& a, const std::string& b,
-                          int blocks, bool conflicts, cqa::Rng* rng,
-                          cqa::Database* db);
-
-/// The five sides of the paper's frontier over one database.
-struct Frontier {
-  cqa::Query fo;               // Theorem 1: certain FO rewriting
-  cqa::Query terminal_cycles;  // Theorem 3: weak terminal cycles
-  cqa::Query ack;              // Theorem 4: AC(3)
-  cqa::Query ck;               // Corollary 1: C(4)
-  cqa::Query q0;               // Theorem 2 source: coNP-complete
+/// A Boolean query and what every reply to it must say.
+struct BoolQuery {
+  std::string name;  // in mismatch messages
+  cqa::Query query;
+  /// The solver the classifier must route the query to.
+  cqa::SolverKind solver = cqa::SolverKind::kSat;
+  /// The verdict the database was built to give, when it was built to
+  /// give one.
+  std::optional<bool> by_construction;
+  /// The verdict through ExpectedVerdict; set by FillVerdicts.
+  bool certain = false;
 };
-Frontier AddFrontier(int fo_blocks, int cycle_blocks, int layer_size,
-                     cqa::Rng* rng, cqa::Database* db);
+
+/// Sets `certain` of every query through ExpectedVerdict on `db`, and
+/// aborts when it contradicts `by_construction` (a generator bug).
+void FillVerdicts(const cqa::Database& db, std::vector<BoolQuery>* queries);
+
+/// Relations <a>(u | v), <b>(v | w) and two Boolean FO queries over
+/// them, each a scan of every <a>-block:
+/// - <a>(u | v), <b>(v | 'yes'), not certain by construction: no
+///   <b>-block holds only 'yes';
+/// - its twin <a>(u | v), <b>(v | 'no'), certain by construction: the
+///   last <a>-block in insertion order, the witness, holds one fact
+///   pointing at the one <b>-block that holds 'no' (every other holds
+///   'maybe'). No other <a>-block satisfies it, so the FO program's
+///   first-witness short-circuit fires only at the end of the scan and
+///   the twin costs what the scan costs.
+/// With `conflicts`, one other <a>-block in seven holds two facts, and
+/// two <b>-blocks in three hold 'maybe' beside 'yes' or beside 'no'
+/// (as many of each). The cost is linear in `blocks` and the same
+/// across seeds.
+std::vector<BoolQuery> AddBooleanScan(const std::string& a,
+                                      const std::string& b, int blocks,
+                                      bool conflicts, cqa::Rng* rng,
+                                      cqa::Database* db);
+
+/// The sides of the paper's frontier over one database, two queries per
+/// side, in this order: FO (Theorem 1), Fig. 4's weak terminal cycles
+/// (Theorem 3), AC(3) (Theorem 4), C(4) (Corollary 1) and q0 (Theorem
+/// 2's source, on the SAT fallback). The first query of a side runs on
+/// its generated instance: the FO scan and q0 are not certain by
+/// construction, the other three take whatever verdict the seed gives.
+/// The second runs on a copy of that instance over renamed relations
+/// plus one consistent embedding of the query (a single-fact block per
+/// atom), so it is certain by construction at about the same cost.
+std::vector<BoolQuery> AddFrontier(int fo_blocks, int cycle_blocks,
+                                   int layer_size, cqa::Rng* rng,
+                                   cqa::Database* db);
 
 /// Adds one fact, aborting on a signature clash (a generator bug).
 void MustAdd(cqa::Database* db, const cqa::Fact& fact);

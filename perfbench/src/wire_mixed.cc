@@ -404,156 +404,149 @@ LayerReport ReplayWireMixed(const Args& args, Tracer* tracer, int requests,
     }
     return payload;
   };
-  // Spans alternate off and on from one mix cycle (four requests) to the
-  // next, so both halves of the replay see the same host; the difference
-  // is the tracer's own overhead.
-  for (int i = 0; i < 2 * requests; ++i) {
-    const int pass = (i / 4) % 2;  // 1: spans on
-    tracer->set_enabled(pass == 1);
-    double& replay_s = pass == 0 ? report.off_s : report.on_s;
-    tracer->BeginRequest(static_cast<uint64_t>(i));
-    std::shared_ptr<const cqa::QueryPlan> probe_plan;
-    Clock::time_point t = Clock::now();
-    {
-      ScopedSpan root(tracer, "request");
-      ++ledger->attempted;
-      uint64_t n = static_cast<uint64_t>(i);
-      switch (n % 4) {
-        case 0:
-        case 1: {
-          net::SolveCall call;
-          call.database = kDb;
-          Service::SolveRequest req;
-          req.database = kDb;
-          size_t q = (n / 4) % in.adhoc.size();
-          bool want = in.prepared_certain;
-          if (n % 4 == 0) {
-            call.prepared_id = (*prepared)->id();
-            req.prepared = *prepared;
-          } else {
-            call.query = in.adhoc[q];
-            req.query = in.adhoc[q];
-            want = in.adhoc_certain[q];
-          }
-          std::string payload =
-              encode([&](net::Writer* w) { net::EncodeSolveCall(w, call); });
-          wire_hop(static_cast<uint8_t>(net::Verb::kSolve), payload);
-          {
-            ScopedSpan span(tracer, "net.codec");
-            net::Reader r(payload);
-            (void)net::DecodeSolveCall(&r);
-          }
-          if (n % 4 == 1) {
-            ScopedSpan span(tracer, "plan.lookup");
-            (void)cache.GetOrCompile(in.adhoc[q]);
-          }
-          cqa::Result<Service::SolveResponse> r = [&] {
-            ScopedSpan span(tracer, "serve.solve");
-            return service.Solve(req);
-          }();
-          if (!r.ok()) {
-            ledger->Fail("solve: " + r.status().message());
+  // Spans alternate off and on one mix cycle (four requests) at a time.
+  std::shared_ptr<const cqa::QueryPlan> probe_plan;
+  ReplayAlternating(
+      tracer, requests, 4, 0,
+      [&](int i) {
+        probe_plan = nullptr;
+        ++ledger->attempted;
+        uint64_t n = static_cast<uint64_t>(i);
+        switch (n % 4) {
+          case 0:
+          case 1: {
+            net::SolveCall call;
+            call.database = kDb;
+            Service::SolveRequest req;
+            req.database = kDb;
+            size_t q = (n / 4) % in.adhoc.size();
+            bool want = in.prepared_certain;
+            if (n % 4 == 0) {
+              call.prepared_id = (*prepared)->id();
+              req.prepared = *prepared;
+            } else {
+              call.query = in.adhoc[q];
+              req.query = in.adhoc[q];
+              want = in.adhoc_certain[q];
+            }
+            std::string payload =
+                encode([&](net::Writer* w) { net::EncodeSolveCall(w, call); });
+            wire_hop(static_cast<uint8_t>(net::Verb::kSolve), payload);
+            {
+              ScopedSpan span(tracer, "net.codec");
+              net::Reader r(payload);
+              (void)net::DecodeSolveCall(&r);
+            }
+            if (n % 4 == 1) {
+              ScopedSpan span(tracer, "plan.lookup");
+              (void)cache.GetOrCompile(in.adhoc[q]);
+            }
+            cqa::Result<Service::SolveResponse> r = [&] {
+              ScopedSpan span(tracer, "serve.solve");
+              return service.Solve(req);
+            }();
+            if (!r.ok()) {
+              ledger->Fail("solve: " + r.status().message());
+              break;
+            }
+            if (r->outcome.certain != want) ledger->Mismatch("verdict");
+            net::SolveReply reply;
+            reply.certain = r->outcome.certain;
+            reply.solver_kind = cqa::ToString(r->outcome.solver);
+            reply.epoch = r->epoch;
+            std::string out = encode(
+                [&](net::Writer* w) { net::EncodeSolveReply(w, reply); });
+            wire_hop(
+                static_cast<uint8_t>(net::Verb::kSolve) | net::kResponseBit,
+                out);
+            {
+              ScopedSpan span(tracer, "net.codec");
+              net::Reader rd(out);
+              (void)net::DecodeSolveReply(&rd);
+            }
+            probe_plan = n % 4 == 0 ? (*prepared)->plan()
+                                    : *cache.GetOrCompile(in.adhoc[q]);
             break;
           }
-          if (r->outcome.certain != want) ledger->Mismatch("verdict");
-          net::SolveReply reply;
-          reply.certain = r->outcome.certain;
-          reply.solver_kind = cqa::ToString(r->outcome.solver);
-          reply.epoch = r->epoch;
-          std::string out = encode(
-              [&](net::Writer* w) { net::EncodeSolveReply(w, reply); });
-          wire_hop(
-              static_cast<uint8_t>(net::Verb::kSolve) | net::kResponseBit,
-              out);
-          {
-            ScopedSpan span(tracer, "net.codec");
-            net::Reader rd(out);
-            (void)net::DecodeSolveReply(&rd);
-          }
-          probe_plan = n % 4 == 0 ? (*prepared)->plan()
-                                  : *cache.GetOrCompile(in.adhoc[q]);
-          break;
-        }
-        case 2: {
-          Service::CertainAnswersRequest req;
-          req.database = kDb;
-          req.prepared = *answers;
-          req.page_size = in.answers.page_size;
-          net::CertainAnswersCall call;
-          call.database = kDb;
-          call.prepared_id = (*answers)->id();
-          call.page_size = req.page_size;
-          std::string payload = encode([&](net::Writer* w) {
-            net::EncodeCertainAnswersCall(w, call);
-          });
-          wire_hop(static_cast<uint8_t>(net::Verb::kCertainAnswers), payload);
-          cqa::Result<Service::CertainAnswersResponse> first = [&] {
-            ScopedSpan span(tracer, "serve.first_page");
-            return service.CertainAnswers(req);
-          }();
-          if (!first.ok()) {
-            ledger->Fail("answers: " + first.status().message());
+          case 2: {
+            Service::CertainAnswersRequest req;
+            req.database = kDb;
+            req.prepared = *answers;
+            req.page_size = in.answers.page_size;
+            net::CertainAnswersCall call;
+            call.database = kDb;
+            call.prepared_id = (*answers)->id();
+            call.page_size = req.page_size;
+            std::string payload = encode([&](net::Writer* w) {
+              net::EncodeCertainAnswersCall(w, call);
+            });
+            wire_hop(static_cast<uint8_t>(net::Verb::kCertainAnswers), payload);
+            cqa::Result<Service::CertainAnswersResponse> first = [&] {
+              ScopedSpan span(tracer, "serve.first_page");
+              return service.CertainAnswers(req);
+            }();
+            if (!first.ok()) {
+              ledger->Fail("answers: " + first.status().message());
+              break;
+            }
+            net::CertainAnswersReply reply;
+            reply.rows = first->rows;
+            reply.next_page_token = first->next_page_token;
+            reply.total_rows = first->total_rows;
+            reply.epoch = first->epoch;
+            std::string out = encode([&](net::Writer* w) {
+              net::EncodeCertainAnswersReply(w, reply);
+            });
+            wire_hop(static_cast<uint8_t>(net::Verb::kCertainAnswers) |
+                         net::kResponseBit,
+                     out);
+            CheckPage(in, reply, in.answers.expected[0].page0, ledger);
+            if (first->next_page_token.empty()) break;
+            Service::CertainAnswersRequest next;
+            next.database = kDb;
+            next.page_token = first->next_page_token;
+            cqa::Result<Service::CertainAnswersResponse> second = [&] {
+              ScopedSpan span(tracer, "serve.next_page");
+              return service.CertainAnswers(next);
+            }();
+            if (!second.ok()) {
+              ledger->Fail("next page: " + second.status().message());
+              break;
+            }
+            reply.rows = second->rows;
+            CheckPage(in, reply, in.answers.expected[0].page1, ledger);
             break;
           }
-          net::CertainAnswersReply reply;
-          reply.rows = first->rows;
-          reply.next_page_token = first->next_page_token;
-          reply.total_rows = first->total_rows;
-          reply.epoch = first->epoch;
-          std::string out = encode([&](net::Writer* w) {
-            net::EncodeCertainAnswersReply(w, reply);
-          });
-          wire_hop(static_cast<uint8_t>(net::Verb::kCertainAnswers) |
-                       net::kResponseBit,
-                   out);
-          CheckPage(in, reply, in.answers.expected[0].page0, ledger);
-          if (first->next_page_token.empty()) break;
-          Service::CertainAnswersRequest next;
-          next.database = kDb;
-          next.page_token = first->next_page_token;
-          cqa::Result<Service::CertainAnswersResponse> second = [&] {
-            ScopedSpan span(tracer, "serve.next_page");
-            return service.CertainAnswers(next);
-          }();
-          if (!second.ok()) {
-            ledger->Fail("next page: " + second.status().message());
+          default: {
+            net::ApplyDeltaCall call;
+            call.database = kDb;
+            call.delta = DeltaFor(0, deltas++);
+            std::string payload = encode(
+                [&](net::Writer* w) { net::EncodeApplyDeltaCall(w, call); });
+            wire_hop(static_cast<uint8_t>(net::Verb::kApplyDelta), payload);
+            {
+              ScopedSpan span(tracer, "net.codec");
+              net::Reader r(payload);
+              (void)net::DecodeApplyDeltaCall(&r);
+            }
+            Service::DeltaRequest req;
+            req.database = kDb;
+            req.delta = call.delta;
+            cqa::Result<Service::DeltaResponse> r = [&] {
+              ScopedSpan span(tracer, "serve.apply_delta");
+              return service.ApplyDelta(req);
+            }();
+            if (!r.ok()) ledger->Fail("delta: " + r.status().message());
             break;
           }
-          reply.rows = second->rows;
-          CheckPage(in, reply, in.answers.expected[0].page1, ledger);
-          break;
         }
-        default: {
-          net::ApplyDeltaCall call;
-          call.database = kDb;
-          call.delta = DeltaFor(0, deltas++);
-          std::string payload = encode(
-              [&](net::Writer* w) { net::EncodeApplyDeltaCall(w, call); });
-          wire_hop(static_cast<uint8_t>(net::Verb::kApplyDelta), payload);
-          {
-            ScopedSpan span(tracer, "net.codec");
-            net::Reader r(payload);
-            (void)net::DecodeApplyDeltaCall(&r);
-          }
-          Service::DeltaRequest req;
-          req.database = kDb;
-          req.delta = call.delta;
-          cqa::Result<Service::DeltaResponse> r = [&] {
-            ScopedSpan span(tracer, "serve.apply_delta");
-            return service.ApplyDelta(req);
-          }();
-          if (!r.ok()) ledger->Fail("delta: " + r.status().message());
-          break;
-        }
-      }
-    }
-    replay_s += SecondsSince(t);
-    if (probe_plan != nullptr) {
-      ScopedSpan span(tracer, "fo.bool_solve");
-      (void)probe_plan->Solve(ctx);
-    }
-  }
-  tracer->set_enabled(true);
+      },
+      [&](int) {
+        if (probe_plan == nullptr) return;
+        ScopedSpan span(tracer, "fo.bool_solve");
+        (void)probe_plan->Solve(ctx);
+      },
+      &report);
   auto after = service.Stats({});
 
   // Wire tax: the same prepared Solve in process and over loopback,
@@ -598,29 +591,19 @@ LayerReport ReplayWireMixed(const Args& args, Tracer* tracer, int requests,
     ledger->Fail("stats");
     return report;
   }
-  const auto& b = before->session;
-  const auto& a = after->session;
-  uint64_t serves = (a.answers_cached - b.answers_cached) +
-                    (a.answers_incremental - b.answers_incremental) +
-                    (a.answers_full - b.answers_full);
+  const ServeCounts serves(before->session, after->session);
   uint64_t hits = after->plan_cache.hits - before->plan_cache.hits;
   uint64_t misses = after->plan_cache.misses - before->plan_cache.misses;
-  uint64_t reused = a.rows_reused - b.rows_reused;
-  uint64_t decided = a.rows_decided - b.rows_decided;
-  auto ratio = [](uint64_t num, uint64_t den) {
-    return den == 0 ? 0.0 : static_cast<double>(num) / den;
-  };
   std::printf("ratio base: wire_mixed plan.cache_hit_ratio = %llu hits / "
               "%llu lookups; serve.cache_hit_ratio = %llu cached / %llu "
               "serves; serve.rows_reused_ratio = %llu reused / %llu; "
               "net.wire_tax_us over %d solves each side\n",
               static_cast<unsigned long long>(hits),
               static_cast<unsigned long long>(hits + misses),
-              static_cast<unsigned long long>(a.answers_cached -
-                                              b.answers_cached),
-              static_cast<unsigned long long>(serves),
-              static_cast<unsigned long long>(reused),
-              static_cast<unsigned long long>(reused + decided),
+              static_cast<unsigned long long>(serves.cached),
+              static_cast<unsigned long long>(serves.serves()),
+              static_cast<unsigned long long>(serves.reused),
+              static_cast<unsigned long long>(serves.reused + serves.decided),
               kTaxRequests);
   double solve = MeanSelfUs(*tracer, kName, "serve.solve");
   double direct = MeanSelfUs(*tracer, kName, "fo.bool_solve");
@@ -638,25 +621,25 @@ LayerReport ReplayWireMixed(const Args& args, Tracer* tracer, int requests,
       {"net.shed", static_cast<double>(shed), "count"},
       {"net.retries", static_cast<double>(retries), "count"},
       {"plan.lookup_us", MeanSelfUs(*tracer, kName, "plan.lookup"), "us"},
-      {"plan.cache_hit_ratio", ratio(hits, hits + misses), "ratio"},
+      {"plan.cache_hit_ratio", Ratio(hits, hits + misses), "ratio"},
       {"serve.solve_us", solve, "us"},
       {"serve.dispatch_us", solve - direct, "us"},
       {"serve.first_page_us", MeanSelfUs(*tracer, kName, "serve.first_page"),
        "us"},
       {"serve.next_page_us", MeanSelfUs(*tracer, kName, "serve.next_page"),
        "us"},
-      {"serve.cache_hit_ratio",
-       ratio(a.answers_cached - b.answers_cached, serves), "ratio"},
-      {"serve.rows_reused_ratio", ratio(reused, reused + decided), "ratio"},
+      {"serve.cache_hit_ratio", serves.cache_hit_ratio(), "ratio"},
+      {"serve.rows_reused_ratio", serves.rows_reused_ratio(), "ratio"},
       {"fo.bool_solve_us", direct, "us"},
   };
   report.work = {
       {"frames", frames},
       {"frame_bytes", frame_bytes},
       {"plan_cache_hits", hits},
-      {"answers_cached", a.answers_cached - b.answers_cached},
-      {"answers_incremental", a.answers_incremental - b.answers_incremental},
-      {"deltas", a.deltas_applied - b.deltas_applied},
+      {"answers_cached", serves.cached},
+      {"answers_incremental", serves.incremental},
+      {"deltas", after->session.deltas_applied -
+                     before->session.deltas_applied},
   };
   return report;
 }

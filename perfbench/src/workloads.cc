@@ -6,7 +6,7 @@
 namespace perfbench {
 
 void PauseBetweenSetups() {
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
 }
 
 std::vector<Metric> EndToEndMetrics(const EndToEnd& run) {
@@ -70,6 +70,77 @@ double MeanSelfUs(const Tracer& tracer, const std::string& workload,
                   const std::string& span) {
   Tracer::Totals t = tracer.Get(workload, span);
   return t.calls == 0 ? 0 : t.self_us / static_cast<double>(t.calls);
+}
+
+void ReplayAlternating(Tracer* tracer, int iterations, int group,
+                       uint64_t first_id,
+                       const std::function<void(int)>& request,
+                       const std::function<void(int)>& probe,
+                       LayerReport* report) {
+  for (int i = 0; i < 2 * iterations; ++i) {
+    const bool on = (i / group) % 2 == 1;
+    tracer->set_enabled(on);
+    tracer->BeginRequest(first_id + static_cast<uint64_t>(i));
+    Clock::time_point t = Clock::now();
+    {
+      ScopedSpan root(tracer, "request");
+      request(i);
+    }
+    (on ? report->on_s : report->off_s) += SecondsSince(t);
+    if (probe) {
+      ScopedSpan root(tracer, "probe");
+      probe(i);
+    }
+  }
+  tracer->set_enabled(true);
+}
+
+ServeCounts::ServeCounts(const cqa::Session::Stats& before,
+                         const cqa::Session::Stats& after)
+    : cached(after.answers_cached - before.answers_cached),
+      incremental(after.answers_incremental - before.answers_incremental),
+      full(after.answers_full - before.answers_full),
+      reused(after.rows_reused - before.rows_reused),
+      decided(after.rows_decided - before.rows_decided),
+      chunks(after.parallel_chunks - before.parallel_chunks) {}
+
+bool TimedSolve(cqa::Service* service, const cqa::Service::SolveRequest& req,
+                const BoolQuery& want, Samples* lat, Ledger* ledger,
+                Tracer* tracer) {
+  ++ledger->attempted;
+  Clock::time_point t = Clock::now();
+  cqa::Result<cqa::Service::SolveResponse> r = [&] {
+    ScopedSpan span(tracer, "serve.solve");
+    return service->Solve(req);
+  }();
+  double us = MicrosSince(t);
+  if (!CheckReplies({r}, {want}, ledger)) return false;
+  lat->Add(us);
+  return true;
+}
+
+bool CheckReplies(
+    const std::vector<cqa::Result<cqa::Service::SolveResponse>>& replies,
+    const std::vector<BoolQuery>& slots, Ledger* ledger) {
+  if (replies.size() != slots.size()) {
+    return ledger->Fail("batch of " + std::to_string(slots.size()) +
+                        " got " + std::to_string(replies.size()) +
+                        " replies");
+  }
+  bool ok = true;
+  for (size_t i = 0; i < replies.size(); ++i) {
+    const BoolQuery& want = slots[i];
+    if (!replies[i].ok()) {
+      ok = ledger->Fail(want.name + ": " + replies[i].status().message());
+    } else if (replies[i]->outcome.solver != want.solver) {
+      ok = ledger->Mismatch(want.name + " answered by " +
+                            cqa::ToString(replies[i]->outcome.solver) +
+                            ", not " + cqa::ToString(want.solver));
+    } else if (replies[i]->outcome.certain != want.certain) {
+      ok = ledger->Mismatch("verdict of " + want.name);
+    }
+  }
+  return ok;
 }
 
 }  // namespace perfbench

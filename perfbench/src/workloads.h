@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "common.h"
+#include "inputs.h"
+#include "serve/service.h"
 
 /// \file
 /// The four workloads. Each has an end-to-end run (`--trace 0`: its real
@@ -32,7 +34,7 @@ struct EndToEnd {
 };
 
 /// Sleeps between two timed set-ups, so that the set-ups a run takes the
-/// median of are spread over about a second instead of one burst.
+/// median of are spread over a few seconds instead of one burst.
 void PauseBetweenSetups();
 
 /// The nine end-to-end metrics of BENCHMARK.json, in its order.
@@ -85,6 +87,46 @@ int RunTraced(const Args& args);
 /// named `span` recorded while replaying `workload`, in microseconds.
 double MeanSelfUs(const Tracer& tracer, const std::string& workload,
                   const std::string& span);
+
+/// The traced replay's loop: `2 * iterations` iterations with spans off
+/// and on in turn, `group` iterations at a time, so both halves see the
+/// same host and their difference is the tracer's own overhead.
+/// Iteration i is request `first_id + i`. `request(i)` runs under a
+/// `request` root span and its wall time is added to `report->off_s` or
+/// `report->on_s`; `probe(i)`, when set, follows under a `probe` root
+/// span, untimed, for the direct calls into single layers. Spans are on
+/// again when it returns.
+void ReplayAlternating(Tracer* tracer, int iterations, int group,
+                       uint64_t first_id,
+                       const std::function<void(int)>& request,
+                       const std::function<void(int)>& probe,
+                       LayerReport* report);
+
+/// Answer-path counts between two Session::Stats snapshots.
+struct ServeCounts {
+  ServeCounts(const cqa::Session::Stats& before,
+              const cqa::Session::Stats& after);
+  uint64_t cached, incremental, full, reused, decided, chunks;
+  uint64_t serves() const { return cached + incremental + full; }
+  /// serve.cache_hit_ratio: answers_cached / all serves.
+  double cache_hit_ratio() const { return Ratio(cached, serves()); }
+  /// serve.rows_reused_ratio: rows_reused / (rows_reused + rows_decided).
+  double rows_reused_ratio() const { return Ratio(reused, reused + decided); }
+};
+
+/// Sends `req` as one Service::Solve (under a `serve.solve` span) and
+/// checks the reply like CheckReplies; a matching reply's latency goes
+/// to `lat`. Returns true on a match.
+bool TimedSolve(cqa::Service* service, const cqa::Service::SolveRequest& req,
+                const BoolQuery& want, Samples* lat, Ledger* ledger,
+                Tracer* tracer);
+
+/// Checks the replies of one SolveBatch against `slots`, slot by slot:
+/// status, verdict and the solver that answered. Errors and mismatches
+/// are counted in `ledger`. Returns true when every reply matches.
+bool CheckReplies(
+    const std::vector<cqa::Result<cqa::Service::SolveResponse>>& replies,
+    const std::vector<BoolQuery>& slots, Ledger* ledger);
 
 }  // namespace perfbench
 
