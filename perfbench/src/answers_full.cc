@@ -1,14 +1,22 @@
 // answers_full: the certain-answer enumeration path (ROADMAP item 2).
-// In process, one caller, four session workers. Each iteration applies
-// one delta that swaps one S-block for another; S's key is existential,
-// so the answer cache must recompute the whole answer set, and the next
-// first page pays for candidate enumeration (cq), the FO program (fo)
-// and the pool fan-out. A Boolean scan over two relations the deltas do
-// not touch and its certain twin, two Solve requests of about the same
-// cost, give the solve class.
+// In process. Each iteration applies one delta that swaps one S-block for
+// another; S's key is existential, so the answer cache must recompute the
+// whole answer set, and the next first page pays for candidate
+// enumeration (cq) and the FO program (fo). A Boolean scan over two
+// relations the deltas do not touch and its certain twin, two Solve
+// requests of about the same cost, give the solve class. Four callers
+// each drive their own copy of the database (four databases of one
+// Service, one session worker each), each caller pinned with its
+// database's worker to a CPU of its own: with one caller and four
+// workers, the vCPUs idled between requests, and every request that had
+// to wake one waited on the host's other tenants (README.md). The traced
+// run replays one database served by four workers, where the pool
+// fan-out shows.
 
 #include <cstdio>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "cq/matcher.h"
 #include "inputs.h"
@@ -23,8 +31,9 @@ using cqa::Database;
 using cqa::Service;
 
 constexpr const char* kName = "answers_full";
-constexpr const char* kDb = "answers";
-constexpr int kWorkers = 4;
+constexpr int kCallers = 4;        // one database each
+constexpr int kWorkers = 1;        // per database
+constexpr int kTracedWorkers = 4;  // the traced run's one database
 constexpr int kRBlocks = 16384;
 constexpr int kSBlocks = 2048;
 constexpr int kScanBlocks = 8192;
@@ -46,68 +55,84 @@ Inputs MakeInputs(uint64_t seed) {
   return in;
 }
 
+std::string DbName(int caller) { return "answers" + std::to_string(caller); }
+
 struct Fixture {
   std::unique_ptr<Service> service;
   cqa::PreparedQueryHandle answers;
-  std::vector<Service::SolveRequest> scan;  // the scan, then its twin
-  uint64_t base_epoch = 0;
+  cqa::PreparedQueryHandle scan[2];  // the scan, then its twin
+  std::vector<uint64_t> base_epoch;  // per database
 };
 
-Service::Options ServiceOptions() {
+/// `databases` copies of the database served by `workers` session
+/// workers each, the prepared handles, and one warm request of each
+/// class per database. With `cpus`, database d's worker is created, and
+/// its warm requests are sent, pinned to CpuOf(cpus, d); `*pinned`
+/// counts the databases whose pin held. Returns false (with the reason
+/// in `ledger`) on any error.
+bool SetUp(const Inputs& in, int databases, int workers,
+           const std::vector<int>& cpus, Fixture* fx, Ledger* ledger,
+           int* pinned) {
   Service::Options options;
-  options.num_threads = kWorkers;
-  return options;
-}
-
-/// Service, database, prepared handles, and one warm request of each
-/// class. Returns false (with the reason in `ledger`) on any error.
-bool SetUp(const Inputs& in, Fixture* fx, Ledger* ledger) {
-  Database copy = in.db;
-  fx->service = std::make_unique<Service>(ServiceOptions());
-  cqa::Status st = fx->service->CreateDatabase(kDb, std::move(copy));
-  if (!st.ok()) return ledger->Fail("create: " + st.message());
+  options.num_threads = workers;
+  fx->service = std::make_unique<Service>(options);
   auto answers = fx->service->Prepare(in.answers.query, in.answers.free_vars);
   if (!answers.ok()) return ledger->Fail("prepare");
   fx->answers = *answers;
-  for (const BoolQuery& q : in.scan) {
-    auto handle = fx->service->Prepare(q.query);
-    if (!handle.ok()) return ledger->Fail("prepare " + q.name);
-    fx->scan.emplace_back();
-    fx->scan.back().database = kDb;
-    fx->scan.back().prepared = *handle;
+  for (size_t i = 0; i < in.scan.size(); ++i) {
+    auto handle = fx->service->Prepare(in.scan[i].query);
+    if (!handle.ok()) return ledger->Fail("prepare " + in.scan[i].name);
+    fx->scan[i] = *handle;
   }
-  Service::CertainAnswersRequest page;
-  page.database = kDb;
-  page.prepared = fx->answers;
-  page.page_size = in.answers.page_size;
-  auto first = fx->service->CertainAnswers(page);
-  if (!first.ok()) return ledger->Fail("warm-up page");
-  for (size_t i = 0; i < fx->scan.size(); ++i) {
-    if (!CheckReplies({fx->service->Solve(fx->scan[i])}, {in.scan[i]},
-                      ledger)) {
-      return false;
+  *pinned = 0;
+  for (int d = 0; d < databases; ++d) {
+    std::optional<ScopedPin> pin;
+    if (!cpus.empty()) pin.emplace(CpuOf(cpus, d));
+    if (pin && pin->ok()) ++*pinned;
+    Database copy = in.db;
+    // The session's worker is created here and inherits the pin.
+    cqa::Status st = fx->service->CreateDatabase(DbName(d), std::move(copy));
+    if (!st.ok()) return ledger->Fail("create: " + st.message());
+    Service::CertainAnswersRequest page;
+    page.database = DbName(d);
+    page.prepared = fx->answers;
+    page.page_size = in.answers.page_size;
+    auto first = fx->service->CertainAnswers(page);
+    if (!first.ok()) return ledger->Fail("warm-up page");
+    for (size_t i = 0; i < in.scan.size(); ++i) {
+      Service::SolveRequest req;
+      req.database = DbName(d);
+      req.prepared = fx->scan[i];
+      if (!CheckReplies({fx->service->Solve(req)}, {in.scan[i]}, ledger)) {
+        return false;
+      }
     }
+    fx->base_epoch.push_back(first->epoch);
   }
-  fx->base_epoch = first->epoch;
   return true;
 }
 
-/// One iteration: the Boolean scan and its twin, delta, first page —
-/// each checked.
-/// `tracer` (nullable) gets one span per Service call.
-void Iterate(const Inputs& in, Fixture* fx, uint64_t* epoch,
+/// One iteration of caller `d` against its database: the Boolean scan
+/// and its twin, delta, first page — each checked. `tracer` (nullable)
+/// gets one span per Service call.
+void Iterate(const Inputs& in, Fixture* fx, int d, uint64_t* epoch,
              EndToEnd* run, Ledger* ledger, Tracer* tracer) {
   const AnswerStream& stream = in.answers;
-  for (size_t i = 0; i < fx->scan.size(); ++i) {
-    if (TimedSolve(fx->service.get(), fx->scan[i], in.scan[i], &run->solve,
-                   ledger, tracer)) {
+  const std::string db = DbName(d);
+  const uint64_t base = fx->base_epoch[d];
+  for (size_t i = 0; i < in.scan.size(); ++i) {
+    Service::SolveRequest req;
+    req.database = db;
+    req.prepared = fx->scan[i];
+    if (TimedSolve(fx->service.get(), req, in.scan[i], &run->solve, ledger,
+                   tracer)) {
       ++run->completed;
     }
   }
   {
     Service::DeltaRequest req;
-    req.database = kDb;
-    req.delta = stream.deltas[(*epoch - fx->base_epoch) % stream.period()];
+    req.database = db;
+    req.delta = stream.deltas[(*epoch - base) % stream.period()];
     ++ledger->attempted;
     Clock::time_point t = Clock::now();
     cqa::Result<Service::DeltaResponse> r = [&] {
@@ -125,7 +150,7 @@ void Iterate(const Inputs& in, Fixture* fx, uint64_t* epoch,
   }
   {
     Service::CertainAnswersRequest req;
-    req.database = kDb;
+    req.database = db;
     req.prepared = fx->answers;
     req.page_size = stream.page_size;
     ++ledger->attempted;
@@ -139,7 +164,7 @@ void Iterate(const Inputs& in, Fixture* fx, uint64_t* epoch,
       ledger->Fail("answers: " + r.status().message());
       return;
     }
-    const AnswerStream::Expected& want = stream.At(r->epoch, fx->base_epoch);
+    const AnswerStream::Expected& want = stream.At(r->epoch, base);
     if (r->total_rows != want.total ||
         RowsFingerprint(r->rows, 0, r->rows.size()) != want.page0) {
       ledger->Mismatch("answers page at epoch " + std::to_string(r->epoch));
@@ -172,24 +197,34 @@ int RunAnswersFull(const Args& args) {
   Ledger ledger;
   EndToEnd run;
   Fixture fx;
+  const std::vector<int> cpus = AllowedCpus();
+  int pinned = 0;
   for (int i = 0; i < kSetups; ++i) {
     fx = Fixture();
     Clock::time_point t = Clock::now();
-    if (!SetUp(in, &fx, &ledger)) return PrintResult(ledger, {});
+    if (!SetUp(in, kCallers, kWorkers, cpus, &fx, &ledger, &pinned)) {
+      return PrintResult(ledger, {});
+    }
     run.setup_s.push_back(SecondsSince(t));
     PauseBetweenSetups();
   }
-  uint64_t epoch = fx.base_epoch;
-  run.probe_before_ms = HostProbeMs();
-  run.measured_s = RunClosedLoop(1, args.seconds,
-                                 [&](int, const std::atomic<bool>& stop) {
-                                   while (!stop.load()) {
-                                     Iterate(in, &fx, &epoch, &run, &ledger,
-                                             nullptr);
-                                   }
-                                 });
-  run.probe_after_ms = HostProbeMs();
-  PrintRunShape(kName, 1, 0, kWorkers, run);
+  std::vector<PerCaller> per(kCallers);
+  run.host_before = SampleHost();
+  run.measured_s = RunClosedLoop(
+      kCallers, args.seconds, [&](int d, const std::atomic<bool>& stop) {
+        std::optional<ScopedPin> pin;
+        if (!cpus.empty()) pin.emplace(CpuOf(cpus, d));
+        per[d].pinned = pin && pin->ok();
+        uint64_t epoch = fx.base_epoch[d];
+        while (!stop.load()) {
+          Iterate(in, &fx, d, &epoch, &per[d].run, &per[d].ledger, nullptr);
+        }
+      });
+  run.host_after = SampleHost();
+  MergeCallers(per, &run, &ledger);
+  PrintRunShape(kName, kCallers, 0, kCallers * kWorkers, run);
+  PrintPinning(per, pinned, cpus.size());
+  DumpSamples(args, run);
   PrintWork(*fx.service);
   return PrintResult(ledger, EndToEndMetrics(run));
 }
@@ -199,7 +234,8 @@ LayerReport ReplayAnswersFull(const Args& args, Tracer* tracer, int requests,
   LayerReport report;
   Inputs in = MakeInputs(args.seed);
   Fixture fx;
-  if (!SetUp(in, &fx, ledger)) return report;
+  int pinned = 0;
+  if (!SetUp(in, 1, kTracedWorkers, {}, &fx, ledger, &pinned)) return report;
   // Direct calls into cq and fo run on plain copies of the two database
   // states the delta stream alternates between.
   auto plan = cqa::QueryPlan::Compile(in.answers.query, in.answers.free_vars);
@@ -218,15 +254,15 @@ LayerReport ReplayAnswersFull(const Args& args, Tracer* tracer, int requests,
   }
   auto before = fx.service->Stats({});
   EndToEnd sink;
-  uint64_t epoch = fx.base_epoch;
+  uint64_t epoch = fx.base_epoch[0];
   uint64_t rows = 0;
   uint64_t computes = 0;
   double decide_ns = 0;
   ReplayAlternating(
       tracer, requests, 1, 0,
-      [&](int) { Iterate(in, &fx, &epoch, &sink, ledger, tracer); },
+      [&](int) { Iterate(in, &fx, 0, &epoch, &sink, ledger, tracer); },
       [&](int) {
-        cqa::EvalContext& state = *ctx[(epoch - fx.base_epoch) % 2];
+        cqa::EvalContext& state = *ctx[(epoch - fx.base_epoch[0]) % 2];
         std::vector<std::vector<cqa::SymbolId>> candidates;
         {
           ScopedSpan span(tracer, "cq.enumerate");

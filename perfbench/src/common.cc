@@ -1,5 +1,7 @@
 #include "common.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -22,49 +24,52 @@ double Quantile(std::vector<double> v, double q) {
   return v[lo] + (v[hi] - v[lo]) * frac;
 }
 
-double TrimmedMean(std::vector<double> v, double trim) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  size_t drop = static_cast<size_t>(trim * static_cast<double>(v.size()));
-  double sum = 0;
-  for (size_t i = drop; i < v.size() - drop; ++i) sum += v[i];
-  return sum / static_cast<double>(v.size() - 2 * drop);
-}
-
-double BlockQuantile(const Samples& s, double q) {
-  std::vector<size_t> order(s.us.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](size_t a, size_t b) { return s.at[a] < s.at[b]; });
-  size_t blocks = std::max<size_t>(1, order.size() / kBlockSamples);
-  std::vector<double> per_block;
-  for (size_t b = 0; b < blocks; ++b) {
-    size_t begin = b * kBlockSamples;
-    size_t end = b + 1 == blocks ? order.size() : begin + kBlockSamples;
-    std::vector<double> block;
-    for (size_t i = begin; i < end; ++i) block.push_back(s.us[order[i]]);
-    per_block.push_back(Quantile(std::move(block), q));
-  }
-  return TrimmedMean(std::move(per_block), kTrim);
-}
-
-double TrimmedRate(const std::vector<const Samples*>& classes) {
+FastWindows::FastWindows(const std::vector<const Samples*>& classes) {
   std::vector<Clock::time_point> at;
   for (const Samples* s : classes) {
     at.insert(at.end(), s->at.begin(), s->at.end());
   }
-  if (at.empty()) return 0;
+  if (at.empty()) return;
   auto [first, last] = std::minmax_element(at.begin(), at.end());
-  size_t seconds = static_cast<size_t>(
-      std::chrono::duration<double>(*last - *first).count());
-  if (seconds == 0) return static_cast<double>(at.size());
-  std::vector<double> counts(seconds, 0);
+  first_ = *first;
+  double span = std::chrono::duration<double>(*last - *first).count();
+  counts_.assign(static_cast<size_t>(span / kWindowS), 0);
   for (Clock::time_point t : at) {
-    size_t window = static_cast<size_t>(
-        std::chrono::duration<double>(t - *first).count());
-    if (window < seconds) counts[window] += 1;
+    size_t w = WindowOf(t);
+    if (w < counts_.size()) counts_[w] += 1;
   }
-  return TrimmedMean(std::move(counts), kTrim);
+  std::vector<size_t> order(counts_.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return counts_[a] > counts_[b];
+  });
+  keep_.assign(counts_.size(), 0);
+  kept_ = static_cast<size_t>(
+      std::ceil(kKeptShare * static_cast<double>(counts_.size())));
+  for (size_t i = 0; i < kept_; ++i) keep_[order[i]] = 1;
+}
+
+size_t FastWindows::WindowOf(Clock::time_point t) const {
+  double s = std::chrono::duration<double>(t - first_).count();
+  size_t w = static_cast<size_t>(s / kWindowS);
+  return std::min(w, counts_.size());
+}
+
+double FastWindows::KeptRate() const {
+  double sum = 0;
+  for (size_t w = 0; w < counts_.size(); ++w) {
+    if (keep_[w]) sum += counts_[w];
+  }
+  return kept_ == 0 ? 0 : sum / (static_cast<double>(kept_) * kWindowS);
+}
+
+double FastWindows::Quantile(const Samples& s, double q) const {
+  std::vector<double> v;
+  for (size_t i = 0; i < s.us.size(); ++i) {
+    size_t w = WindowOf(s.at[i]);
+    if (kept_ == 0 || (w < counts_.size() && keep_[w])) v.push_back(s.us[i]);
+  }
+  return perfbench::Quantile(std::move(v), q);
 }
 
 double Ratio(uint64_t num, uint64_t den) {
@@ -98,6 +103,48 @@ double HostProbeMs() {
   volatile uint64_t sink = x;
   (void)sink;
   return MicrosSince(begin) / 1000.0;
+}
+
+uint64_t StealTicks() {
+  std::ifstream stat("/proc/stat");
+  std::string cpu;
+  uint64_t field[8] = {};
+  stat >> cpu;
+  for (uint64_t& f : field) stat >> f;
+  return stat && cpu == "cpu" ? field[7] : 0;
+}
+
+HostSample SampleHost() {
+  HostSample s;
+  s.probe_ms = HostProbeMs();
+  s.steal_ticks = StealTicks();
+  return s;
+}
+
+std::vector<int> AllowedCpus() {
+  std::vector<int> cpus;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &set)) cpus.push_back(c);
+  }
+  return cpus;
+}
+
+ScopedPin::ScopedPin(int cpu) {
+  CPU_ZERO(&saved_);
+  if (pthread_getaffinity_np(pthread_self(), sizeof(saved_), &saved_) != 0) {
+    return;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ok_ = pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0;
+}
+
+ScopedPin::~ScopedPin() {
+  if (ok_) pthread_setaffinity_np(pthread_self(), sizeof(saved_), &saved_);
 }
 
 bool Ledger::Fail(const std::string& what) {

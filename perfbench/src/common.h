@@ -1,6 +1,8 @@
 #ifndef PERFBENCH_COMMON_H_
 #define PERFBENCH_COMMON_H_
 
+#include <sched.h>
+
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -58,32 +60,42 @@ struct Samples {
   }
 };
 
-/// Samples per block in BlockQuantile: enough that a block's p95 keeps
-/// 10 samples beyond it.
-constexpr size_t kBlockSamples = 200;
+/// Length of the windows FastWindows cuts the measured phase into.
+constexpr double kWindowS = 1.0;
+/// Share of the windows FastWindows keeps.
+constexpr double kKeptShare = 0.5;
 
-/// Mean of the middle of `v`: the lowest and the highest `trim` share of
-/// the values (rounded down) are dropped; 0 when empty.
-double TrimmedMean(std::vector<double> v, double trim);
+/// The measured phase cut into one-second windows, counted from the
+/// first completion of any class, of which the faster half is kept: the
+/// windows that completed the most requests, ties to the earlier window.
+/// The end-to-end p95s are taken over the kept windows. A shared host
+/// slows a run down now and then (a neighbour's burst, a vCPU
+/// descheduled for a while), which only ever adds time and fills a
+/// run's tail first; over the faster half of its seconds, the tail shows
+/// what the program's own slow requests cost. A program whose tail is
+/// slower is slower in every window, kept or not. Samples that complete
+/// after the last whole window are dropped. With no whole window, every
+/// sample is kept.
+class FastWindows {
+ public:
+  explicit FastWindows(const std::vector<const Samples*>& classes);
+  /// The q-quantile of those samples of `s` that completed in a kept
+  /// window.
+  double Quantile(const Samples& s, double q) const;
+  size_t windows() const { return keep_.size(); }
+  size_t kept() const { return kept_; }
+  /// Completions per second over the kept windows, for comparison.
+  double KeptRate() const;
 
-/// Share of the values TrimmedMean drops at each end in BlockQuantile and
-/// TrimmedRate.
-constexpr double kTrim = 0.1;
+ private:
+  /// Index of the window `t` falls in; windows() when past the last.
+  size_t WindowOf(Clock::time_point t) const;
 
-/// The q-quantile of each run of `kBlockSamples` consecutive samples (in
-/// completion order), averaged over the blocks with the highest and the
-/// lowest tenth dropped. Averaging tracks the host's mean speed over the
-/// run: when the host switches between speed levels, the result moves
-/// with the share of time spent at each instead of snapping to
-/// whichever level held in more blocks, and a burst that spans a few
-/// blocks is trimmed away. With fewer samples than one block, the plain
-/// quantile.
-double BlockQuantile(const Samples& s, double q);
-
-/// Completions per second, counted in each whole second between the
-/// first and the last completion: the trimmed mean (kTrim) of those
-/// counts.
-double TrimmedRate(const std::vector<const Samples*>& classes);
+  Clock::time_point first_;
+  std::vector<double> counts_;
+  std::vector<char> keep_;
+  size_t kept_ = 0;
+};
 
 /// `num / den`, 0 when `den` is 0.
 double Ratio(uint64_t num, uint64_t den);
@@ -95,6 +107,40 @@ double PeakRssMiB();
 /// and after each measured phase so a slow host can be told apart from
 /// a slow change; it carries no bound.
 double HostProbeMs();
+
+/// The machine's steal time so far: ticks (USER_HZ) in which the
+/// hypervisor ran something else while a vCPU of this machine had work,
+/// summed over the vCPUs (the steal column of /proc/stat's `cpu` line);
+/// 0 where it cannot be read.
+uint64_t StealTicks();
+
+/// What the host gave the benchmark at one moment.
+struct HostSample {
+  double probe_ms = 0;       // HostProbeMs
+  uint64_t steal_ticks = 0;  // StealTicks, read after the probe
+};
+HostSample SampleHost();
+
+/// The CPUs this process may run on, in increasing order.
+std::vector<int> AllowedCpus();
+
+/// While it lives, the calling thread runs only on `cpu`, and so does
+/// every thread it creates meanwhile, for that thread's whole life (a
+/// new thread inherits its creator's CPU mask). The destructor restores
+/// the calling thread's mask. Where the kernel refuses, nothing changes
+/// and ok() is false.
+class ScopedPin {
+ public:
+  explicit ScopedPin(int cpu);
+  ~ScopedPin();
+  ScopedPin(const ScopedPin&) = delete;
+  ScopedPin& operator=(const ScopedPin&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  cpu_set_t saved_;
+  bool ok_ = false;
+};
 
 /// Answer-check and ops ledger of one run. Thread-compatible: each
 /// caller thread keeps its own and the workload merges them.

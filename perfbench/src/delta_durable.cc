@@ -282,10 +282,11 @@ int RunDeltaDurable(const Args& args) {
     PauseBetweenSetups();
     recover.push_back(fx.recover_s);
   }
-  run.probe_before_ms = HostProbeMs();
+  run.host_before = SampleHost();
   run.measured_s = RunConcurrent(in, &fx, args.seconds, &run, &ledger);
-  run.probe_after_ms = HostProbeMs();
+  run.host_after = SampleHost();
   PrintRunShape(kName, 1 + kReaders, 0, kWorkers, run);
+  DumpSamples(args, run);
   auto stats = fx.service->Stats({});
   if (stats.ok()) {
     const auto& s = stats->session;

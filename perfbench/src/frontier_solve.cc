@@ -8,8 +8,12 @@
 // session worker, so a request's latency is the sum over the classes and
 // the median never falls between two groups of costs. Four callers each
 // drive their own copy of that database (four databases of one Service,
-// one worker each): a single core's speed swings by a quarter from one
-// second to the next on a shared host, four cores' average holds.
+// one worker each): a single core's speed on a shared host swings by up
+// to a half for minutes at a time, four cores' average holds better.
+// Each caller and its database's worker are pinned to one CPU of their
+// own, so a request's hand-offs never cross CPUs and never wait for an
+// idle vCPU to be woken, and which threads share a CPU is the same in
+// every run.
 // Set-up prepares a seeded catalog of random acyclic queries, which is
 // where classification and rewriting are paid. A pinned answer set on
 // relations the batch does not read carries the delta and answers
@@ -17,6 +21,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 
 #include "core/classifier.h"
 #include "fo/rewriter.h"
@@ -86,16 +91,15 @@ struct Fixture {
 };
 
 /// `databases` copies of the frontier database, the catalog, the pinned
-/// handles, and one warm batch and page per database.
-bool SetUp(const Inputs& in, int databases, Fixture* fx, Ledger* ledger) {
+/// handles, and one warm batch and page per database. With `cpus`,
+/// database d's worker is created, and its warm requests are sent,
+/// pinned to CpuOf(cpus, d); `*pinned` counts the databases whose pin
+/// held.
+bool SetUp(const Inputs& in, int databases, const std::vector<int>& cpus,
+           Fixture* fx, Ledger* ledger, int* pinned) {
   Service::Options options;
   options.num_threads = kWorkers;
   fx->service = std::make_unique<Service>(options);
-  for (int d = 0; d < databases; ++d) {
-    Database copy = in.db;
-    cqa::Status st = fx->service->CreateDatabase(DbName(d), std::move(copy));
-    if (!st.ok()) return ledger->Fail("create: " + st.message());
-  }
   for (const cqa::Query& q : in.catalog) {
     if (!fx->service->Prepare(q).ok()) return ledger->Fail("catalog");
   }
@@ -107,7 +111,15 @@ bool SetUp(const Inputs& in, int databases, Fixture* fx, Ledger* ledger) {
   auto side = fx->service->Prepare(in.side.query, in.side.free_vars);
   if (!side.ok()) return ledger->Fail("prepare side");
   fx->side = *side;
+  *pinned = 0;
   for (int d = 0; d < databases; ++d) {
+    std::optional<ScopedPin> pin;
+    if (!cpus.empty()) pin.emplace(CpuOf(cpus, d));
+    if (pin && pin->ok()) ++*pinned;
+    Database copy = in.db;
+    // The session's worker is created here and inherits the pin.
+    cqa::Status st = fx->service->CreateDatabase(DbName(d), std::move(copy));
+    if (!st.ok()) return ledger->Fail("create: " + st.message());
     std::vector<Service::SolveRequest> batch(fx->batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
       batch[i].database = DbName(d);
@@ -216,41 +228,42 @@ int RunFrontierSolve(const Args& args) {
   Ledger ledger;
   EndToEnd run;
   Fixture fx;
+  const std::vector<int> cpus = AllowedCpus();
+  int pinned = 0;
   for (int i = 0; i < kSetups; ++i) {
     fx = Fixture();
     Clock::time_point t = Clock::now();
-    if (!SetUp(in, kCallers, &fx, &ledger)) return PrintResult(ledger, {});
+    if (!SetUp(in, kCallers, cpus, &fx, &ledger, &pinned)) {
+      return PrintResult(ledger, {});
+    }
     run.setup_s.push_back(SecondsSince(t));
     PauseBetweenSetups();
   }
-  struct PerCaller {
-    EndToEnd run;
-    Ledger ledger;
-    Work work;
-  };
   std::vector<PerCaller> per(kCallers);
-  run.probe_before_ms = HostProbeMs();
+  std::vector<Work> works(kCallers);
+  run.host_before = SampleHost();
   run.measured_s = RunClosedLoop(
       kCallers, args.seconds, [&](int d, const std::atomic<bool>& stop) {
+        std::optional<ScopedPin> pin;
+        if (!cpus.empty()) pin.emplace(CpuOf(cpus, d));
+        per[d].pinned = pin && pin->ok();
         uint64_t epoch = fx.base_epoch[d];
         while (!stop.load()) {
           Iterate(in, &fx, d, &epoch, &per[d].run, &per[d].ledger,
-                  &per[d].work, nullptr);
+                  &works[d], nullptr);
         }
       });
-  run.probe_after_ms = HostProbeMs();
+  run.host_after = SampleHost();
+  MergeCallers(per, &run, &ledger);
   Work work;
-  for (const PerCaller& p : per) {
-    run.solve.Merge(p.run.solve);
-    run.answers.Merge(p.run.answers);
-    run.delta.Merge(p.run.delta);
-    run.completed += p.run.completed;
-    ledger.Merge(p.ledger);
-    work.sat_decisions += p.work.sat_decisions;
-    work.sat_clauses += p.work.sat_clauses;
-    work.batches += p.work.batches;
+  for (const Work& w : works) {
+    work.sat_decisions += w.sat_decisions;
+    work.sat_clauses += w.sat_clauses;
+    work.batches += w.batches;
   }
   PrintRunShape(kName, kCallers, 0, kCallers * kWorkers, run);
+  PrintPinning(per, pinned, cpus.size());
+  DumpSamples(args, run);
   std::printf("work per batch: sat_decisions=%llu sat_clauses=%llu "
               "(batches=%llu)\n",
               static_cast<unsigned long long>(
@@ -285,7 +298,8 @@ LayerReport ReplayFrontierSolve(const Args& args, Tracer* tracer,
     }
   }
   Fixture fx;
-  if (!SetUp(in, 1, &fx, ledger)) return report;
+  int pinned = 0;
+  if (!SetUp(in, 1, {}, &fx, ledger, &pinned)) return report;
   // Direct solves of the same plans on a plain copy of the database (the
   // batch never reads the side relations the deltas touch).
   std::vector<std::shared_ptr<const cqa::QueryPlan>> plans;

@@ -188,12 +188,16 @@ void AddPinnedAnswers(const std::string& tag, int p_blocks, int toggled,
 void AddUnpinnedAnswers(int r_blocks, int s_blocks, Rng* rng, Database* db,
                         AnswerStream* out) {
   auto s_live = [](int s) { return s % 16 != 15; };
-  // Two live S-blocks take turns: `a` starts present and `b` absent, and
-  // each delta deletes the present one and restores the other, so every
-  // delta does the same work.
-  int a = 2 * static_cast<int>(rng->Below(s_blocks / 2));
-  int b = (a + 2 + 2 * static_cast<int>(rng->Below(s_blocks / 2 - 1))) %
-          s_blocks;
+  // Two live single-fact S-blocks take turns: `a` starts present and `b`
+  // absent, and each delta deletes the present one and restores the
+  // other, so every delta does the same work, under every seed.
+  auto single = [&](int s) { return s_live(s) && s % 7 != 3; };
+  int a;
+  int b;
+  do {
+    a = static_cast<int>(rng->Below(s_blocks));
+    b = static_cast<int>(rng->Below(s_blocks));
+  } while (a == b || !single(a) || !single(b));
   std::vector<Fact> block_a;
   std::vector<Fact> block_b;
   for (int s = 0; s < s_blocks; ++s) {

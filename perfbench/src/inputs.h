@@ -59,9 +59,9 @@ void AddPinnedAnswers(const std::string& tag, int p_blocks, int toggled,
 
 /// Relations R(x | y), S(y | z) for the full-recompute workload:
 /// `r_blocks` R-blocks, one in seven conflicting, over `s_blocks`
-/// S-blocks. Each delta of the period-2 stream deletes one S-block and
-/// restores another. S's key is existential, so every cached answer is
-/// invalidated by it.
+/// S-blocks. Each delta of the period-2 stream deletes one single-fact
+/// S-block and restores another. S's key is existential, so every cached
+/// answer is invalidated by it.
 void AddUnpinnedAnswers(int r_blocks, int s_blocks, cqa::Rng* rng,
                         cqa::Database* db, AnswerStream* out);
 

@@ -309,14 +309,14 @@ int RunWireMixed(const Args& args) {
     PauseBetweenSetups();
   }
   std::vector<ClientRun> runs(kClients);
-  run.probe_before_ms = HostProbeMs();
+  run.host_before = SampleHost();
   run.measured_s = RunClosedLoop(
       kClients, args.seconds, [&](int c, const std::atomic<bool>& stop) {
         for (uint64_t n = 0; !stop.load(); ++n) {
           Step(in, *fx, fx->clients[c].get(), c, n, &runs[c]);
         }
       });
-  run.probe_after_ms = HostProbeMs();
+  run.host_after = SampleHost();
   uint64_t retries = 0;
   for (int c = 0; c < kClients; ++c) {
     run.solve.Merge(runs[c].solve);
@@ -330,6 +330,7 @@ int RunWireMixed(const Args& args) {
   CheckDeltaModel(in, fx->service.get(), runs, &ledger);
   net::Server::Counters counters = fx->server->counters();
   PrintRunShape(kName, kClients, kExecutors, kWorkers, run);
+  DumpSamples(args, run);
   std::printf("refused: shed_inflight=%llu shed_queue=%llu "
               "deadline_exceeded=%llu client_retries=%llu\n",
               static_cast<unsigned long long>(counters.shed_inflight),
@@ -341,7 +342,7 @@ int RunWireMixed(const Args& args) {
               static_cast<unsigned long long>(counters.bytes_read),
               static_cast<unsigned long long>(counters.bytes_written),
               static_cast<unsigned long long>(counters.requests),
-              BlockQuantile(run.other, 0.5));
+              Median(run.other.us));
   std::vector<Metric> metrics = EndToEndMetrics(run);
   fx.reset();
   return PrintResult(ledger, metrics);

@@ -1,5 +1,6 @@
 #include "workloads.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <thread>
 
@@ -10,13 +11,17 @@ void PauseBetweenSetups() {
 }
 
 std::vector<Metric> EndToEndMetrics(const EndToEnd& run) {
-  auto p50 = [](const Samples& s) { return BlockQuantile(s, 0.50); };
-  auto p95 = [](const Samples& s) { return BlockQuantile(s, 0.95); };
+  const FastWindows fast({&run.solve, &run.answers, &run.delta, &run.other});
+  auto p50 = [](const Samples& s) { return Median(s.us); };
+  auto p95 = [&](const Samples& s) { return fast.Quantile(s, 0.95); };
+  const double rate = static_cast<double>(run.completed) / run.measured_s;
+  std::printf("windows: p95s over the faster %zu of %zu one-second windows; "
+              "throughput %.1f req/s over the whole phase, %.1f over those "
+              "windows\n",
+              fast.kept(), fast.windows(), rate, fast.KeptRate());
   return {
       {"setup_s", Median(run.setup_s), "s"},
-      {"throughput_rps",
-       TrimmedRate({&run.solve, &run.answers, &run.delta, &run.other}),
-       "req/s"},
+      {"throughput_rps", rate, "req/s"},
       {"solve_p50_us", p50(run.solve), "us"},
       {"solve_p95_us", p95(run.solve), "us"},
       {"answers_p50_us", p50(run.answers), "us"},
@@ -25,6 +30,32 @@ std::vector<Metric> EndToEndMetrics(const EndToEnd& run) {
       {"delta_p95_us", p95(run.delta), "us"},
       {"peak_rss_mb", PeakRssMiB(), "MiB"},
   };
+}
+
+void DumpSamples(const Args& args, const EndToEnd& run) {
+  const std::pair<const char*, const Samples*> classes[] = {
+      {"solve", &run.solve},
+      {"answers", &run.answers},
+      {"delta", &run.delta},
+      {"other", &run.other}};
+  Clock::time_point first = Clock::time_point::max();
+  for (const auto& c : classes) {
+    for (Clock::time_point t : c.second->at) first = std::min(first, t);
+  }
+  std::string path = args.work_dir + "/samples-" + args.workload + "-seed" +
+                     std::to_string(args.seed) + ".tsv";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return;
+  std::fprintf(f, "class\tdone_s\tus\n");
+  for (const auto& c : classes) {
+    const Samples& s = *c.second;
+    for (size_t i = 0; i < s.us.size(); ++i) {
+      std::fprintf(f, "%s\t%.6f\t%.3f\n", c.first,
+                   std::chrono::duration<double>(s.at[i] - first).count(),
+                   s.us[i]);
+    }
+  }
+  std::fclose(f);
 }
 
 void PrintRunShape(const char* workload, int clients, int executors,
@@ -41,8 +72,36 @@ void PrintRunShape(const char* workload, int clients, int executors,
               run.delta.us.size(),
               static_cast<unsigned long long>(run.completed));
   std::printf("host probe (fixed loop, ms; no bound): before=%.2f "
-              "after=%.2f\n",
-              run.probe_before_ms, run.probe_after_ms);
+              "after=%.2f; steal over the measured phase: %llu ticks of "
+              "1/100 s, summed over the vCPUs\n",
+              run.host_before.probe_ms, run.host_after.probe_ms,
+              static_cast<unsigned long long>(run.host_after.steal_ticks -
+                                              run.host_before.steal_ticks));
+}
+
+int CpuOf(const std::vector<int>& cpus, int d) {
+  return cpus[static_cast<size_t>(d) % cpus.size()];
+}
+
+void MergeCallers(const std::vector<PerCaller>& per, EndToEnd* run,
+                  Ledger* ledger) {
+  for (const PerCaller& p : per) {
+    run->solve.Merge(p.run.solve);
+    run->answers.Merge(p.run.answers);
+    run->delta.Merge(p.run.delta);
+    run->completed += p.run.completed;
+    ledger->Merge(p.ledger);
+  }
+}
+
+void PrintPinning(const std::vector<PerCaller>& per, int workers_pinned,
+                  size_t cpus) {
+  int callers_pinned = 0;
+  for (const PerCaller& p : per) callers_pinned += p.pinned ? 1 : 0;
+  std::printf("pinning: caller d and the worker of database d share one "
+              "CPU; pins held by %d of %zu callers and %d of %zu workers "
+              "(%zu CPUs allowed)\n",
+              callers_pinned, per.size(), workers_pinned, per.size(), cpus);
 }
 
 double RunClosedLoop(

@@ -29,16 +29,24 @@ struct EndToEnd {
   Samples other;
   uint64_t completed = 0;       // requests answered without error
   double measured_s = 0;
-  double probe_before_ms = 0;
-  double probe_after_ms = 0;
+  HostSample host_before, host_after;  // around the measured phase
 };
 
 /// Sleeps between two timed set-ups, so that the set-ups a run takes the
 /// median of are spread over a few seconds instead of one burst.
 void PauseBetweenSetups();
 
-/// The nine end-to-end metrics of BENCHMARK.json, in its order.
+/// The nine end-to-end metrics of BENCHMARK.json, in its order: medians
+/// over the whole measured phase, p95s over its faster half
+/// (FastWindows), throughput as completions over the phase's length.
+/// Prints the windows kept and the throughput over them beside them.
 std::vector<Metric> EndToEndMetrics(const EndToEnd& run);
+
+/// Writes every latency sample of the measured phase to
+/// `<work_dir>/samples-<workload>-seed<n>.tsv` (see README.md), so the
+/// spread of a run can be studied after it. Best effort: an I/O failure
+/// only skips the dump.
+void DumpSamples(const Args& args, const EndToEnd& run);
 
 /// Prints the thread budget and measured-phase line every workload
 /// reports beside its metrics.
@@ -51,6 +59,27 @@ void PrintRunShape(const char* workload, int clients, int executors,
 double RunClosedLoop(
     int threads, double seconds,
     const std::function<void(int, const std::atomic<bool>&)>& body);
+
+/// The CPU caller `d` of a pinned workload, and its database's worker,
+/// run on: the d-th of `cpus` (the allowed CPUs), wrapping around.
+int CpuOf(const std::vector<int>& cpus, int d);
+
+/// What one caller of a multi-caller workload measured.
+struct PerCaller {
+  EndToEnd run;
+  Ledger ledger;
+  bool pinned = false;  // the caller's ScopedPin held
+};
+
+/// Adds every caller's samples, completions and ledger to `run` and
+/// `ledger`.
+void MergeCallers(const std::vector<PerCaller>& per, EndToEnd* run,
+                  Ledger* ledger);
+
+/// Prints how many of the callers' and workers' pins held; caller d and
+/// the worker of database d share CpuOf(cpus, d).
+void PrintPinning(const std::vector<PerCaller>& per, int workers_pinned,
+                  size_t cpus);
 
 /// Per-layer results of one replay.
 struct LayerReport {
