@@ -63,12 +63,18 @@ std::string BaseName(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
-/// Console output as usual, plus one compact JSON record per benchmark.
+/// Console output as usual, plus one compact JSON record per benchmark:
+/// its run, or under --benchmark_repetitions the median over the
+/// repetitions.
 class JsonAppendReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
+      bool repeated = run.repetitions > 1;
+      bool recorded = repeated ? run.run_type == Run::RT_Aggregate &&
+                                     run.aggregate_name == "median"
+                               : run.run_type == Run::RT_Iteration;
+      if (!recorded || run.error_occurred) continue;
       double iters = run.iterations > 0
                          ? static_cast<double>(run.iterations)
                          : 1.0;
@@ -79,10 +85,11 @@ class JsonAppendReporter : public benchmark::ConsoleReporter {
       std::ostringstream line;
       line.precision(6);
       line << "{\"bench\":\"" << bench_ << "\",\"name\":\""
-           << run.benchmark_name() << "\",\"matcher\":\"" << MatcherMode()
+           << run.run_name.str() << "\",\"matcher\":\"" << MatcherMode()
            << "\",\"wall_ms\":" << wall_s * 1e3 << ",\"facts\":" << facts
            << ",\"facts_per_sec\":"
            << (wall_s > 0 ? facts / wall_s : 0);
+      if (repeated) line << ",\"repetitions\":" << run.repetitions;
       // Plan-cache and serving counters, when the benchmark sets them.
       for (const char* key :
            {"plan_hits", "plan_misses", "hit_rate", "qps", "threads",

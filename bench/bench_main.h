@@ -19,6 +19,10 @@
 ///    "plan_hits"/"plan_misses"/"hit_rate"/"qps"/"threads": <serving and
 ///    plan-cache counters, present when the benchmark sets them>}
 ///
+/// Under --benchmark_repetitions=N (N > 1) the record holds the median
+/// of the N repetitions (its wall_ms and counters) and carries
+/// "repetitions": N.
+///
 /// Every bench binary also accepts `--filter=<regex>` (shorthand for
 /// --benchmark_filter) to run a subset of its benchmarks, and `--smoke`
 /// for the CI smoke job: small problem sizes (benchmarks consult

@@ -1,8 +1,10 @@
 #include "cq/matcher.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
+#include <numeric>
 
 namespace cqa {
 
@@ -413,28 +415,122 @@ bool Satisfies(const FactIndex& index, const Query& q) {
   return SatisfiesWith(index, q, Valuation());
 }
 
-void CollectProjections(const FactIndex& index, const Query& q,
-                        const Valuation& initial,
-                        const std::vector<SymbolId>& vars,
-                        std::set<std::vector<SymbolId>>* out) {
-  ForEachEmbedding(index, q, initial, [&](const Valuation& theta) {
-    std::vector<SymbolId> row;
-    row.reserve(vars.size());
-    for (SymbolId v : vars) {
-      // Occurrence in q guarantees every embedding binds v.
-      row.push_back(*theta.Get(v));
+namespace {
+
+/// Embeddings between deadline polls, the FO program's row cadence.
+constexpr int kDeadlineCheckEmbeddings = 256;
+
+/// Below this many values the projection buffer keeps its duplicates
+/// until the final sort.
+constexpr size_t kCompactMinValues = size_t{1} << 20;
+
+/// Sorts the `width`-wide rows laid end to end in `flat`
+/// lexicographically and drops repeated rows, in place. The sort is an
+/// LSD radix sort: one stable counting pass per byte, from the last
+/// column's low byte to the first column's high byte, moving whole rows
+/// and comparing none.
+void SortDistinctRows(size_t width, std::vector<SymbolId>* flat) {
+  const size_t n = flat->size() / width;
+  std::vector<SymbolId> moved(flat->size());
+  for (size_t col = width; col-- > 0;) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      auto digit = [&](size_t row) {
+        return ((*flat)[row * width + col] >> shift) & 0xff;
+      };
+      std::array<size_t, 257> start{};
+      for (size_t i = 0; i < n; ++i) ++start[digit(i) + 1];
+      // A byte every row shares leaves the order as it is.
+      if (std::find(start.begin(), start.end(), n) != start.end()) continue;
+      std::partial_sum(start.begin(), start.end(), start.begin());
+      for (size_t i = 0; i < n; ++i) {
+        std::copy_n(flat->begin() + i * width, width,
+                    moved.begin() + start[digit(i)]++ * width);
+      }
+      flat->swap(moved);
     }
-    out->insert(std::move(row));
-    return true;
-  });
+  }
+  // Equal rows are adjacent now; keep the first of each run.
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const SymbolId* row = flat->data() + i * width;
+    SymbolId* out = flat->data() + kept * width;
+    if (kept > 0 && std::equal(row, row + width, out - width)) continue;
+    if (kept != i) std::copy(row, row + width, out);
+    ++kept;
+  }
+  flat->resize(kept * width);
+}
+
+}  // namespace
+
+Result<std::vector<std::vector<SymbolId>>> EnumerateProjections(
+    const FactIndex& index, const Query& q,
+    const std::vector<Valuation>& seeds, const std::vector<SymbolId>& vars,
+    const Deadline& deadline) {
+  if (deadline.Expired()) {
+    return Status::DeadlineExceeded(
+        "deadline expired before candidate enumeration");
+  }
+  const size_t width = vars.size();
+  std::vector<SymbolId> flat;
+  size_t compact_at = kCompactMinValues;
+  bool found = false;
+  bool expired = false;
+  int countdown = kDeadlineCheckEmbeddings;
+  EmbeddingFactsFn collect = [&](const Valuation& theta,
+                                 const std::vector<const Fact*>&) {
+    if (--countdown == 0) {
+      countdown = kDeadlineCheckEmbeddings;
+      if (deadline.Expired()) {
+        expired = true;
+        return false;
+      }
+    }
+    found = true;
+    // Occurrence in q guarantees every embedding binds every var.
+    for (SymbolId v : vars) flat.push_back(*theta.Get(v));
+    if (flat.size() >= compact_at) {
+      SortDistinctRows(width, &flat);
+      compact_at = std::max(kCompactMinValues, 2 * flat.size());
+    }
+    return width > 0;  // A Boolean projection is decided by one embedding.
+  };
+  for (const Valuation& seed : seeds) {
+    RunSearch(index, q, seed, collect, DefaultMatcherMode());
+    if (expired) {
+      return Status::DeadlineExceeded(
+          "deadline expired during candidate enumeration");
+    }
+    if (found && width == 0) break;
+  }
+  std::vector<std::vector<SymbolId>> rows;
+  if (width == 0) {
+    if (found) rows.emplace_back();
+    return rows;
+  }
+  SortDistinctRows(width, &flat);
+  rows.reserve(flat.size() / width);
+  for (auto it = flat.begin(); it != flat.end(); it += width) {
+    rows.emplace_back(it, it + width);
+  }
+  return rows;
 }
 
 std::vector<std::vector<SymbolId>> CollectProjectionsSorted(
     const FactIndex& index, const Query& q, const Valuation& initial,
     const std::vector<SymbolId>& vars) {
-  std::set<std::vector<SymbolId>> rows;
-  CollectProjections(index, q, initial, vars, &rows);
-  return std::vector<std::vector<SymbolId>>(rows.begin(), rows.end());
+  // An unlimited deadline never expires, so the Result holds rows.
+  return EnumerateProjections(index, q, {initial}, vars).value();
+}
+
+void CollectProjections(const FactIndex& index, const Query& q,
+                        const Valuation& initial,
+                        const std::vector<SymbolId>& vars,
+                        std::set<std::vector<SymbolId>>* out) {
+  for (std::vector<SymbolId>& row :
+       CollectProjectionsSorted(index, q, initial, vars)) {
+    out->insert(std::move(row));
+  }
 }
 
 bool Satisfies(const Database& db, const Query& q) {

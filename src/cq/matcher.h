@@ -10,6 +10,8 @@
 #include "cq/valuation.h"
 #include "db/database.h"
 #include "db/repairs.h"
+#include "util/deadline.h"
+#include "util/status.h"
 
 /// \file
 /// Conjunctive query evaluation: db ⊨ q iff some valuation θ over vars(q)
@@ -174,26 +176,40 @@ bool ForEachEmbeddingFacts(const FactIndex& index, const Query& q,
 bool SatisfiesWith(const FactIndex& index, const Query& q,
                    const Valuation& initial);
 
-/// Adds to `out` the distinct projections θ|vars over all embeddings θ
-/// of `q` into `index` extending `initial`. Every variable of `vars`
-/// must occur in q (so every embedding binds it). This is the
-/// candidate-answer enumeration primitive of the answering layers:
-/// the possible-answer enumeration calls it with an empty seed, and the
-/// serving `Session` seeds `initial` from a dirty block's key values so
-/// the matcher's key-prefix buckets prune the scan to the candidate
-/// tuples that delta could have touched.
+/// The candidate-answer enumeration primitive of the answering layers:
+/// the distinct projections θ|vars over all embeddings θ of `q` into
+/// `index` that extend some valuation of `seeds`, sorted
+/// lexicographically — the candidate-row shape the batched certainty
+/// deciders (`QueryPlan::IsCertainRows`) consume. Every variable of
+/// `vars` must occur in q (so every embedding binds it). A full
+/// recompute passes one empty seed; the serving `Session` passes one
+/// seed per dirty key pattern, so the matcher's key-prefix buckets prune
+/// the scan to the candidate tuples a delta could have touched.
+///
+/// Projections are appended to one flat buffer that is sorted and
+/// deduped once at the end. A buffer past 2^20 values and twice its
+/// distinct rows is also compacted that way during the search, so a
+/// projection that many embeddings share keeps memory proportional to
+/// the distinct rows. With `vars` empty (Boolean) the enumeration stops
+/// at the first embedding and the result is empty or the one empty row.
+/// `deadline` is polled before the search and every 256 embeddings;
+/// expiry answers kDeadlineExceeded.
+Result<std::vector<std::vector<SymbolId>>> EnumerateProjections(
+    const FactIndex& index, const Query& q,
+    const std::vector<Valuation>& seeds, const std::vector<SymbolId>& vars,
+    const Deadline& deadline = Deadline());
+
+/// EnumerateProjections from the single seed `initial`, without a
+/// deadline.
+std::vector<std::vector<SymbolId>> CollectProjectionsSorted(
+    const FactIndex& index, const Query& q, const Valuation& initial,
+    const std::vector<SymbolId>& vars);
+
+/// Adds CollectProjectionsSorted's rows to `out`.
 void CollectProjections(const FactIndex& index, const Query& q,
                         const Valuation& initial,
                         const std::vector<SymbolId>& vars,
                         std::set<std::vector<SymbolId>>* out);
-
-/// Convenience form returning the distinct projections as a sorted
-/// vector — the candidate-row shape the batched certainty deciders
-/// (`QueryPlan::IsCertainRows`, the serving session's recompute paths)
-/// consume directly.
-std::vector<std::vector<SymbolId>> CollectProjectionsSorted(
-    const FactIndex& index, const Query& q, const Valuation& initial,
-    const std::vector<SymbolId>& vars);
 
 }  // namespace cqa
 

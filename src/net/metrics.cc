@@ -1,5 +1,6 @@
 #include "net/metrics.h"
 
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -9,6 +10,17 @@ namespace cqa {
 namespace net {
 
 namespace {
+
+/// The series that report a current level, which can fall, rather than
+/// a running total.
+bool IsGauge(const std::string& key) {
+  static const std::set<std::string> kGauges = {
+      "plan_cache.entries",       "plan_cache.negative_entries",
+      "backend.sqlite_databases", "backend.degraded_backends",
+      "server.connections_active",
+  };
+  return kGauges.count(key) != 0;
+}
 
 /// "plan_cache.hits" -> "cqa_plan_cache_hits"; per-solver counters
 /// ("solver.sat.calls") become labeled series
@@ -25,7 +37,8 @@ void RenderOne(std::ostringstream* os, const std::string& key,
   }
   std::string name = "cqa_";
   for (char c : key) name.push_back(c == '.' ? '_' : c);
-  *os << "# TYPE " << name << " counter\n" << name << " " << value << "\n";
+  *os << "# TYPE " << name << (IsGauge(key) ? " gauge\n" : " counter\n")
+      << name << " " << value << "\n";
 }
 
 }  // namespace

@@ -39,7 +39,10 @@ namespace net {
 using MetricGauges = std::map<std::string, uint64_t>;
 
 /// Renders counters as Prometheus text exposition: one
-/// `# TYPE cqa_<name> counter` + `cqa_<name> <value>` pair per entry.
+/// `# TYPE cqa_<name> counter` + `cqa_<name> <value>` pair per entry,
+/// typed `gauge` instead for the levels (`plan_cache.entries`,
+/// `plan_cache.negative_entries`, `backend.sqlite_databases`,
+/// `backend.degraded_backends`, `server.connections_active`).
 /// Dots in the flattened names become underscores; per-solver counters
 /// become labeled series (`cqa_solver_calls_total{kind="sat"}`).
 std::string RenderPrometheus(const std::map<std::string, uint64_t>& counters,

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <condition_variable>
-#include <set>
+#include <iterator>
 #include <unordered_set>
 #include <utility>
 
@@ -630,17 +630,14 @@ Result<Session::RowSet> Session::ComputeCertainFull(
     if (!pushed.ok()) return pushed.status();
     if (pushed->has_value()) return *std::move(*pushed);
   }
-  RowSet candidates = CollectProjectionsSorted(ctx.fact_index(), q,
-                                               Valuation(), free_vars);
-  if (deadline.Expired()) {
-    return Status::DeadlineExceeded(
-        "deadline expired after candidate enumeration");
-  }
+  Result<RowSet> candidates = EnumerateProjections(
+      ctx.fact_index(), q, {Valuation()}, free_vars, deadline);
+  if (!candidates.ok()) return candidates.status();
   RowSet out;
   if (free_vars.empty()) {
     // Boolean semantics: q must be possible (certain answers are always
     // possible answers) and then certain.
-    if (!candidates.empty()) {
+    if (!candidates->empty()) {
       Result<SolveOutcome> solved = plan.Solve(ctx);
       if (!solved.ok()) return solved.status();
       if (solved->certain) out.push_back({});
@@ -651,14 +648,14 @@ Result<Session::RowSet> Session::ComputeCertainFull(
   // partitioned across the pool's live indexes when the batch is large
   // enough (DecideRows), on this worker's alone otherwise.
   Result<std::vector<char>> certain =
-      DecideRows(ctx, plan, candidates, deadline);
+      DecideRows(ctx, plan, *candidates, deadline);
   if (!certain.ok()) return certain.status();
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if ((*certain)[i]) out.push_back(std::move(candidates[i]));
+  for (size_t i = 0; i < candidates->size(); ++i) {
+    if ((*certain)[i]) out.push_back(std::move((*candidates)[i]));
   }
   {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    stats_.rows_decided += candidates.size();
+    stats_.rows_decided += candidates->size();
   }
   return out;
 }
@@ -772,38 +769,48 @@ Result<std::shared_ptr<const Session::RowSet>> Session::ServeCertain(
         return false;
       };
       // Rows out of every changed block's reach keep their status.
-      std::set<std::vector<SymbolId>> keep;
+      RowSet kept;
       for (const std::vector<SymbolId>& row : *cached->second) {
-        if (!matches_any(row)) keep.insert(row);
+        if (!matches_any(row)) kept.push_back(row);
       }
-      uint64_t reused = keep.size();
       // Dirty candidates: the possible rows matching a pattern, found
-      // by seeding the matcher with the pattern's key values (dropped
+      // by seeding the matcher with each pattern's key values (dropped
       // cached rows that are no longer possible never re-enter).
-      std::set<std::vector<SymbolId>> candidate_set;
-      for (const DirtyPattern& pattern : *patterns) {
-        Valuation initial;
-        for (const auto& [param, value] : pattern.bindings) {
-          initial.Bind(free_vars[param], value);
+      std::vector<Valuation> seeds(patterns->size());
+      for (size_t p = 0; p < patterns->size(); ++p) {
+        for (const auto& [param, value] : (*patterns)[p].bindings) {
+          seeds[p].Bind(free_vars[param], value);
         }
-        CollectProjections(ctx.fact_index(), q, initial, free_vars,
-                           &candidate_set);
       }
+      Result<RowSet> candidates = EnumerateProjections(
+          ctx.fact_index(), q, seeds, free_vars, deadline);
+      if (!candidates.ok()) return candidates.status();
       // One batched execution re-decides every dirty row, partitioned
       // across the pool when the dirty set is large enough.
-      RowSet candidates(candidate_set.begin(), candidate_set.end());
       Result<std::vector<char>> certain =
-          DecideRows(ctx, *plan, candidates, deadline);
+          DecideRows(ctx, *plan, *candidates, deadline);
       if (!certain.ok()) return certain.status();
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        if ((*certain)[i]) keep.insert(std::move(candidates[i]));
+      RowSet decided;
+      for (size_t i = 0; i < candidates->size(); ++i) {
+        if ((*certain)[i]) decided.push_back(std::move((*candidates)[i]));
       }
-      snapshot = std::make_shared<const RowSet>(keep.begin(), keep.end());
+      // Both runs are sorted, and disjoint (every candidate matches a
+      // pattern, no kept row does), so one linear merge rebuilds the
+      // sorted snapshot.
+      RowSet rows;
+      rows.reserve(kept.size() + decided.size());
+      std::merge(std::make_move_iterator(kept.begin()),
+                 std::make_move_iterator(kept.end()),
+                 std::make_move_iterator(decided.begin()),
+                 std::make_move_iterator(decided.end()),
+                 std::back_inserter(rows));
+      uint64_t reused = kept.size();
+      snapshot = std::make_shared<const RowSet>(std::move(rows));
       {
         std::lock_guard<std::mutex> stats_lock(stats_mu_);
         ++stats_.answers_incremental;
         stats_.rows_reused += reused;
-        stats_.rows_decided += candidates.size();
+        stats_.rows_decided += candidates->size();
       }
     }
   } else if (cached.has_value() && free_vars.empty()) {

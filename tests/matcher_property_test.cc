@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cq/corpus.h"
@@ -33,6 +35,48 @@ std::multiset<std::vector<std::pair<SymbolId, SymbolId>>> Embeddings(
   return out;
 }
 
+/// Checks EnumerateProjections against an independent path: for every
+/// set of at most two of q's variables, its rows must be the distinct,
+/// sorted projections of the naive matcher's embeddings from `seeds`.
+void ExpectProjectionsAgree(const FactIndex& index, const Query& q,
+                            const std::vector<Valuation>& seeds,
+                            const std::string& context) {
+  std::vector<Valuation> naive;
+  for (const Valuation& seed : seeds) {
+    ForEachEmbedding(index, q, seed,
+                     [&](const Valuation& theta) {
+                       naive.push_back(theta);
+                       return true;
+                     },
+                     MatcherMode::kNaive);
+  }
+  VarSet var_set = q.Vars();
+  std::vector<SymbolId> vars(var_set.begin(), var_set.end());
+  std::vector<std::vector<SymbolId>> subsets = {{}};
+  for (size_t i = 0; i < vars.size(); ++i) {
+    subsets.push_back({vars[i]});
+    for (size_t j = i + 1; j < vars.size(); ++j) {
+      subsets.push_back({vars[i], vars[j]});
+    }
+  }
+  for (const std::vector<SymbolId>& subset : subsets) {
+    std::set<std::vector<SymbolId>> expected;
+    for (const Valuation& theta : naive) {
+      std::vector<SymbolId> row;
+      for (SymbolId v : subset) row.push_back(*theta.Get(v));
+      expected.insert(std::move(row));
+    }
+    Result<std::vector<std::vector<SymbolId>>> rows =
+        EnumerateProjections(index, q, seeds, subset);
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    ASSERT_EQ(*rows, std::vector<std::vector<SymbolId>>(expected.begin(),
+                                                        expected.end()))
+        << context << "\nquery: " << q.ToString() << "\nprojection of "
+        << subset.size() << " variable(s) from " << seeds.size()
+        << " seed(s)";
+  }
+}
+
 void ExpectMatchersAgree(const Database& db, const Query& q,
                          const std::string& context) {
   FactIndex index(db);
@@ -41,6 +85,7 @@ void ExpectMatchersAgree(const Database& db, const Query& q,
   ASSERT_EQ(indexed, naive) << context << "\nquery: " << q.ToString()
                             << "\ndb:\n"
                             << db.ToString();
+  ExpectProjectionsAgree(index, q, {Valuation()}, context);
   // Satisfies must agree too (early-exit path).
   bool sat_indexed;
   {
@@ -112,6 +157,7 @@ TEST_P(MatcherDifferential, PartialInitialValuation) {
   VarSet vars = q.Vars();
   if (vars.empty()) return;
   SymbolId var = *vars.begin();
+  std::vector<Valuation> seeds;
   for (SymbolId value : db.ActiveDomain()) {
     Valuation initial;
     initial.Bind(var, value);
@@ -120,7 +166,12 @@ TEST_P(MatcherDifferential, PartialInitialValuation) {
     ASSERT_EQ(indexed, naive)
         << q.ToString() << " with " << initial.ToString() << "\n"
         << db.ToString();
+    ExpectProjectionsAgree(index, q, {initial}, initial.ToString());
+    seeds.push_back(std::move(initial));
   }
+  // Several seeds at once, as the session's dirty-row path passes them:
+  // the rows of all seeds, deduped across seeds.
+  ExpectProjectionsAgree(index, q, seeds, "every seed");
 }
 
 // 350 seeds x (1 uniform + 1 block + |corpus| + partial) >> 1000 pairs.
@@ -236,6 +287,88 @@ TEST(FactIndexTest, RemoveOfStrangerIsNoOp) {
   Fact stranger = Fact::Make("R", {"zz", "zz"}, 1);
   index.Remove(&stranger);
   EXPECT_EQ(index.total(), 6u);
+}
+
+// ------------------------------------------------ EnumerateProjections
+
+TEST(EnumerateProjectionsTest, ExpiredDeadlineAnswersDeadlineExceeded) {
+  Database db = SmallDb();
+  FactIndex index(db);
+  Query q = MustParseQuery("R(x | y), S(y, u | w)");
+  for (std::vector<SymbolId> vars :
+       {std::vector<SymbolId>{}, std::vector<SymbolId>{InternSymbol("x")}}) {
+    Result<std::vector<std::vector<SymbolId>>> live =
+        EnumerateProjections(index, q, {Valuation()}, vars);
+    ASSERT_TRUE(live.ok());
+    EXPECT_FALSE(live->empty());
+    Result<std::vector<std::vector<SymbolId>>> expired = EnumerateProjections(
+        index, q, {Valuation()}, vars, Deadline::AfterMillis(0));
+    ASSERT_FALSE(expired.ok());
+    EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
+  }
+}
+
+/// Values that differ in every byte position, so the radix sort's four
+/// byte passes over every column all matter; the differential above
+/// only sees the small identifiers of a test-sized symbol table.
+TEST(EnumerateProjectionsTest, RowsSortLikeVectorsAcrossEveryByte) {
+  std::mt19937 rng(7);
+  std::vector<SymbolId> pool = {0u, 0xffu, 0xff00u, 0xff0000u, 0xff000000u,
+                                0xffffffffu};
+  while (pool.size() < 16) pool.push_back(static_cast<SymbolId>(rng()));
+  std::vector<Fact> facts;
+  for (int i = 0; i < 3000; ++i) {
+    facts.emplace_back(InternSymbol("R"),
+                       std::vector<SymbolId>{pool[rng() % 16],
+                                             pool[rng() % 16],
+                                             pool[rng() % 16]},
+                       1);
+  }
+  FactIndex index;
+  for (const Fact& f : facts) index.Add(&f);
+  Query q = MustParseQuery("R(x | y, z)");
+  const std::vector<SymbolId> names = {InternSymbol("x"), InternSymbol("y"),
+                                       InternSymbol("z")};
+  for (const std::vector<int>& columns :
+       std::vector<std::vector<int>>{{0, 1, 2}, {2, 0}, {1}, {1, 2}}) {
+    std::vector<SymbolId> vars;
+    for (int c : columns) vars.push_back(names[c]);
+    std::set<std::vector<SymbolId>> expected;
+    for (const Fact& f : facts) {
+      std::vector<SymbolId> row;
+      for (int c : columns) row.push_back(f.values()[c]);
+      expected.insert(std::move(row));
+    }
+    Result<std::vector<std::vector<SymbolId>>> rows =
+        EnumerateProjections(index, q, {Valuation()}, vars);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(*rows, std::vector<std::vector<SymbolId>>(expected.begin(),
+                                                        expected.end()))
+        << columns.size() << " column(s)";
+  }
+}
+
+/// 1100 x 1000 embeddings projected onto x: the flat buffer passes its
+/// compaction threshold and must still yield exactly the 1100 x values.
+TEST(EnumerateProjectionsTest, CompactionKeepsTheDistinctRows) {
+  Database db;
+  std::vector<std::vector<SymbolId>> expected;
+  for (int i = 0; i < 1100; ++i) {
+    std::string x = "x" + std::to_string(i);
+    ASSERT_TRUE(db.AddFact(Fact::Make("R", {x, "hub"}, 1)).ok());
+    expected.push_back({InternSymbol(x)});
+  }
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(
+        db.AddFact(Fact::Make("S", {"hub", "z" + std::to_string(i)}, 1)).ok());
+  }
+  std::sort(expected.begin(), expected.end());
+  FactIndex index(db);
+  Result<std::vector<std::vector<SymbolId>>> rows =
+      EnumerateProjections(index, MustParseQuery("R(x | y), S(y | z)"),
+                           {Valuation()}, {InternSymbol("x")});
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(*rows, expected);
 }
 
 TEST(RepairEnumeratorTest, IndexedEnumerationMatchesPlain) {

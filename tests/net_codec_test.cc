@@ -517,15 +517,35 @@ TEST(CodecHostileTest, ArityBoundsAreEnforced) {
 TEST(MetricsRenderTest, PrometheusTextExposition) {
   std::map<std::string, uint64_t> counters = {
       {"plan_cache.hits", 12},
+      {"plan_cache.entries", 5},
+      {"plan_cache.negative_entries", 1},
+      {"backend.sqlite_databases", 2},
+      {"backend.degraded_backends", 0},
       {"session.solves", 7},
       {"solver.sat.calls", 3},
       {"solver.sat.certain", 2},
       {"solver.fo-rewriting.calls", 9},
   };
-  MetricGauges extra = {{"server.requests_total", 40}};
+  MetricGauges extra = {{"server.requests_total", 40},
+                        {"server.connections_active", 4}};
   std::string text = RenderPrometheus(counters, extra);
   EXPECT_NE(text.find("# TYPE cqa_plan_cache_hits counter\n"
                       "cqa_plan_cache_hits 12\n"),
+            std::string::npos);
+  // Levels that can fall are gauges, not counters.
+  for (const char* gauge :
+       {"plan_cache_entries 5", "plan_cache_negative_entries 1",
+        "backend_sqlite_databases 2", "backend_degraded_backends 0",
+        "server_connections_active 4"}) {
+    std::string name = gauge;
+    name = "cqa_" + name.substr(0, name.find(' '));
+    EXPECT_NE(text.find("# TYPE " + name + " gauge\ncqa_" + gauge + "\n"),
+              std::string::npos)
+        << gauge;
+    EXPECT_EQ(text.find("# TYPE " + name + " counter"), std::string::npos)
+        << gauge;
+  }
+  EXPECT_NE(text.find("# TYPE cqa_server_requests_total counter\n"),
             std::string::npos);
   EXPECT_NE(text.find("cqa_session_solves 7"), std::string::npos);
   EXPECT_NE(text.find("cqa_solver_calls_total{kind=\"sat\"} 3"),

@@ -428,6 +428,14 @@ TEST_F(WireServerTest, MetricsVerbRendersPrometheusText) {
   const std::string& text = metrics->text;
   EXPECT_NE(text.find("# TYPE cqa_plan_cache_hits counter"),
             std::string::npos);
+  for (const char* gauge :
+       {"cqa_plan_cache_entries", "cqa_plan_cache_negative_entries",
+        "cqa_backend_sqlite_databases", "cqa_backend_degraded_backends",
+        "cqa_server_connections_active"}) {
+    EXPECT_NE(text.find(std::string("# TYPE ") + gauge + " gauge\n"),
+              std::string::npos)
+        << gauge;
+  }
   EXPECT_NE(text.find("cqa_session_solves"), std::string::npos);
   EXPECT_NE(text.find("cqa_server_requests_total"), std::string::npos);
   EXPECT_NE(text.find("cqa_server_connections_accepted"), std::string::npos);

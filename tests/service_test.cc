@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -501,6 +502,45 @@ TEST_P(ServiceDifferential, MatchesLegacyEngineOnCorpus) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ServiceDifferential,
                          ::testing::Range(uint64_t{1}, uint64_t{13}));
+
+// --------------------------------------------------------- deadlines
+
+/// 1000 R-blocks all pointing at one S-block of 1000 facts: the first
+/// page of R(x | y), S(y | z) on x enumerates 10^6 embeddings. A 20 ms
+/// budget must stop the enumeration itself, not wait for it to finish.
+TEST(ServiceTest, DeadlineCutsCandidateEnumerationShort) {
+  Database db;
+  for (int i = 0; i < 1000; ++i) {
+    std::string n = std::to_string(i);
+    EXPECT_TRUE(db.AddFact(Fact::Make("R", {"a" + n, "hub"}, 1)).ok());
+    EXPECT_TRUE(db.AddFact(Fact::Make("S", {"hub", "c" + n}, 1)).ok());
+  }
+  Service::Options options;
+  options.num_threads = 1;
+  Service service(options);
+  ASSERT_TRUE(service.CreateDatabase("join", std::move(db)).ok());
+  // Compile the plan and build the worker's index before the clock runs.
+  Service::SolveRequest warm;
+  warm.database = "join";
+  warm.query = PathQ();
+  ASSERT_TRUE(service.Solve(warm).ok());
+  Service::CertainAnswersRequest request;
+  request.database = "join";
+  request.prepared =
+      service.Prepare(PathQ(), {InternSymbol("x")}).value();
+
+  request.deadline = Deadline::AfterMillis(20);
+  auto start = std::chrono::steady_clock::now();
+  Result<Service::CertainAnswersResponse> page =
+      service.CertainAnswers(request);
+  double elapsed_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  ASSERT_FALSE(page.ok());
+  EXPECT_EQ(page.status().code(), StatusCode::kDeadlineExceeded)
+      << page.status();
+  EXPECT_LT(elapsed_ms, 40.0);
+}
 
 // ------------------------------------------------------------- stats
 
