@@ -15,11 +15,18 @@
 // C(k), SAT) against one registered database, plus a forced-oracle
 // handle cross-checking the FO answer on the small conference database
 // — all six solver kinds flow through the same SolveRequest struct.
+//
+// Two series cover the plans that are not FO: certain answers of a
+// parameterized terminal-cycle query (every row decided by the solver
+// on the blocks its embeddings touch), and a Boolean SAT solve on a
+// tenant that also holds an unrelated relation of the same size (the
+// solve reads only the query's relations).
 
 #include "bench_main.h"
 
 #include "cqa.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -274,5 +281,131 @@ void BM_Service_CertainAnswersThreads(benchmark::State& state) {
 BENCHMARK(BM_Service_CertainAnswersThreads)
     ->ArgsProduct({{cqa_bench::RangeLimit(4096, 256)},
                    cqa_bench::ThreadCounts()});
+
+/// A Fig. 4 instance (Example 5's terminal weak cycles) of about
+/// `blocks` blocks: one group of six blocks per x-value a_i, joined
+/// through y = b_i. Every third group's R1 block holds a second fact
+/// with another z, so its row is not certain; every third of the others
+/// has a second R3 fact whose R4 partner exists too, so its row stays
+/// certain through a conflict.
+Database Fig4Db(int blocks) {
+  Database db;
+  auto add = [&](const char* relation, const std::vector<std::string>& values,
+                 int key_arity) {
+    db.AddFact(Fact::Make(relation, values, key_arity)).ok();
+  };
+  for (int i = 0; i < blocks / 6; ++i) {
+    std::string n = std::to_string(i);
+    std::string a = "a" + n;
+    std::string b = "b" + n;
+    std::string u = "u" + n + "_";
+    add("R1", {a, u + "1", u + "2", "z"}, 2);
+    add("R2", {a, u + "2", u + "1", "z"}, 2);
+    add("R3", {a, b, u + "3", u + "4"}, 3);
+    add("R4", {a, b, u + "4", u + "3"}, 3);
+    add("R5", {b, u + "5", u + "6"}, 2);
+    add("R6", {b, u + "6", u + "5"}, 2);
+    if (i % 3 == 0) add("R1", {a, u + "1", u + "2", "z2"}, 2);
+    if (i % 3 == 1) {
+      add("R3", {a, b, u + "3", u + "7"}, 3);
+      add("R4", {a, b, u + "7", u + "3"}, 3);
+    }
+  }
+  return db;
+}
+
+/// Non-FO certain answers end to end: one uncached CertainAnswers of
+/// Fig. 4's query with x free over Fig4Db(blocks), on one worker. The
+/// plan is a terminal-cycle plan, so every candidate row takes the row
+/// fallback.
+void BM_Service_NonFoCertainAnswers(benchmark::State& state) {
+  Service::Options options;
+  options.num_threads = 1;
+  options.session.answer_cache_capacity = 0;
+  options.default_page_size = 1 << 20;
+  options.max_page_size = 1 << 20;
+  Service service(options);
+  Database db = Fig4Db(static_cast<int>(state.range(0)));
+  state.counters["facts"] = db.size();
+  service.CreateDatabase("fig4", std::move(db)).ok();
+  PreparedQueryHandle handle =
+      service.Prepare(corpus::Fig4Query(), {InternSymbol("x")}).value();
+  if (handle->solver_kind() != SolverKind::kTerminalCycles) {
+    state.SkipWithError("Fig. 4 with x free is not a terminal-cycle plan");
+    return;
+  }
+  Service::CertainAnswersRequest request;
+  request.database = "fig4";
+  request.prepared = handle;
+  for (auto _ : state) {
+    Result<Service::CertainAnswersResponse> page =
+        service.CertainAnswers(request);
+    if (!page.ok()) {
+      state.SkipWithError("CertainAnswers failed");
+      break;
+    }
+    benchmark::DoNotOptimize(page->rows.size());
+  }
+}
+BENCHMARK(BM_Service_NonFoCertainAnswers)
+    ->Arg(cqa_bench::RangeLimit(1024, 128))
+    ->Arg(cqa_bench::RangeLimit(4096, 256))
+    ->Unit(benchmark::kMillisecond);
+
+/// A Boolean non-FO solve beside unrelated data: q0 (coNP-complete,
+/// decided by the SAT plan) on a random q0 instance of `pairs` joining
+/// pairs, in a tenant that also holds U(k | v), an unrelated relation
+/// with as many facts, two to a block. Every R0 block also holds an
+/// escape fact that joins nothing, so the instance is not certain and
+/// the search builds a whole falsifying repair, one decision per block
+/// it encodes.
+void BM_Service_NonFoSolveBesideUnrelated(benchmark::State& state) {
+  int pairs = static_cast<int>(state.range(0));
+  Q0InstanceOptions q0;
+  q0.join_pairs = pairs;
+  q0.violations = pairs;
+  q0.domain_size = std::max(3, pairs / 2);
+  q0.seed = 3;
+  Database db = RandomQ0Database(q0);
+  SymbolId r0 = InternSymbol("R0");
+  std::vector<std::vector<SymbolId>> r0_keys;
+  for (const Database::Block& block : db.blocks()) {
+    if (block.relation == r0) r0_keys.push_back(block.key);
+  }
+  for (const std::vector<SymbolId>& key : r0_keys) {
+    std::string a = SymbolName(key[0]);
+    db.AddFact(Fact::Make("R0", {a, "escape_" + a}, 1)).ok();
+  }
+  for (int i = 0, n = db.size(); i < n; ++i) {
+    db.AddFact(Fact::Make("U", {"k" + std::to_string(i / 2),
+                                "v" + std::to_string(i)},
+                          1))
+        .ok();
+  }
+  state.counters["facts"] = db.size();
+  Service::Options options;
+  options.num_threads = 1;
+  Service service(options);
+  service.CreateDatabase("mixed", std::move(db)).ok();
+  Service::SolveRequest request;
+  request.database = "mixed";
+  request.prepared = service.Prepare(corpus::Q0()).value();
+  if (request.prepared->solver_kind() != SolverKind::kSat) {
+    state.SkipWithError("q0 is not a SAT plan");
+    return;
+  }
+  for (auto _ : state) {
+    Result<Service::SolveResponse> reply = service.Solve(request);
+    if (!reply.ok()) {
+      state.SkipWithError("Solve failed");
+      break;
+    }
+    benchmark::DoNotOptimize(reply->outcome.certain);
+  }
+}
+BENCHMARK(BM_Service_NonFoSolveBesideUnrelated)
+    ->Arg(cqa_bench::RangeLimit(256, 16))
+    ->Arg(cqa_bench::RangeLimit(1024, 64))
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -40,7 +40,11 @@ Status Database::AddFact(const Fact& fact) {
                                    SymbolName(fact.relation()) + "'");
   }
   if (Contains(fact)) return Status::OK();
+  Insert(fact);
+  return Status::OK();
+}
 
+void Database::Insert(const Fact& fact) {
   int fact_id = static_cast<int>(facts_.size());
   facts_.push_back(fact);
   fact_ids_.emplace(fact, fact_id);
@@ -58,7 +62,6 @@ Status Database::AddFact(const Fact& fact) {
   } else {
     blocks_[it->second].fact_ids.push_back(fact_id);
   }
-  return Status::OK();
 }
 
 namespace {
@@ -209,13 +212,27 @@ std::vector<SymbolId> Database::ActiveDomain() const {
 
 Database Database::Restrict(
     const std::unordered_set<SymbolId>& relations) const {
+  // Only the named relations' id lists are read; sorting the ids keeps
+  // the facts' relative order, whatever order the set iterates in.
+  std::vector<int> ids;
+  for (SymbolId relation : relations) {
+    const std::vector<int>& of = FactsOf(relation);
+    ids.insert(ids.end(), of.begin(), of.end());
+  }
+  std::sort(ids.begin(), ids.end());
+  return Subset(ids);
+}
+
+Database Database::Subset(const std::vector<int>& fact_ids) const {
+  // The facts are distinct and fit the schema already, so they skip
+  // AddFact's checks.
   Database out(schema_);
-  for (const Fact& f : facts_) {
-    if (relations.count(f.relation())) {
-      Status st = out.AddFact(f);
-      assert(st.ok());
-      (void)st;
-    }
+  out.fact_ids_.reserve(fact_ids.size());
+  out.ptr_ids_.reserve(fact_ids.size());
+  out.rel_slots_.reserve(fact_ids.size());
+  for (int id : fact_ids) {
+    assert(!out.Contains(facts_[id]));
+    out.Insert(facts_[id]);
   }
   return out;
 }

@@ -121,13 +121,21 @@ class Database {
   /// All constants occurring in the database, sorted.
   std::vector<SymbolId> ActiveDomain() const;
 
-  /// Database restricted to the given relations.
+  /// Database restricted to the given relations: exactly their facts, in
+  /// their relative order in facts(). Reads only those relations' facts.
   Database Restrict(const std::unordered_set<SymbolId>& relations) const;
+
+  /// The facts with the given (distinct) ids, indices into facts(),
+  /// added in the order given, under this database's schema.
+  Database Subset(const std::vector<int>& fact_ids) const;
 
   /// One line per fact, sorted; convenient for tests and goldens.
   std::string ToString() const;
 
  private:
+  /// Stores `fact`, which must be absent and fit the schema.
+  void Insert(const Fact& fact);
+
   struct BlockKeyHash {
     size_t operator()(const std::pair<SymbolId, std::vector<SymbolId>>& k)
         const {

@@ -15,9 +15,12 @@ namespace {
 /// a running total.
 bool IsGauge(const std::string& key) {
   static const std::set<std::string> kGauges = {
-      "plan_cache.entries",       "plan_cache.negative_entries",
-      "backend.sqlite_databases", "backend.degraded_backends",
-      "server.connections_active",
+      "plan_cache.entries",        "plan_cache.negative_entries",
+      "plan_cache.capacity",       "backend.sqlite_databases",
+      "backend.degraded_backends", "server.connections_active",
+      "service.databases",         "service.prepared_queries",
+      "service.open_cursors",      "store.durable_databases",
+      "store.read_only_databases", "store.wal_bytes",
   };
   return kGauges.count(key) != 0;
 }

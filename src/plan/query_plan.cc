@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <utility>
+
+#include "cq/matcher.h"
 
 namespace cqa {
 
@@ -66,6 +69,15 @@ std::vector<AtomKeyPattern> ComputeKeyPatterns(
   return patterns;
 }
 
+std::unordered_set<SymbolId> RelationsOf(
+    const std::vector<AtomKeyPattern>& patterns) {
+  std::unordered_set<SymbolId> relations;
+  for (const AtomKeyPattern& pattern : patterns) {
+    relations.insert(pattern.relation);
+  }
+  return relations;
+}
+
 }  // namespace
 
 Status ValidateFreeVars(const Query& q,
@@ -103,6 +115,7 @@ Result<std::shared_ptr<const QueryPlan>> QueryPlan::CompileCanonical(
   // canonical form cannot express it: a duplicated free variable is
   // legal but leaves its later #p_i placeholders without occurrences.
   plan->key_patterns_ = ComputeKeyPatterns(c.query, c.params);
+  plan->relations_ = RelationsOf(plan->key_patterns_);
 
   Result<Classification> cls = ClassifyQuery(
       c.params.empty() ? c.query : FreezeParams(c.query, c.params));
@@ -192,6 +205,7 @@ Result<std::shared_ptr<const QueryPlan>> QueryPlan::CompileForcedSolver(
   plan->canonical_.key += std::string(";solver=") + ToString(kind);
   const CanonicalQuery& c = plan->canonical_;
   plan->key_patterns_ = ComputeKeyPatterns(c.query, c.params);
+  plan->relations_ = RelationsOf(plan->key_patterns_);
   Result<Classification> cls = ClassifyQuery(c.query);
   if (cls.ok()) {
     plan->classification_ = *cls;
@@ -216,13 +230,25 @@ Result<SolveOutcome> QueryPlan::Solve(const Database& db) const {
   return Solve(ctx);
 }
 
-Result<SolveOutcome> QueryPlan::Solve(EvalContext& ctx) const {
+Result<SolveOutcome> QueryPlan::Solve(EvalContext& ctx,
+                                      const Deadline& deadline) const {
   if (parameterized()) {
     return Status::InvalidArgument(
         "parameterized plan cannot be solved as a Boolean query; use "
         "IsCertainRow");
   }
-  Result<SolverCall> call = solver_->Decide(ctx);
+  Result<SolverCall> call = [&]() -> Result<SolverCall> {
+    if (kind_ == SolverKind::kFoRewriting) return solver_->Decide(ctx);
+    if (kind_ == SolverKind::kOracle) {
+      // The reference the scoped solvers are checked against: every
+      // repair of the whole database.
+      EvalContext whole(ctx.db(), deadline);
+      return solver_->Decide(whole);
+    }
+    Database scoped = ctx.db().Restrict(relations_);
+    EvalContext scoped_ctx(scoped, deadline);
+    return solver_->Decide(scoped_ctx);
+  }();
   if (!call.ok()) return call.status();
   solver_->Record(*call);
   SolveOutcome out;
@@ -279,16 +305,60 @@ Status QueryPlan::IsCertainRowSpan(
   // Row-at-a-time fallback: non-FO plans, substituted FO
   // implementations, and the interpreter oracle mode. Rows here can be
   // arbitrarily expensive (grounded SAT calls), so the deadline is
-  // polled before every row.
+  // polled before every row, and a non-FO row's solver gets it too.
   for (size_t i = begin; i < end; ++i) {
     if (deadline.Expired()) {
       return Status::DeadlineExceeded("deadline expired deciding rows");
     }
-    Result<bool> certain = IsCertainRow(ctx, rows[i]);
+    Result<bool> certain = false;
+    if (kind_ == SolverKind::kFoRewriting) {
+      certain = IsCertainRow(ctx, rows[i]);
+    } else {
+      Result<Database> scoped = ScopeRow(ctx, rows[i], deadline);
+      if (!scoped.ok()) return scoped.status();
+      EvalContext row_ctx(*scoped, deadline);
+      certain = IsCertainRow(row_ctx, rows[i]);
+    }
     if (!certain.ok()) return certain.status();
     (*out)[i] = *certain ? 1 : 0;
   }
   return Status::OK();
+}
+
+Result<Database> QueryPlan::ScopeRow(EvalContext& ctx,
+                                     const std::vector<SymbolId>& row,
+                                     const Deadline& deadline) const {
+  Valuation seed;
+  for (size_t i = 0; i < row.size(); ++i) {
+    seed.Bind(canonical_.params[i], row[i]);
+  }
+  std::vector<const Fact*> touched;
+  uint64_t embeddings = 0;
+  bool complete = ForEachEmbeddingFacts(
+      ctx.fact_index(), canonical_.query, seed,
+      [&](const Valuation&, const std::vector<const Fact*>& facts) {
+        if ((++embeddings & 255) == 0 && deadline.Expired()) return false;
+        touched.insert(touched.end(), facts.begin(), facts.end());
+        return true;
+      });
+  if (!complete) {
+    return Status::DeadlineExceeded("deadline expired scoping a row");
+  }
+  std::sort(touched.begin(), touched.end(), std::less<const Fact*>());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  const Database& db = ctx.db();
+  std::vector<int> blocks;
+  blocks.reserve(touched.size());
+  for (const Fact* fact : touched) blocks.push_back(db.BlockIdOf(*fact));
+  std::sort(blocks.begin(), blocks.end());
+  blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
+  std::vector<int> ids;
+  for (int b : blocks) {
+    const std::vector<int>& block = db.blocks()[b].fact_ids;
+    ids.insert(ids.end(), block.begin(), block.end());
+  }
+  std::sort(ids.begin(), ids.end());
+  return db.Subset(ids);
 }
 
 Result<bool> QueryPlan::IsCertainRow(
@@ -317,7 +387,9 @@ Result<bool> QueryPlan::IsCertainRow(
     Result<std::unique_ptr<Solver>> solver = row_factory_(ground, {});
     if (solver.ok()) {
       Result<bool> r = (*solver)->IsCertain(ctx);
-      if (r.ok()) return r;
+      if (r.ok() || r.status().code() == StatusCode::kDeadlineExceeded) {
+        return r;
+      }
       // Precondition drifted under grounding (substitution can merge
       // atoms); fall through to the full dispatch.
     }
@@ -327,7 +399,7 @@ Result<bool> QueryPlan::IsCertainRow(
   // Uncached on purpose: row constants would thrash the plan cache.
   Result<std::shared_ptr<const QueryPlan>> fallback = Compile(ground);
   if (!fallback.ok()) return fallback.status();
-  Result<SolveOutcome> out = (*fallback)->Solve(ctx);
+  Result<SolveOutcome> out = (*fallback)->Solve(ctx, ctx.deadline());
   if (!out.ok()) return out.status();
   return out->certain;
 }

@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/classifier.h"
@@ -155,8 +156,17 @@ class QueryPlan {
   /// Decides db ∈ CERTAINTY(q) for a Boolean plan. Thread-safe: any
   /// number of threads may Solve one plan concurrently (each with its
   /// own EvalContext).
+  ///
+  /// FO plans run on `ctx` itself. The terminal-cycle, AC(k), C(k) and
+  /// SAT plans run their solver on ctx.db() restricted to the query's
+  /// relations: a fact of any other relation lies in no embedding, so
+  /// dropping its block preserves certainty (Lemma 1). Forced-oracle
+  /// plans enumerate the repairs of the whole database. The SAT search
+  /// and the oracle poll `deadline` and answer kDeadlineExceeded once it
+  /// expires; FO plans and the polynomial solvers run to completion.
   Result<SolveOutcome> Solve(const Database& db) const;
-  Result<SolveOutcome> Solve(EvalContext& ctx) const;
+  Result<SolveOutcome> Solve(EvalContext& ctx,
+                             const Deadline& deadline = Deadline()) const;
 
   /// A repair of db falsifying q, or nullopt when certain. Uses the
   /// Theorem 4 witness extraction on AC(k) plans and the SAT search
@@ -179,7 +189,10 @@ class QueryPlan {
   /// decided in ONE pass over the context's FactIndex, with indexed
   /// probes instead of per-row relation scans. Non-FO plans (and FO
   /// plans under FoExecMode::kInterpreter) fall back to IsCertainRow
-  /// per row.
+  /// per row. A non-FO row r is decided on the blocks that some
+  /// embedding of q[r] touches, found by a seeded search of the
+  /// context's FactIndex; every other block holds only facts in no
+  /// embedding, and dropping it preserves CERTAINTY(q[r]) (Lemma 1).
   Result<std::vector<char>> IsCertainRows(
       EvalContext& ctx, const std::vector<std::vector<SymbolId>>& rows,
       const Deadline& deadline = Deadline()) const;
@@ -191,9 +204,10 @@ class QueryPlan {
   /// EvalContext) produce exactly the vector IsCertainRows returns,
   /// without any cross-worker coordination on the output. Entries
   /// outside the span are never touched. `deadline` is polled
-  /// cooperatively (per row on the fallback path, per batch checkpoint
-  /// on the FO-program path); expiry abandons the span with
-  /// kDeadlineExceeded and leaves its output entries unspecified.
+  /// cooperatively (per row and inside each row's scoping search and
+  /// SAT search on the fallback path, per batch checkpoint on the
+  /// FO-program path); expiry abandons the span with kDeadlineExceeded
+  /// and leaves its output entries unspecified.
   Status IsCertainRowSpan(EvalContext& ctx,
                           const std::vector<std::vector<SymbolId>>& rows,
                           size_t begin, size_t end, std::vector<char>* out,
@@ -202,7 +216,17 @@ class QueryPlan {
  private:
   QueryPlan() = default;
 
+  /// The blocks of ctx.db() that some embedding of q[row] touches, as a
+  /// database of their facts in their order in ctx.db(). Polls
+  /// `deadline` every 256 embeddings.
+  Result<Database> ScopeRow(EvalContext& ctx,
+                            const std::vector<SymbolId>& row,
+                            const Deadline& deadline) const;
+
   CanonicalQuery canonical_;
+  /// The relations of the canonical query: what a non-FO Boolean solve
+  /// restricts the database to.
+  std::unordered_set<SymbolId> relations_;
   std::vector<AtomKeyPattern> key_patterns_;
   std::optional<Classification> classification_;
   ComplexityClass complexity_ = ComplexityClass::kOpenConjecturedPtime;

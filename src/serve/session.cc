@@ -414,7 +414,8 @@ void Session::RunOnPool(
 }
 
 Result<SolveOutcome> Session::SolvePlanRouted(EvalContext& ctx,
-                                              const QueryPlan& plan) {
+                                              const QueryPlan& plan,
+                                              const Deadline& deadline) {
   Backend* backend = options_.backend.get();
   if (backend != nullptr) {
     if (backend->SupportsNatively(plan)) {
@@ -432,7 +433,7 @@ Result<SolveOutcome> Session::SolvePlanRouted(EvalContext& ctx,
           backend->AdmitFallback(plan, static_cast<size_t>(db_.size())));
     }
   }
-  return plan.Solve(ctx);
+  return plan.Solve(ctx, deadline);
 }
 
 Result<std::vector<char>> Session::DecideRows(
@@ -503,7 +504,7 @@ std::vector<Result<SolveOutcome>> Session::SolveBatch(
       results[i] = plan.status();
       return;
     }
-    results[i] = SolvePlanRouted(ctx, **plan);
+    results[i] = SolvePlanRouted(ctx, **plan, Deadline());
   });
   {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
@@ -533,7 +534,7 @@ std::vector<Result<SolveOutcome>> Session::SolveBatch(
           Status::DeadlineExceeded("deadline expired before batch item ran");
       return;
     }
-    results[i] = SolvePlanRouted(ctx, *plans[i]);
+    results[i] = SolvePlanRouted(ctx, *plans[i], deadline);
   });
   {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
@@ -638,7 +639,7 @@ Result<Session::RowSet> Session::ComputeCertainFull(
     // Boolean semantics: q must be possible (certain answers are always
     // possible answers) and then certain.
     if (!candidates->empty()) {
-      Result<SolveOutcome> solved = plan.Solve(ctx);
+      Result<SolveOutcome> solved = plan.Solve(ctx, deadline);
       if (!solved.ok()) return solved.status();
       if (solved->certain) out.push_back({});
     }

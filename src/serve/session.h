@@ -234,8 +234,10 @@ class Session {
   /// was served at (read under the epoch gate).
   Result<SolveOutcome> Solve(const std::shared_ptr<const QueryPlan>& plan);
   /// `deadline` applies to the whole batch: items not yet dispatched
-  /// when it fires answer kDeadlineExceeded individually (items already
-  /// running finish — Boolean solves are not chunk-checkpointed).
+  /// when it fires answer kDeadlineExceeded individually. A running SAT
+  /// or oracle solve polls it too and stops with kDeadlineExceeded; FO
+  /// plans and the polynomial solvers (terminal cycles, AC(k), C(k))
+  /// run to completion once started.
   std::vector<Result<SolveOutcome>> SolveBatch(
       const std::vector<std::shared_ptr<const QueryPlan>>& plans,
       uint64_t* epoch_out = nullptr, const Deadline& deadline = Deadline());
@@ -348,9 +350,10 @@ class Session {
   /// Boolean decision of `plan` routed through the backend: a natively
   /// supported plan may be answered by pushed-down SQL; a non-native
   /// plan passes the backend's fallback-admission gate; everything else
-  /// (and every decline) runs plan.Solve(ctx) unchanged.
+  /// (and every decline) runs plan.Solve(ctx, deadline).
   Result<SolveOutcome> SolvePlanRouted(EvalContext& ctx,
-                                       const QueryPlan& plan);
+                                       const QueryPlan& plan,
+                                       const Deadline& deadline);
 
   /// Decides `rows` against `plan`, equivalent to
   /// `plan.IsCertainRows(ctx, rows)` but partitioned across the pool in

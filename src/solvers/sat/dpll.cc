@@ -5,10 +5,10 @@
 
 namespace cqa {
 
-DpllSolver::DpllSolver(const Cnf& cnf)
+DpllSolver::DpllSolver(const Cnf& cnf, const Deadline& deadline)
     : num_vars_(cnf.num_vars()), clauses_(cnf.clauses()),
       assignment_(cnf.num_vars(), kUnassigned),
-      occurrences_(cnf.num_vars(), 0) {
+      occurrences_(cnf.num_vars(), 0), deadline_(deadline) {
   for (const auto& clause : clauses_) {
     for (int lit : clause) {
       int v = std::abs(lit) - 1;
@@ -30,6 +30,12 @@ bool DpllSolver::Assign(int literal, std::vector<int>* undo) {
 bool DpllSolver::Propagate(std::vector<int>* undo) {
   bool changed = true;
   while (changed) {
+    // One pass scans every clause, so a large formula is checked here
+    // too, not only between decisions.
+    if (deadline_.Expired()) {
+      expired_ = true;
+      return false;
+    }
     changed = false;
     for (const auto& clause : clauses_) {
       int unassigned_lit = 0;
@@ -83,7 +89,8 @@ bool DpllSolver::Search() {
   int v = PickBranchVariable();
   if (v == -1) return true;  // Fully assigned, no conflict: SAT.
   ++decisions_;
-  for (int phase = 1; phase >= 0; --phase) {
+  if ((decisions_ & 255) == 0 && deadline_.Expired()) expired_ = true;
+  for (int phase = 1; phase >= 0 && !expired_; --phase) {
     std::vector<int> branch_undo;
     int lit = phase == 1 ? v + 1 : -(v + 1);
     if (Assign(lit, &branch_undo) && Search()) return true;
@@ -99,7 +106,7 @@ SatResult DpllSolver::Solve() {
     for (int v = 0; v < num_vars_; ++v) model_[v] = assignment_[v] == kTrue;
     return SatResult::kSat;
   }
-  return SatResult::kUnsat;
+  return expired_ ? SatResult::kDeadlineExceeded : SatResult::kUnsat;
 }
 
 }  // namespace cqa

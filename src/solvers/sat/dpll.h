@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "solvers/sat/cnf.h"
+#include "util/deadline.h"
 
 /// \file
 /// A compact DPLL SAT solver (unit propagation + most-occurrences
@@ -16,11 +17,14 @@
 
 namespace cqa {
 
-enum class SatResult { kSat, kUnsat };
+enum class SatResult { kSat, kUnsat, kDeadlineExceeded };
 
 class DpllSolver {
  public:
-  explicit DpllSolver(const Cnf& cnf);
+  /// `deadline` is polled every 256 decisions and on every propagation
+  /// pass; once it expires the search unwinds and Solve() answers
+  /// kDeadlineExceeded.
+  explicit DpllSolver(const Cnf& cnf, const Deadline& deadline = {});
 
   SatResult Solve();
 
@@ -48,6 +52,8 @@ class DpllSolver {
   std::vector<int> occurrences_;    // Literal occurrence counts per var.
   std::vector<bool> model_;
   int64_t decisions_ = 0;
+  Deadline deadline_;
+  bool expired_ = false;
 };
 
 }  // namespace cqa

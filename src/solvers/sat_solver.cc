@@ -14,9 +14,10 @@ struct Encoding {
   std::vector<int> fact_var;
 };
 
-Encoding Encode(EvalContext& ctx, const Query& q) {
+/// False when ctx.deadline() expired before every embedding was added.
+bool Encode(EvalContext& ctx, const Query& q, Encoding* out) {
   const Database& db = ctx.db();
-  Encoding enc;
+  Encoding& enc = *out;
   enc.fact_var.assign(db.facts().size(), 0);
   for (size_t i = 0; i < db.facts().size(); ++i) {
     enc.fact_var[i] = enc.cnf.AddVar();
@@ -40,9 +41,13 @@ Encoding Encode(EvalContext& ctx, const Query& q) {
   // facts; their ids come from the database's address->id map, no value
   // hashing needed. The index comes from the context, so a batch worker
   // reuses one set of lazily built buckets across every query it serves.
-  ForEachEmbeddingFacts(
+  // The deadline is polled every 256 embeddings.
+  const Deadline& deadline = ctx.deadline();
+  uint64_t embeddings = 0;
+  return ForEachEmbeddingFacts(
       ctx.fact_index(), q, Valuation(),
       [&](const Valuation&, const std::vector<const Fact*>& facts) {
+        if ((++embeddings & 255) == 0 && deadline.Expired()) return false;
         std::vector<int> clause;
         clause.reserve(q.size());
         for (const Fact* fact : facts) {
@@ -56,44 +61,53 @@ Encoding Encode(EvalContext& ctx, const Query& q) {
         enc.cnf.AddClause(std::move(clause));
         return true;
       });
-  return enc;
 }
 
 }  // namespace
 
-std::optional<std::vector<Fact>> SatSolver::SearchFalsifyingRepair(
+Result<std::optional<std::vector<Fact>>> SatSolver::SearchFalsifyingRepair(
     EvalContext& ctx, const Query& q, SolverCall* call) {
   // An empty database has the single repair {}; it satisfies q only if q
   // is satisfied by the empty fact set (q must be empty).
   const Database& db = ctx.db();
-  Encoding enc = Encode(ctx, q);
-  DpllSolver solver(enc.cnf);
+  Encoding enc;
+  if (!Encode(ctx, q, &enc)) {
+    return Status::DeadlineExceeded("deadline expired encoding SAT search");
+  }
+  DpllSolver solver(enc.cnf, ctx.deadline());
   SatResult result = solver.Solve();
   call->sat_vars = enc.cnf.num_vars();
   call->sat_clauses = static_cast<int64_t>(enc.cnf.clauses().size());
   call->sat_decisions = solver.decisions();
-  if (result == SatResult::kUnsat) return std::nullopt;
+  if (result == SatResult::kDeadlineExceeded) {
+    return Status::DeadlineExceeded("deadline expired in SAT search");
+  }
+  if (result == SatResult::kUnsat) return std::optional<std::vector<Fact>>();
   std::vector<Fact> repair;
   for (size_t i = 0; i < db.facts().size(); ++i) {
     if (solver.model()[enc.fact_var[i] - 1]) {
       repair.push_back(db.facts()[i]);
     }
   }
-  return repair;
+  return std::optional<std::vector<Fact>>(std::move(repair));
 }
 
 Result<SolverCall> SatSolver::Decide(EvalContext& ctx) const {
   SolverCall call;
-  call.certain = !SearchFalsifyingRepair(ctx, query_, &call).has_value();
+  Result<std::optional<std::vector<Fact>>> repair =
+      SearchFalsifyingRepair(ctx, query_, &call);
+  if (!repair.ok()) return repair.status();
+  call.certain = !repair->has_value();
   return call;
 }
 
 Result<std::optional<std::vector<Fact>>> SatSolver::FindFalsifyingRepair(
     EvalContext& ctx) const {
   SolverCall call;
-  std::optional<std::vector<Fact>> repair =
+  Result<std::optional<std::vector<Fact>>> repair =
       SearchFalsifyingRepair(ctx, query_, &call);
-  call.certain = !repair.has_value();
+  if (!repair.ok()) return repair.status();
+  call.certain = !repair->has_value();
   stats_.Record(call);
   return repair;
 }

@@ -41,7 +41,9 @@ class SatSolver final : public Solver {
   /// The shared encode-and-solve core: a repair of ctx.db() falsifying
   /// `q`, with the encoding metrics written to `call`. Used by this class
   /// and as the universal fallback of Solver::FindFalsifyingRepair.
-  static std::optional<std::vector<Fact>> SearchFalsifyingRepair(
+  /// Polls ctx.deadline() while encoding and searching, and answers
+  /// kDeadlineExceeded once it expires.
+  static Result<std::optional<std::vector<Fact>>> SearchFalsifyingRepair(
       EvalContext& ctx, const Query& q, SolverCall* call);
 };
 

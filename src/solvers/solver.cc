@@ -104,9 +104,10 @@ Result<std::optional<std::vector<Fact>>> Solver::FindFalsifyingRepair(
   // Sound and complete for every query; solvers with a native witness
   // extraction override this.
   SolverCall call;
-  std::optional<std::vector<Fact>> repair =
+  Result<std::optional<std::vector<Fact>>> repair =
       SatSolver::SearchFalsifyingRepair(ctx, query_, &call);
-  call.certain = !repair.has_value();
+  if (!repair.ok()) return repair.status();
+  call.certain = !repair->has_value();
   stats_.Record(call);
   return repair;
 }

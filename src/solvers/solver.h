@@ -15,6 +15,7 @@
 #include "cq/query.h"
 #include "db/database.h"
 #include "fo/evaluator.h"
+#include "util/deadline.h"
 #include "util/status.h"
 
 /// \file
@@ -101,9 +102,15 @@ struct SolverStats {
 /// just read `db()`.
 class EvalContext {
  public:
-  explicit EvalContext(const Database& db) : db_(db) {}
+  explicit EvalContext(const Database& db, const Deadline& deadline = {})
+      : db_(db), deadline_(deadline) {}
 
   const Database& db() const { return db_; }
+
+  /// The budget of the decision running on this context. The SAT search
+  /// and the repair-enumeration oracle poll it and answer
+  /// kDeadlineExceeded; the other solvers run to completion.
+  const Deadline& deadline() const { return deadline_; }
 
   /// Lazily built hash index over db's facts, shared across calls.
   FactIndex& fact_index();
@@ -132,6 +139,7 @@ class EvalContext {
 
  private:
   const Database& db_;
+  Deadline deadline_;
   std::optional<FactIndex> index_;
   std::optional<FormulaEvaluator> evaluator_;
 };

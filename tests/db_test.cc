@@ -62,6 +62,31 @@ TEST(DatabaseTest, ActiveDomain) {
   EXPECT_EQ(db.ActiveDomain().size(), 3u);
 }
 
+TEST(DatabaseTest, RestrictKeepsTheNamedRelationsInTheirOrder) {
+  Database db;
+  for (int i = 0; i < 12; ++i) {
+    std::string n = std::to_string(i);
+    const char* relation = i % 3 == 0 ? "A" : i % 3 == 1 ? "B" : "C";
+    ASSERT_TRUE(db.AddFact(Fact::Make(relation, {"k" + n, "v"}, 1)).ok());
+    // Every other fact shares its key with the previous one: conflicts.
+    ASSERT_TRUE(db.AddFact(Fact::Make(relation, {"k" + n, "w" + n}, 1)).ok());
+  }
+  // RemoveFact moves the last fact into the hole, so each relation's id
+  // list no longer follows facts().
+  ASSERT_TRUE(db.RemoveFact(Fact::Make("A", {"k0", "v"}, 1)).ok());
+  ASSERT_TRUE(db.RemoveFact(Fact::Make("C", {"k2", "v"}, 1)).ok());
+  std::vector<Fact> expected;
+  for (const Fact& f : db.facts()) {
+    if (SymbolName(f.relation()) != "B") expected.push_back(f);
+  }
+  Database restricted =
+      db.Restrict({InternSymbol("A"), InternSymbol("C"), InternSymbol("Z")});
+  EXPECT_EQ(std::vector<Fact>(restricted.facts().begin(),
+                              restricted.facts().end()),
+            expected);
+  EXPECT_TRUE(db.Restrict({}).empty());
+}
+
 TEST(RepairsTest, EnumeratesAllRepairs) {
   Database db = corpus::ConferenceDatabase();
   int count = 0;

@@ -519,8 +519,15 @@ TEST(MetricsRenderTest, PrometheusTextExposition) {
       {"plan_cache.hits", 12},
       {"plan_cache.entries", 5},
       {"plan_cache.negative_entries", 1},
+      {"plan_cache.capacity", 64},
       {"backend.sqlite_databases", 2},
       {"backend.degraded_backends", 0},
+      {"service.databases", 3},
+      {"service.prepared_queries", 6},
+      {"service.open_cursors", 1},
+      {"store.durable_databases", 2},
+      {"store.read_only_databases", 0},
+      {"store.wal_bytes", 4096},
       {"session.solves", 7},
       {"solver.sat.calls", 3},
       {"solver.sat.certain", 2},
@@ -535,8 +542,11 @@ TEST(MetricsRenderTest, PrometheusTextExposition) {
   // Levels that can fall are gauges, not counters.
   for (const char* gauge :
        {"plan_cache_entries 5", "plan_cache_negative_entries 1",
-        "backend_sqlite_databases 2", "backend_degraded_backends 0",
-        "server_connections_active 4"}) {
+        "plan_cache_capacity 64", "backend_sqlite_databases 2",
+        "backend_degraded_backends 0", "server_connections_active 4",
+        "service_databases 3", "service_prepared_queries 6",
+        "service_open_cursors 1", "store_durable_databases 2",
+        "store_read_only_databases 0", "store_wal_bytes 4096"}) {
     std::string name = gauge;
     name = "cqa_" + name.substr(0, name.find(' '));
     EXPECT_NE(text.find("# TYPE " + name + " gauge\ncqa_" + gauge + "\n"),

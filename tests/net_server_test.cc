@@ -430,8 +430,11 @@ TEST_F(WireServerTest, MetricsVerbRendersPrometheusText) {
             std::string::npos);
   for (const char* gauge :
        {"cqa_plan_cache_entries", "cqa_plan_cache_negative_entries",
-        "cqa_backend_sqlite_databases", "cqa_backend_degraded_backends",
-        "cqa_server_connections_active"}) {
+        "cqa_plan_cache_capacity", "cqa_backend_sqlite_databases",
+        "cqa_backend_degraded_backends", "cqa_server_connections_active",
+        "cqa_service_databases", "cqa_service_prepared_queries",
+        "cqa_service_open_cursors", "cqa_store_durable_databases",
+        "cqa_store_read_only_databases", "cqa_store_wal_bytes"}) {
     EXPECT_NE(text.find(std::string("# TYPE ") + gauge + " gauge\n"),
               std::string::npos)
         << gauge;

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cq/corpus.h"
 #include "cq/parser.h"
 #include "gen/db_gen.h"
+#include "gen/instance_gen.h"
 #include "gen/query_gen.h"
 #include "plan/plan_cache.h"
 #include "plan/query_plan.h"
@@ -16,6 +19,7 @@
 #include "solvers/oracle_solver.h"
 #include "solvers/sat_solver.h"
 #include "solvers/terminal_cycle_solver.h"
+#include "util/rng.h"
 
 namespace cqa {
 namespace {
@@ -369,6 +373,237 @@ TEST(QueryPlanTest, ParameterizedPlanMatchesGroundSolve) {
     ASSERT_TRUE(solved.ok());
     EXPECT_EQ(*via_plan, solved->certain);
   }
+}
+
+// ------------------------------------------------ scoped non-FO decisions
+
+/// `db` plus facts of two relations no test query mentions, Pad(k | v)
+/// and PadPair(k1, k2 | v): blocks of one or two facts, so some of them
+/// conflict, over constants of db's active domain and two fresh ones.
+Database Padded(const Database& db, uint64_t seed) {
+  Database out = db;
+  Rng rng(seed);
+  std::vector<SymbolId> pool = db.ActiveDomain();
+  pool.push_back(InternSymbol("pad0"));
+  pool.push_back(InternSymbol("pad1"));
+  auto pick = [&] { return pool[rng.Below(pool.size())]; };
+  SymbolId pad = InternSymbol("Pad");
+  SymbolId pad_pair = InternSymbol("PadPair");
+  for (int b = 0; b < 3; ++b) {
+    SymbolId key = pick();
+    for (uint64_t f = 0, n = 1 + rng.Below(2); f < n; ++f) {
+      EXPECT_TRUE(out.AddFact(Fact(pad, {key, pick()}, 1)).ok());
+    }
+  }
+  for (int b = 0; b < 2; ++b) {
+    SymbolId k1 = pick();
+    SymbolId k2 = pick();
+    for (uint64_t f = 0, n = 1 + rng.Below(2); f < n; ++f) {
+      EXPECT_TRUE(out.AddFact(Fact(pad_pair, {k1, k2, pick()}, 2)).ok());
+    }
+  }
+  return out;
+}
+
+/// Repair enumeration over the whole database: the unscoped reference.
+bool OracleVerdict(const Database& db, const Query& q) {
+  auto plan = QueryPlan::CompileForcedSolver(q, SolverKind::kOracle);
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  Result<SolveOutcome> out = (*plan)->Solve(db);
+  EXPECT_TRUE(out.ok()) << out.status();
+  return out.ok() && out->certain;
+}
+
+/// Above this many repairs the oracle is skipped.
+constexpr int kOracleRepairs = 1 << 12;
+
+/// The Boolean plan of `q` decides `padded` as it decides `db`, as its
+/// solver decides `padded` unscoped, and (where feasible) as the
+/// repair-enumeration oracle does. Each parameterized plan of `q` with
+/// one free variable that is not FO decides every candidate row of
+/// `padded`, and a row with no embedding, as its unscoped row decision
+/// and (where feasible) the oracle on the grounded query do. Returns the
+/// number of rows checked on non-FO plans.
+int ExpectCutsSound(const Database& db, const Query& q, SolverKind kind,
+                    uint64_t seed) {
+  SCOPED_TRACE(q.ToString() + "\n" + db.ToString());
+  Database padded = Padded(db, seed);
+  EXPECT_GT(padded.size(), db.size());
+  auto plan = MustCompile(q);
+  EXPECT_EQ(plan->solver_kind(), kind);
+  Result<SolveOutcome> on_padded = plan->Solve(padded);
+  Result<SolveOutcome> on_db = plan->Solve(db);
+  Result<bool> unscoped = plan->solver()->IsCertain(padded);
+  EXPECT_TRUE(on_padded.ok() && on_db.ok() && unscoped.ok());
+  if (!on_padded.ok() || !on_db.ok() || !unscoped.ok()) return 0;
+  EXPECT_EQ(on_padded->certain, on_db->certain);
+  EXPECT_EQ(on_padded->certain, *unscoped);
+  bool oracle_feasible = padded.RepairCount() <= BigInt(kOracleRepairs);
+  if (oracle_feasible) {
+    EXPECT_EQ(on_padded->certain, OracleVerdict(padded, q));
+  }
+
+  int rows_checked = 0;
+  EvalContext ctx(padded);
+  for (SymbolId v : q.Vars()) {
+    auto param = QueryPlan::Compile(q, {v});
+    EXPECT_TRUE(param.ok()) << param.status();
+    if (!param.ok() || (*param)->solver_kind() == SolverKind::kFoRewriting) {
+      continue;
+    }
+    auto rows = testutil::PossibleAnswers(padded, q, {v});
+    EXPECT_TRUE(rows.ok());
+    if (!rows.ok()) continue;
+    rows->push_back({InternSymbol("no_such_constant")});
+    Result<std::vector<char>> verdicts = (*param)->IsCertainRows(ctx, *rows);
+    EXPECT_TRUE(verdicts.ok()) << verdicts.status();
+    if (!verdicts.ok()) continue;
+    for (size_t i = 0; i < rows->size(); ++i) {
+      const std::vector<SymbolId>& row = (*rows)[i];
+      SCOPED_TRACE(SymbolName(v) + " = " + SymbolName(row[0]));
+      Result<bool> whole = (*param)->IsCertainRow(ctx, row);
+      EXPECT_TRUE(whole.ok());
+      if (whole.ok()) {
+        EXPECT_EQ((*verdicts)[i] != 0, *whole);
+      }
+      if (oracle_feasible) {
+        EXPECT_EQ((*verdicts)[i] != 0,
+                  OracleVerdict(padded, q.Substitute(v, row[0])));
+      }
+      ++rows_checked;
+    }
+  }
+  return rows_checked;
+}
+
+class ScopedCutDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+/// Random Fig. 4 blocks plus two groups that embed the whole query
+/// through x = a_g. Each group is plain (certain), has a second R1 fact
+/// with another z (not certain), or has a second R3 fact whose R4
+/// partner exists too (certain through a conflict).
+Database Fig4Instance(uint64_t seed) {
+  BlockDbGenOptions options;
+  options.seed = seed;
+  options.blocks_per_relation = 2;
+  options.max_block_size = 2;
+  options.domain_size = 3;
+  Database db = RandomBlockDatabase(corpus::Fig4Query(), options);
+  Rng rng(seed);
+  for (int g = 0; g < 2; ++g) {
+    std::string a = "a" + std::to_string(g);
+    std::string b = "b" + std::to_string(g);
+    std::string u = "u" + std::to_string(g) + "_";
+    std::vector<Fact> facts = {
+        Fact::Make("R1", {a, u + "1", u + "2", "z"}, 2),
+        Fact::Make("R2", {a, u + "2", u + "1", "z"}, 2),
+        Fact::Make("R3", {a, b, u + "3", u + "4"}, 3),
+        Fact::Make("R4", {a, b, u + "4", u + "3"}, 3),
+        Fact::Make("R5", {b, u + "5", u + "6"}, 2),
+        Fact::Make("R6", {b, u + "6", u + "5"}, 2)};
+    switch (rng.Below(3)) {
+      case 1:
+        facts.push_back(Fact::Make("R1", {a, u + "1", u + "2", "z2"}, 2));
+        break;
+      case 2:
+        facts.push_back(Fact::Make("R3", {a, b, u + "3", u + "7"}, 3));
+        facts.push_back(Fact::Make("R4", {a, b, u + "7", u + "3"}, 3));
+        break;
+    }
+    for (const Fact& f : facts) EXPECT_TRUE(db.AddFact(f).ok());
+  }
+  return db;
+}
+
+TEST_P(ScopedCutDifferential, TerminalCycles) {
+  EXPECT_GT(ExpectCutsSound(Fig4Instance(GetParam()), corpus::Fig4Query(),
+                            SolverKind::kTerminalCycles, GetParam()),
+            0);
+}
+
+TEST_P(ScopedCutDifferential, Ack) {
+  AckInstanceOptions options;
+  options.k = 3;
+  options.layer_size = 2;
+  options.s_tuples = 2 + static_cast<int>(GetParam() % 2);
+  options.noise_edges = static_cast<int>(GetParam() % 4);
+  options.seed = GetParam();
+  ExpectCutsSound(RandomAckDatabase(options), corpus::Ack(3), SolverKind::kAck,
+                  GetParam());
+}
+
+TEST_P(ScopedCutDifferential, Ck) {
+  CkInstanceOptions options;
+  options.k = 3;
+  options.layer_size = 2;
+  options.edges_per_vertex = 1 + static_cast<int>(GetParam() % 2);
+  options.seed = GetParam();
+  ExpectCutsSound(RandomCkDatabase(options), corpus::Ck(3), SolverKind::kCk,
+                  GetParam());
+}
+
+TEST_P(ScopedCutDifferential, Q0) {
+  Q0InstanceOptions options;
+  options.join_pairs = 3;
+  options.violations = 3;
+  options.domain_size = 3;
+  options.seed = GetParam();
+  // Free z is a terminal-cycle plan: its rows take the scoped row path.
+  EXPECT_GT(ExpectCutsSound(RandomQ0Database(options), corpus::Q0(),
+                            SolverKind::kSat, GetParam()),
+            0);
+}
+
+TEST_P(ScopedCutDifferential, SelfJoinSatFallback) {
+  Query q;
+  q.AddAtom(Atom::Make("R", {"x", "y"}, 1));
+  q.AddAtom(Atom::Make("R", {"y", "x"}, 1));
+  BlockDbGenOptions options;
+  options.seed = GetParam();
+  options.blocks_per_relation = 4;
+  options.max_block_size = 2;
+  options.domain_size = 3;
+  EXPECT_GT(ExpectCutsSound(RandomBlockDatabase(q, options), q,
+                            SolverKind::kSat, GetParam()),
+            0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScopedCutDifferential,
+                         ::testing::Range(uint64_t{1}, uint64_t{41}));
+
+TEST(QueryPlanTest, RowFallbackBoundsEachRowByTheDeadline) {
+  // Pigeonhole: 9 pigeons each pick one of 8 holes, and the query holds
+  // when two distinct pigeons (C) share a hole, which every repair does.
+  // Deciding the row means refuting PHP(9, 8): well over 100 ms of DPLL.
+  Database db;
+  for (int i = 0; i <= 8; ++i) {
+    std::string p = "p" + std::to_string(i);
+    for (int h = 0; h < 8; ++h) {
+      ASSERT_TRUE(db.AddFact(Fact::Make("P", {p, "h" + std::to_string(h)}, 1))
+                      .ok());
+    }
+    for (int j = i + 1; j <= 8; ++j) {
+      ASSERT_TRUE(
+          db.AddFact(Fact::Make("C", {p, "p" + std::to_string(j)}, 2)).ok());
+    }
+  }
+  ASSERT_TRUE(db.AddFact(Fact::Make("W", {"w"}, 1)).ok());
+  Query q = MustParseQuery("P(x | h), P(y | h), C(x, y |), W(w |)");
+  auto plan = QueryPlan::Compile(q, {InternSymbol("w")});
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ((*plan)->solver_kind(), SolverKind::kSat);
+  EvalContext ctx(db);
+  ctx.fact_index();
+  auto start = std::chrono::steady_clock::now();
+  Result<std::vector<char>> rows = (*plan)->IsCertainRows(
+      ctx, {{InternSymbol("w")}}, Deadline::AfterMillis(20));
+  double elapsed_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kDeadlineExceeded)
+      << rows.status();
+  EXPECT_LT(elapsed_ms, 40.0);
 }
 
 }  // namespace

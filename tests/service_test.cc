@@ -12,6 +12,7 @@
 #include "cq/parser.h"
 #include "db/database.h"
 #include "gen/db_gen.h"
+#include "gen/instance_gen.h"
 #include "serve/service.h"
 #include "solve_helpers.h"
 #include "solvers/oracle_solver.h"
@@ -540,6 +541,66 @@ TEST(ServiceTest, DeadlineCutsCandidateEnumerationShort) {
   EXPECT_EQ(page.status().code(), StatusCode::kDeadlineExceeded)
       << page.status();
   EXPECT_LT(elapsed_ms, 40.0);
+}
+
+/// Serves `db` as "slow" with one worker, prepares `q` forced onto
+/// `kind`, and solves it once with a 20 ms budget. The reply must be
+/// kDeadlineExceeded within 40 ms.
+void ExpectForcedSolveCutShort(Database db, const Query& q, SolverKind kind) {
+  Service::Options options;
+  options.num_threads = 1;
+  Service service(options);
+  ASSERT_TRUE(service.CreateDatabase("slow", std::move(db)).ok());
+  Service::PrepareOptions force;
+  force.force_solver = kind;
+  Service::SolveRequest request;
+  request.database = "slow";
+  request.prepared = service.Prepare(q, {}, force).value();
+
+  request.deadline = Deadline::AfterMillis(20);
+  auto start = std::chrono::steady_clock::now();
+  Result<Service::SolveResponse> reply = service.Solve(request);
+  double elapsed_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.status().code(), StatusCode::kDeadlineExceeded)
+      << reply.status();
+  EXPECT_LT(elapsed_ms, 40.0);
+}
+
+TEST(ServiceTest, DeadlineCutsForcedOracleShort) {
+  // BM_Thm2_OracleOnQ0/16's instance: about 0.3 s of repair enumeration
+  // unbounded.
+  Q0InstanceOptions q0;
+  q0.join_pairs = 16;
+  q0.violations = 16;
+  q0.domain_size = 8;
+  q0.seed = 3;
+  ExpectForcedSolveCutShort(RandomQ0Database(q0), corpus::Q0(),
+                            SolverKind::kOracle);
+}
+
+TEST(ServiceTest, DeadlineCutsForcedSatShort) {
+  // Pigeonhole: 10 pigeons each pick one of 9 holes (a block per
+  // pigeon), and the query holds when two distinct pigeons (C) share a
+  // hole. Every repair satisfies it, so the SAT search must refute
+  // PHP(10, 9): seconds of DPLL unbounded.
+  Database db;
+  for (int i = 0; i <= 9; ++i) {
+    std::string p = "p" + std::to_string(i);
+    for (int h = 0; h < 9; ++h) {
+      ASSERT_TRUE(db.AddFact(Fact::Make("P", {p, "h" + std::to_string(h)}, 1))
+                      .ok());
+    }
+    for (int j = i + 1; j <= 9; ++j) {
+      ASSERT_TRUE(
+          db.AddFact(Fact::Make("C", {p, "p" + std::to_string(j)}, 2)).ok());
+    }
+  }
+  ExpectForcedSolveCutShort(std::move(db),
+                            MustParseQuery("P(x | h), P(y | h), C(x, y |)"),
+                            SolverKind::kSat);
 }
 
 // ------------------------------------------------------------- stats
