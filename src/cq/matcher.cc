@@ -461,6 +461,54 @@ void SortDistinctRows(size_t width, std::vector<SymbolId>* flat) {
   flat->resize(kept * width);
 }
 
+/// EnumerateProjections' path for a one-atom query: reads the atom's
+/// candidate bucket under `seed`, checks each fact against the atom's
+/// constants, the seed's bindings and the atom's repeated variables, and
+/// hands the matching facts' projections to `emit` — no search and no
+/// callback through std::function. `poll()` is called once per fact
+/// read and stops the scan when it returns false; so does `emit`.
+template <typename PollFn, typename EmitFn>
+void ScanOneAtom(const FactIndex& index, const Atom& atom,
+                 const Valuation& seed, const std::vector<SymbolId>& vars,
+                 PollFn& poll, EmitFn& emit) {
+  const int arity = atom.arity();
+  const std::vector<Term>& terms = atom.terms();
+  // Per position: the value a matching fact must hold there (a constant
+  // or a seeded variable), else the earlier position repeating its
+  // variable, else nothing to check (a variable's first occurrence).
+  std::vector<std::optional<SymbolId>> fixed(arity);
+  std::vector<int> repeats(arity, -1);
+  for (int i = 0; i < arity; ++i) {
+    fixed[i] = seed.Resolve(terms[i]);
+    if (fixed[i].has_value()) continue;
+    for (int j = 0; j < i && repeats[i] < 0; ++j) {
+      if (terms[j] == terms[i]) repeats[i] = j;
+    }
+  }
+  // The position each projected variable is read from.
+  std::vector<int> column(vars.size());
+  for (size_t k = 0; k < vars.size(); ++k) {
+    column[k] = static_cast<int>(
+        std::find(terms.begin(), terms.end(), Term::Var(vars[k])) -
+        terms.begin());
+  }
+  std::vector<SymbolId> prefix;
+  for (const Fact* fact : *CandidatesFor(index, atom, seed, &prefix)) {
+    if (!poll()) return;
+    if (fact->arity() != arity) continue;
+    const std::vector<SymbolId>& values = fact->values();
+    bool match = true;
+    for (int i = 0; i < arity && match; ++i) {
+      if (fixed[i].has_value()) {
+        match = values[i] == *fixed[i];
+      } else if (repeats[i] >= 0) {
+        match = values[i] == values[repeats[i]];
+      }
+    }
+    if (match && !emit([&](size_t k) { return values[column[k]]; })) return;
+  }
+}
+
 }  // namespace
 
 Result<std::vector<std::vector<SymbolId>>> EnumerateProjections(
@@ -472,31 +520,42 @@ Result<std::vector<std::vector<SymbolId>>> EnumerateProjections(
         "deadline expired before candidate enumeration");
   }
   const size_t width = vars.size();
+  const MatcherMode mode = DefaultMatcherMode();
   std::vector<SymbolId> flat;
   size_t compact_at = kCompactMinValues;
   bool found = false;
   bool expired = false;
   int countdown = kDeadlineCheckEmbeddings;
-  EmbeddingFactsFn collect = [&](const Valuation& theta,
-                                 const std::vector<const Fact*>&) {
+  // Counts one embedding (or one fact a one-atom scan reads) and polls
+  // the deadline every kDeadlineCheckEmbeddings of them.
+  auto poll = [&] {
     if (--countdown == 0) {
       countdown = kDeadlineCheckEmbeddings;
-      if (deadline.Expired()) {
-        expired = true;
-        return false;
-      }
+      expired = deadline.Expired();
     }
+    return !expired;
+  };
+  // Appends one projection, value_of(k) giving column k.
+  auto emit = [&](auto&& value_of) {
     found = true;
-    // Occurrence in q guarantees every embedding binds every var.
-    for (SymbolId v : vars) flat.push_back(*theta.Get(v));
+    for (size_t k = 0; k < width; ++k) flat.push_back(value_of(k));
     if (flat.size() >= compact_at) {
       SortDistinctRows(width, &flat);
       compact_at = std::max(kCompactMinValues, 2 * flat.size());
     }
     return width > 0;  // A Boolean projection is decided by one embedding.
   };
+  EmbeddingFactsFn collect = [&](const Valuation& theta,
+                                 const std::vector<const Fact*>&) {
+    // Occurrence in q guarantees every embedding binds every var.
+    return poll() && emit([&](size_t k) { return *theta.Get(vars[k]); });
+  };
   for (const Valuation& seed : seeds) {
-    RunSearch(index, q, seed, collect, DefaultMatcherMode());
+    if (q.atoms().size() == 1 && mode == MatcherMode::kIndexed) {
+      ScanOneAtom(index, q.atoms()[0], seed, vars, poll, emit);
+    } else {
+      RunSearch(index, q, seed, collect, mode);
+    }
     if (expired) {
       return Status::DeadlineExceeded(
           "deadline expired during candidate enumeration");

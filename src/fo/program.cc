@@ -86,6 +86,32 @@ class Lowerer {
     return static_cast<int>(ops_->size()) - 1;
   }
 
+  int EmitTrue() {
+    Op op;
+    op.kind = Op::Kind::kTrue;
+    return Emit(std::move(op));
+  }
+
+  bool IsTrue(int op) const { return (*ops_)[op].kind == Op::Kind::kTrue; }
+
+  /// True when an op emitted at or after `first` reads a register of
+  /// `regs`. Ops are emitted in post-order, so the ops from a mark taken
+  /// before lowering a subformula are exactly that subformula's.
+  bool ReadsAny(size_t first, const std::vector<int>& regs) const {
+    auto reads = [&](const Slot& s) {
+      return !s.is_const && !s.bind &&
+             std::find(regs.begin(), regs.end(), s.reg) != regs.end();
+    };
+    for (size_t i = first; i < ops_->size(); ++i) {
+      const Op& op = (*ops_)[i];
+      if (op.kind == Op::Kind::kEquals && (reads(op.lhs) || reads(op.rhs))) {
+        return true;
+      }
+      if (std::any_of(op.slots.begin(), op.slots.end(), reads)) return true;
+    }
+    return false;
+  }
+
   std::vector<Op>* ops_;
   std::unordered_map<SymbolId, int> env_;
   int next_reg_;
@@ -100,6 +126,7 @@ Result<int> Lowerer::LowerGuard(const Formula& f, Op::Kind kind) {
   op.key_arity = a.key_arity();
   op.slots.reserve(a.arity());
   std::vector<SymbolId> fresh;  // variables this guard binds.
+  std::vector<int> fresh_regs;  // and their registers.
   // A position can seed an index probe only when its value is known
   // BEFORE the guard runs: a constant, or a register bound by an outer
   // scope. A check slot whose register this same atom binds at an
@@ -122,6 +149,7 @@ Result<int> Lowerer::LowerGuard(const Formula& f, Op::Kind kind) {
       s.bind = true;
       env_.emplace(t.id(), s.reg);
       fresh.push_back(t.id());
+      fresh_regs.push_back(s.reg);
     }
     op.slots.push_back(s);
     probeable.push_back(can_probe);
@@ -137,9 +165,25 @@ Result<int> Lowerer::LowerGuard(const Formula& f, Op::Kind kind) {
     if (probeable[i]) op.probe_positions.push_back(i);
   }
 
+  const size_t body_start = ops_->size();
   Result<int> child = Lower(*f.children()[0]);
   for (SymbolId v : fresh) env_.erase(v);
   if (!child.ok()) return child.status();
+  if (kind == Op::Kind::kAntiJoin && IsTrue(*child)) {
+    // ∀ȳ (G → true) ≡ true.
+    ops_->resize(body_start);
+    return EmitTrue();
+  }
+  if (kind == Op::Kind::kSemiJoin && !IsTrue(*child) &&
+      !ReadsAny(body_start, fresh_regs)) {
+    // ∃ȳ (G ∧ φ) ≡ (∃ȳ G) ∧ φ when ȳ ∉ free(φ): the guard becomes a
+    // membership test that materializes no extension.
+    op.child = EmitTrue();
+    Op conj;
+    conj.kind = Op::Kind::kAnd;
+    conj.children = {Emit(std::move(op)), *child};
+    return Emit(std::move(conj));
+  }
   op.child = *child;
   return Emit(std::move(op));
 }
@@ -172,11 +216,8 @@ Result<int> Lowerer::LowerDom(const Formula& f, Op::Kind kind) {
 
 Result<int> Lowerer::Lower(const Formula& f) {
   switch (f.kind()) {
-    case Formula::Kind::kTrue: {
-      Op op;
-      op.kind = Op::Kind::kTrue;
-      return Emit(std::move(op));
-    }
+    case Formula::Kind::kTrue:
+      return EmitTrue();
     case Formula::Kind::kFalse: {
       Op op;
       op.kind = Op::Kind::kFalse;
@@ -225,10 +266,17 @@ Result<int> Lowerer::Lower(const Formula& f) {
       Op op;
       op.kind = conj ? Op::Kind::kAnd : Op::Kind::kOr;
       for (const FormulaPtr& c : f.children()) {
+        const size_t child_start = ops_->size();
         Result<int> child = Lower(*c);
         if (!child.ok()) return child.status();
+        if (conj && IsTrue(*child)) {
+          ops_->resize(child_start);  // φ ∧ true ≡ φ.
+          continue;
+        }
         op.children.push_back(*child);
       }
+      if (op.children.empty()) return EmitTrue();
+      if (op.children.size() == 1) return op.children[0];
       return Emit(std::move(op));
     }
     case Formula::Kind::kExistsGuard:
@@ -319,7 +367,7 @@ class Executor {
     std::vector<char> decided;     // semijoin: witnessed; antijoin: failed.
     std::vector<char> tmp, acc, rem;
     std::vector<SymbolId> prefix;
-    std::vector<SymbolId> values;  // kContains scratch fact.
+    std::vector<SymbolId> values;  // kContains fact; ∃-membership row.
   };
 
   Scratch& At(int depth) {
@@ -473,6 +521,22 @@ class Executor {
 void Executor::FilterJoin(const Op& op, bool anti, int depth, Table& t,
                           std::vector<char>& mask) {
   Scratch& s = At(depth);
+  if (!anti && prog_.ops()[op.child].kind == Op::Kind::kTrue) {
+    // ∃ȳ G: the first matching fact of the probe bucket decides the row.
+    const size_t W = prog_.width();
+    s.values.resize(W);
+    for (size_t i = 0; i < t.n; ++i) {
+      if (CheckDeadline()) return;
+      if (!mask[i]) continue;
+      const SymbolId* r = t.row(i);
+      std::copy(r, r + W, s.values.begin());
+      const Bucket& bucket = ProbeBucket(op, r, s);
+      mask[i] = std::any_of(bucket.begin(), bucket.end(), [&](const Fact* f) {
+        return MatchBind(op, *f, s.values.data());
+      });
+    }
+    return;
+  }
   FilterQuantifier(
       op, anti, depth, t, mask,
       [&](size_t i, const SymbolId* r, auto&& append) {

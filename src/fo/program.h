@@ -34,6 +34,22 @@
 ///     they exist for FO completeness but never occur in the rewritings
 ///     the rewriter emits.
 ///
+/// Lowering drops work nobody reads, by three equivalences:
+///
+///   * ∀ȳ (G → true) ≡ true: a guarded ∀ whose body is `true` lowers to
+///     `true`;
+///   * ∃ȳ (G ∧ φ) ≡ (∃ȳ G) ∧ φ when no variable of ȳ is free in φ: a
+///     guarded ∃ whose body reads none of the registers its guard binds
+///     lowers to `and(semijoin G → true, φ)`. The executor decides a
+///     semijoin whose child is `true` by the first matching fact of its
+///     probe bucket, materializing no extension;
+///   * φ ∧ true ≡ φ: `and` drops its `true` children.
+///
+/// Registers are never reused across binders, so "reads a register the
+/// guard binds" is a scan of the body's read slots. In the certain
+/// rewriting of R(x | y), S(y | z) with x free, the rules leave one
+/// materializing join (the ∀ over R) where the literal lowering had four.
+///
 /// Variables are compiled to fixed *registers*; a batch is a flat
 /// `rows × width` matrix plus a survivor mask, so the executor never
 /// allocates a Valuation, never hashes a variable name, and touches the

@@ -577,6 +577,7 @@ std::map<std::string, uint64_t> FlattenStats(
   out["session.answers_cached"] = stats.session.answers_cached;
   out["session.answers_incremental"] = stats.session.answers_incremental;
   out["session.answers_full"] = stats.session.answers_full;
+  out["session.answers_covered"] = stats.session.answers_covered;
   out["session.rows_reused"] = stats.session.rows_reused;
   out["session.rows_decided"] = stats.session.rows_decided;
   out["session.parallel_batches"] = stats.session.parallel_batches;

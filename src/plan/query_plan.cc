@@ -270,6 +270,11 @@ Result<std::optional<std::vector<Fact>>> QueryPlan::FindFalsifyingRepair(
   return solver_->FindFalsifyingRepair(db);
 }
 
+bool QueryPlan::DecidesRowsByProgram() const {
+  return fo_program_ != nullptr &&
+         DefaultFoExecMode() == FoExecMode::kProgram;
+}
+
 Result<std::vector<char>> QueryPlan::IsCertainRows(
     EvalContext& ctx, const std::vector<std::vector<SymbolId>>& rows,
     const Deadline& deadline) const {
@@ -292,7 +297,7 @@ Status QueryPlan::IsCertainRowSpan(
       return Status::InvalidArgument("row arity does not match plan params");
     }
   }
-  if (fo_program_ != nullptr && DefaultFoExecMode() == FoExecMode::kProgram) {
+  if (DecidesRowsByProgram()) {
     static const std::vector<SymbolId> kNoAdom;
     const std::vector<SymbolId>& adom =
         fo_program_->needs_adom() ? ctx.evaluator().adom() : kNoAdom;

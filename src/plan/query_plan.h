@@ -143,6 +143,10 @@ class QueryPlan {
   const std::shared_ptr<const FoProgram>& fo_program() const {
     return fo_program_;
   }
+  /// True when IsCertainRows decides rows with fo_program() (an FO plan
+  /// under FoExecMode::kProgram), at a few index probes per row; false
+  /// when each row costs an interpreter descent or a scoped solver call.
+  bool DecidesRowsByProgram() const;
 
   /// Per-atom key-position patterns of the canonical query (parameter
   /// indexes positionally aligned with the plan's parameters / the

@@ -52,6 +52,7 @@ void Accumulate(Session::Stats* into, const Session::Stats& from) {
   into->answers_cached += from.answers_cached;
   into->answers_incremental += from.answers_incremental;
   into->answers_full += from.answers_full;
+  into->answers_covered += from.answers_covered;
   into->rows_reused += from.rows_reused;
   into->rows_decided += from.rows_decided;
   into->parallel_batches += from.parallel_batches;

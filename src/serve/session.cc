@@ -617,10 +617,35 @@ Result<std::shared_ptr<Backend::AnswerCursor>> Session::OpenAnswerCursor(
   return options_.backend->OpenAnswerCursor(*plan);
 }
 
+namespace {
+
+/// The atom of q whose variables include every free variable, the one
+/// with the fewest facts in `index` when several do; null when none does.
+const Atom* CoveringAtom(const FactIndex& index, const Query& q,
+                         const std::vector<SymbolId>& free_vars) {
+  const Atom* best = nullptr;
+  for (const Atom& atom : q.atoms()) {
+    const std::vector<Term>& terms = atom.terms();
+    bool covers = std::all_of(free_vars.begin(), free_vars.end(),
+                              [&](SymbolId v) {
+                                return std::find(terms.begin(), terms.end(),
+                                                 Term::Var(v)) != terms.end();
+                              });
+    if (covers && (best == nullptr ||
+                   index.Facts(atom.relation()).size() <
+                       index.Facts(best->relation()).size())) {
+      best = &atom;
+    }
+  }
+  return best;
+}
+
+}  // namespace
+
 Result<Session::RowSet> Session::ComputeCertainFull(
     EvalContext& ctx, const Query& q,
     const std::vector<SymbolId>& free_vars, const QueryPlan& plan,
-    const Deadline& deadline) {
+    std::optional<size_t> previous_rows, const Deadline& deadline) {
   if (options_.backend != nullptr) {
     // Pushdown: one SQL statement computes the whole contract of this
     // function (candidates filtered by the rewriting, sorted; for
@@ -631,8 +656,23 @@ Result<Session::RowSet> Session::ComputeCertainFull(
     if (!pushed.ok()) return pushed.status();
     if (pushed->has_value()) return *std::move(*pushed);
   }
+  // Candidates from one covering atom instead of the join, under the
+  // conditions and the 2x rule the declaration states.
+  const Atom* cover = nullptr;
+  if (!free_vars.empty() && previous_rows.has_value() &&
+      plan.DecidesRowsByProgram()) {
+    cover = CoveringAtom(ctx.fact_index(), q, free_vars);
+    if (cover != nullptr &&
+        ctx.fact_index().Facts(cover->relation()).size() >
+            2 * *previous_rows) {
+      cover = nullptr;
+    }
+  }
+  Query covering;
+  if (cover != nullptr) covering = Query({*cover});
   Result<RowSet> candidates = EnumerateProjections(
-      ctx.fact_index(), q, {Valuation()}, free_vars, deadline);
+      ctx.fact_index(), cover != nullptr ? covering : q, {Valuation()},
+      free_vars, deadline);
   if (!candidates.ok()) return candidates.status();
   RowSet out;
   if (free_vars.empty()) {
@@ -657,6 +697,7 @@ Result<Session::RowSet> Session::ComputeCertainFull(
   {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     stats_.rows_decided += candidates->size();
+    if (cover != nullptr) ++stats_.answers_covered;
   }
   return out;
 }
@@ -829,7 +870,10 @@ Result<std::shared_ptr<const Session::RowSet>> Session::ServeCertain(
   }
 
   if (!incremental) {
-    Result<RowSet> full = ComputeCertainFull(ctx, q, free_vars, *plan, deadline);
+    std::optional<size_t> previous_rows;
+    if (cached.has_value()) previous_rows = cached->second->size();
+    Result<RowSet> full =
+        ComputeCertainFull(ctx, q, free_vars, *plan, previous_rows, deadline);
     if (!full.ok()) return full.status();
     snapshot = std::make_shared<const RowSet>(*std::move(full));
     std::lock_guard<std::mutex> stats_lock(stats_mu_);

@@ -283,6 +283,9 @@ class Session {
     uint64_t answers_cached = 0;       // served verbatim from cache
     uint64_t answers_incremental = 0;  // dirty rows re-decided only
     uint64_t answers_full = 0;         // full recompute
+    /// Full recomputes whose candidates came from one atom covering
+    /// every free variable instead of the join (see ComputeCertainFull).
+    uint64_t answers_covered = 0;
     /// Row-level accounting across the incremental path.
     uint64_t rows_reused = 0;
     uint64_t rows_decided = 0;
@@ -375,9 +378,18 @@ class Session {
       const Deadline& deadline = Deadline());
 
   /// Full candidate enumeration + one batched (set-at-a-time) decision.
+  /// The candidates are π_free(q(D)), the possible answers, unless the
+  /// plan decides rows by its FO program and `previous_rows` (the answer
+  /// count of the entry's stale snapshot) is known: then they are
+  /// π_free(A(D)) for the atom A of q covering every free variable (the
+  /// one with the fewest facts), provided A has at most twice
+  /// `previous_rows` facts. A certain row is possible, so it lies in
+  /// π_free(q(D)) ⊆ π_free(A(D)), and the program rejects the rest; the
+  /// 2× rule keeps a large A beside a selective join on the join.
   Result<RowSet> ComputeCertainFull(EvalContext& ctx, const Query& q,
                                     const std::vector<SymbolId>& free_vars,
                                     const QueryPlan& plan,
+                                    std::optional<size_t> previous_rows,
                                     const Deadline& deadline);
 
   /// The dirty patterns accumulated since `from_epoch` for this plan,

@@ -14,6 +14,7 @@
 #include "gen/db_gen.h"
 #include "gen/query_gen.h"
 #include "solve_helpers.h"
+#include "util/rng.h"
 
 /// Differential tests for the set-at-a-time FO program executor: the
 /// compiled program must agree with the tree-walking interpreter
@@ -169,9 +170,122 @@ TEST_P(ProgramDifferential, CorpusFoQueriesEndToEnd) {
   }
 }
 
-// 120 seeds x (2 boolean + 1 parameterized batch + corpus sweep), on
-// top of every FO decision the rest of the suite now routes through the
-// program by default.
+/// Random guarded formulas over R(k | a, b) and S(k | a), drawn to hit
+/// the lowering rules: guard bodies that ignore the guard's bindings,
+/// ∀-guards over `true`, fresh variables repeated inside one guard, and
+/// constants past the key. Fresh variables are named uniquely, so no
+/// binder shadows another.
+class GuardedFormulaGen {
+ public:
+  explicit GuardedFormulaGen(uint64_t seed) : rng_(seed) {}
+
+  /// A formula whose free variables all lie in `scope`.
+  FormulaPtr Make(const std::vector<std::string>& scope, int depth) {
+    switch (depth == 0 ? rng_.Below(3) : rng_.Below(10)) {
+      case 0:
+        return Formula::True();
+      case 1:
+        return Formula::Equals(Pick(scope), Pick(scope));
+      case 2:
+        return rng_.Chance(1, 2) ? Formula::False()
+                                 : Formula::MakeAtom(Membership(scope));
+      case 3:
+        return Formula::Not(Make(scope, depth - 1));
+      case 4:
+        return Formula::And({Make(scope, depth - 1), Make(scope, depth - 1)});
+      case 5:
+        return Formula::Or({Make(scope, depth - 1), Make(scope, depth - 1)});
+      default: {
+        std::vector<std::string> inner = scope;
+        Atom guard = Guard(&inner);
+        // Two bodies in three ignore what the guard binds (one in
+        // three is `true`).
+        FormulaPtr body = rng_.Chance(1, 3)
+                              ? Formula::True()
+                              : Make(rng_.Chance(1, 2) ? scope : inner,
+                                     depth - 1);
+        return rng_.Chance(1, 2) ? Formula::ExistsGuard(guard, body)
+                                 : Formula::ForallGuard(guard, body);
+      }
+    }
+  }
+
+ private:
+  std::string Constant() { return "c" + std::to_string(rng_.Below(4)); }
+
+  /// A constant or a variable of `scope`, as a term.
+  Term Pick(const std::vector<std::string>& scope) {
+    if (scope.empty() || rng_.Chance(1, 4)) return Term::Const(Constant());
+    return Term::Var(scope[rng_.Below(scope.size())]);
+  }
+
+  /// An R or S atom whose positions hold constants, variables of
+  /// `*scope`, fresh variables (appended to `*scope`) or repeats of a
+  /// fresh variable of the same atom.
+  Atom Guard(std::vector<std::string>* scope) {
+    const bool is_r = rng_.Chance(1, 2);
+    std::vector<std::string> terms;
+    std::vector<std::string> fresh;
+    for (int i = 0; i < (is_r ? 3 : 2); ++i) {
+      uint64_t pick = rng_.Below(8);
+      if (pick == 0) {
+        terms.push_back("'" + Constant() + "'");
+      } else if (pick <= 2 && !scope->empty()) {
+        terms.push_back((*scope)[rng_.Below(scope->size())]);
+      } else if (pick == 3 && !fresh.empty()) {
+        terms.push_back(fresh[rng_.Below(fresh.size())]);
+      } else {
+        fresh.push_back("v" + std::to_string(next_var_++));
+        terms.push_back(fresh.back());
+      }
+    }
+    scope->insert(scope->end(), fresh.begin(), fresh.end());
+    return Atom::Make(is_r ? "R" : "S", terms, 1);
+  }
+
+  /// A membership atom over constants and variables of `scope`.
+  Atom Membership(const std::vector<std::string>& scope) {
+    const bool is_r = rng_.Chance(1, 2);
+    std::vector<std::string> terms;
+    for (int i = 0; i < (is_r ? 3 : 2); ++i) {
+      Term t = Pick(scope);
+      terms.push_back(t.is_const() ? "'" + SymbolName(t.id()) + "'"
+                                   : SymbolName(t.id()));
+    }
+    return Atom::Make(is_r ? "R" : "S", terms, 1);
+  }
+
+  Rng rng_;
+  int next_var_ = 0;
+};
+
+TEST_P(ProgramDifferential, LoweringRulesOnGuardedFormulas) {
+  uint64_t seed = GetParam();
+  GuardedFormulaGen gen(seed * 101 + 17);
+  const SymbolId p = InternSymbol("p");
+  BlockDbGenOptions bopts;
+  bopts.seed = seed * 23 + 1;
+  bopts.blocks_per_relation = 2 + static_cast<int>(seed % 3);
+  bopts.max_block_size = 2;
+  bopts.domain_size = 4;
+  Database db = RandomBlockDatabase(MustParseQuery("R(k | a, b), S(l | c)"),
+                                    bopts);
+  std::vector<std::vector<SymbolId>> rows = {{InternSymbol("zz")}};
+  for (int i = 0; i < 4; ++i) {
+    rows.push_back({InternSymbol("c" + std::to_string(i))});
+  }
+  for (int i = 0; i < 6; ++i) {
+    FormulaPtr sentence = gen.Make({}, 3);
+    ExpectAgreement(sentence, {}, {{}}, db,
+                    "sentence " + sentence->ToString());
+    FormulaPtr formula = gen.Make({"p"}, 3);
+    ExpectAgreement(formula, {p}, rows, db, "formula " + formula->ToString());
+  }
+}
+
+// 120 seeds x (2 boolean + 1 parameterized batch + corpus sweep + 12
+// guarded formulas), on top of every FO decision the rest of the suite
+// now routes through the program by default.
 INSTANTIATE_TEST_SUITE_P(Seeds, ProgramDifferential,
                          ::testing::Range(uint64_t{1}, uint64_t{121}));
 
@@ -295,6 +409,97 @@ TEST(FoProgramTest, LoweringRejectsUnboundVariables) {
   std::vector<char> out = good->EvaluateRows(index, {}, rows);
   EXPECT_NE(out[0], 0);
   EXPECT_EQ(out[1], 0);
+}
+
+/// Joins the executor materializes extensions for: every antijoin, and
+/// every semijoin whose child is not `true`.
+int MaterializingJoins(const FoProgram& program) {
+  using Kind = FoProgram::Op::Kind;
+  int joins = 0;
+  for (const FoProgram::Op& op : program.ops()) {
+    if (op.kind == Kind::kAntiJoin ||
+        (op.kind == Kind::kSemiJoin &&
+         program.ops()[op.child].kind != Kind::kTrue)) {
+      ++joins;
+    }
+  }
+  return joins;
+}
+
+TEST(FoProgramTest, PathRewritingLowersToOneMaterializingJoin) {
+  // The certain rewriting of R(x | y), S(y | z) with x free is
+  // ∃y R(x,y) ∧ ∀y (R(x,y) → ∃z S(y,z) ∧ ∀z (S(y,z) → true)). Only the
+  // ∀ over R reads what it binds; the ∃ over R and the ∃ over S become
+  // membership semijoins, and the ∀ over S disappears.
+  auto plan = QueryPlan::Compile(MustParseQuery("R(x | y), S(y | z)"),
+                                 {InternSymbol("x")});
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_NE((*plan)->fo_program(), nullptr);
+  const FoProgram& program = *(*plan)->fo_program();
+  EXPECT_EQ(MaterializingJoins(program), 1) << program.ToString();
+  for (const FoProgram::Op& op : program.ops()) {
+    if (op.kind == FoProgram::Op::Kind::kAntiJoin) {
+      EXPECT_EQ(op.relation, InternSymbol("R")) << program.ToString();
+      EXPECT_NE(program.ops()[op.child].kind, FoProgram::Op::Kind::kTrue)
+          << program.ToString();
+    }
+  }
+}
+
+TEST(FoProgramTest, LoweringRulesKeepTheSemantics) {
+  // One formula per rule, each lowered and checked against the
+  // interpreter over every parameter value of a small database.
+  Atom r_rep = Atom::Make("R", {"p", "y", "y"}, 1);   // repeated fresh y
+  Atom r_const = Atom::Make("R", {"p", "'c'", "w"}, 1);  // constant past key
+  Atom s_y = Atom::Make("S", {"y", "z"}, 1);
+  Atom s_w = Atom::Make("S", {"w", "z"}, 1);
+  Atom s_p = Atom::Make("S", {"p", "u"}, 1);
+  struct Case {
+    std::string name;
+    FormulaPtr formula;
+    int materializing;
+  };
+  std::vector<Case> cases = {
+      // ∃ whose body ignores y: and(semijoin R → true, semijoin S → true).
+      {"exists-ignores-binding",
+       Formula::ExistsGuard(r_rep, Formula::ExistsGuard(s_p, Formula::True())),
+       0},
+      // ∀ over true vanishes; the ∃ keeps its read of y.
+      {"forall-true",
+       Formula::ExistsGuard(r_rep, Formula::ForallGuard(s_y, Formula::True())),
+       0},
+      {"forall-reads-binding",
+       Formula::ForallGuard(r_const,
+                            Formula::ExistsGuard(s_w, Formula::True())),
+       1},
+      // and drops the true conjuncts.
+      {"and-drops-true",
+       Formula::And({Formula::True(),
+                     Formula::ExistsGuard(r_const, Formula::True()),
+                     Formula::True()}),
+       0},
+  };
+  Database db;
+  for (const auto& values : std::vector<std::vector<std::string>>{
+           {"a", "b", "b"}, {"a", "c", "d"}, {"e", "c", "c"}, {"f", "g", "h"},
+           {"f", "c", "f"}}) {
+    ASSERT_TRUE(db.AddFact(Fact::Make("R", values, 1)).ok());
+  }
+  for (const auto& values : std::vector<std::vector<std::string>>{
+           {"b", "1"}, {"c", "2"}, {"a", "3"}, {"f", "4"}, {"f", "5"}}) {
+    ASSERT_TRUE(db.AddFact(Fact::Make("S", values, 1)).ok());
+  }
+  std::vector<std::vector<SymbolId>> rows;
+  for (SymbolId v : db.ActiveDomain()) rows.push_back({v});
+  for (const Case& c : cases) {
+    ExpectAgreement(c.formula, {InternSymbol("p")}, rows, db, c.name);
+    Result<FoProgram> program =
+        FoProgram::Lower(c.formula, {InternSymbol("p")});
+    ASSERT_TRUE(program.ok()) << c.name;
+    EXPECT_EQ(MaterializingJoins(*program), c.materializing)
+        << c.name << "\n"
+        << program->ToString();
+  }
 }
 
 TEST(FoProgramTest, PlanBatchesAgreeWithPerRowOracle) {

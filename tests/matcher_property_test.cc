@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <random>
 #include <set>
@@ -13,6 +14,7 @@
 #include "db/repairs.h"
 #include "gen/db_gen.h"
 #include "gen/query_gen.h"
+#include "util/rng.h"
 
 namespace cqa {
 namespace {
@@ -174,7 +176,40 @@ TEST_P(MatcherDifferential, PartialInitialValuation) {
   ExpectProjectionsAgree(index, q, seeds, "every seed");
 }
 
-// 350 seeds x (1 uniform + 1 block + |corpus| + partial) >> 1000 pairs.
+/// One atom of arity 1-4 whose positions draw from three variables and
+/// two constants, so repeated variables and constants past the key are
+/// common: EnumerateProjections' one-atom scan, checked against the
+/// naive matcher, unseeded and seeded.
+TEST_P(MatcherDifferential, SingleAtomQueries) {
+  uint64_t seed = GetParam();
+  Rng rng(seed * 29 + 3);
+  const std::vector<std::string> pool = {"x", "y", "z", "'c0'", "'c1'"};
+  int arity = static_cast<int>(rng.Range(1, 4));
+  std::vector<std::string> terms;
+  for (int i = 0; i < arity; ++i) {
+    terms.push_back(pool[rng.Below(rng.Chance(1, 4) ? 5 : 3)]);
+  }
+  Query q({Atom::Make("R", terms, static_cast<int>(rng.Range(1, arity)))});
+  DbGenOptions dopts;
+  dopts.seed = seed * 41 + 9;
+  dopts.domain_size = 2 + static_cast<int>(seed % 2);
+  dopts.facts_per_relation = 4 + static_cast<int>(seed % 12);
+  Database db = RandomDatabase(q, dopts);
+  ExpectMatchersAgree(db, q, "single atom");
+  FactIndex index(db);
+  std::vector<Valuation> seeds;
+  for (SymbolId var : q.Vars()) {
+    for (SymbolId value : db.ActiveDomain()) {
+      Valuation initial;
+      initial.Bind(var, value);
+      seeds.push_back(std::move(initial));
+    }
+  }
+  ExpectProjectionsAgree(index, q, seeds, "single atom, every seed");
+}
+
+// 350 seeds x (1 uniform + 1 block + |corpus| + partial + single atom)
+// >> 1000 pairs.
 INSTANTIATE_TEST_SUITE_P(Seeds, MatcherDifferential,
                          ::testing::Range(uint64_t{1}, uint64_t{351}));
 
@@ -306,6 +341,29 @@ TEST(EnumerateProjectionsTest, ExpiredDeadlineAnswersDeadlineExceeded) {
     ASSERT_FALSE(expired.ok());
     EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
   }
+}
+
+/// The one-atom scan polls the deadline per fact read, matched or not:
+/// R(x | x) matches none of these facts, so no embedding is ever found,
+/// yet 65536 full scans of 4096 facts must stop once 20 ms have passed.
+TEST(EnumerateProjectionsTest, DeadlineStopsTheOneAtomScan) {
+  std::vector<Fact> facts;
+  facts.reserve(4096);
+  for (int i = 0; i < 4096; ++i) {
+    facts.push_back(Fact::Make(
+        "R", {"a" + std::to_string(i), "b" + std::to_string(i)}, 1));
+  }
+  FactIndex index;
+  for (const Fact& f : facts) index.Add(&f);
+  Query q = MustParseQuery("R(x | x)");
+  std::vector<Valuation> seeds(65536);
+  auto start = std::chrono::steady_clock::now();
+  Result<std::vector<std::vector<SymbolId>>> rows = EnumerateProjections(
+      index, q, seeds, {InternSymbol("x")}, Deadline::AfterMillis(20));
+  auto took = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(took, std::chrono::seconds(2));
 }
 
 /// Values that differ in every byte position, so the radix sort's four

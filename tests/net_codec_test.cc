@@ -529,6 +529,7 @@ TEST(MetricsRenderTest, PrometheusTextExposition) {
       {"store.read_only_databases", 0},
       {"store.wal_bytes", 4096},
       {"session.solves", 7},
+      {"session.answers_covered", 2},
       {"solver.sat.calls", 3},
       {"solver.sat.certain", 2},
       {"solver.fo-rewriting.calls", 9},
@@ -558,6 +559,9 @@ TEST(MetricsRenderTest, PrometheusTextExposition) {
   EXPECT_NE(text.find("# TYPE cqa_server_requests_total counter\n"),
             std::string::npos);
   EXPECT_NE(text.find("cqa_session_solves 7"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE cqa_session_answers_covered counter\n"
+                      "cqa_session_answers_covered 2\n"),
+            std::string::npos);
   EXPECT_NE(text.find("cqa_solver_calls_total{kind=\"sat\"} 3"),
             std::string::npos);
   EXPECT_NE(text.find("cqa_solver_certain_total{kind=\"sat\"} 2"),
@@ -582,7 +586,8 @@ TEST(MetricsFlattenTest, StatsKeysAreStable) {
   // but these must never disappear or rename.
   for (const char* key :
        {"plan_cache.hits", "plan_cache.misses", "session.deltas_applied",
-        "session.solves", "contention.interner_lookups",
+        "session.solves", "session.answers_covered",
+        "contention.interner_lookups",
         "store.durable_databases", "service.databases",
         "service.prepared_queries", "service.open_cursors"}) {
     EXPECT_EQ(flat.count(key), 1u) << "missing flattened counter " << key;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -424,6 +425,137 @@ TEST(SessionTest, RandomDeltaSequencesMatchFreshEngine) {
     }
   }
   EXPECT_GE(triples, 200);
+}
+
+/// Facts of `relation` in `db`.
+size_t FactsOf(const Database& db, SymbolId relation) {
+  return static_cast<size_t>(
+      std::count_if(db.facts().begin(), db.facts().end(),
+                    [&](const Fact& f) { return f.relation() == relation; }));
+}
+
+/// Full recomputes after the first take their candidates from the atom
+/// of q covering every free variable when the FO program decides the
+/// rows and that atom's relation holds at most twice the previous answer
+/// count, and from the join otherwise. Either way the served rows and
+/// their order must equal a fresh engine computation. With
+/// max_dirty_patterns = 0 every delta that reaches the entry forces a
+/// full recompute; `answers_covered` says which path each one took.
+TEST(SessionTest, CoveringAtomCandidatesMatchFreshEngine) {
+  struct Case {
+    Query q;
+    std::vector<SymbolId> fv;
+    Database db;
+    std::vector<Fact> pool;  // delta fodder
+  };
+  std::vector<Case> cases;
+  for (int seed = 1; seed <= 90; ++seed) {
+    QueryGenOptions qopt;
+    qopt.seed = seed * 7 + 2;
+    qopt.num_atoms = 1 + seed % 3;
+    qopt.max_arity = 3;
+    Query q = RandomAcyclicQuery(qopt);
+    VarSet vars = q.Vars();
+    std::vector<SymbolId> fv(vars.begin(), vars.end());
+    Rng rng(seed * 389);
+    rng.Shuffle(&fv);
+    fv.resize(std::min<size_t>(fv.size(), 1 + seed % 2));
+    if (fv.empty()) continue;
+    BlockDbGenOptions dopt;
+    dopt.seed = seed * 53;
+    dopt.blocks_per_relation = 2 + seed % 5;
+    dopt.max_block_size = 2;
+    dopt.domain_size = 6;
+    cases.push_back(
+        {q, fv, RandomBlockDatabase(q, dopt), FactPool(q, seed * 59)});
+  }
+  // q0 = R0(x | y), S0(y, z | x) is beyond FO: each row costs a scoped
+  // solver call, so its full recomputes enumerate the join although
+  // S0 covers z and holds no more than twice the answers.
+  Case q0{corpus::Q0(), {InternSymbol("z")}, Database(), {}};
+  for (int i = 0; i < 8; ++i) {
+    std::string a = "a" + std::to_string(i);
+    std::string b = "b" + std::to_string(i);
+    std::string c = "c" + std::to_string(i % 6);
+    ASSERT_TRUE(q0.db.AddFact(F("R0", {a, b}, 1)).ok());
+    ASSERT_TRUE(q0.db.AddFact(F("S0", {b, c, a}, 2)).ok());
+    q0.pool.push_back(F("R0", {a, "b" + std::to_string(i + 1)}, 1));
+    q0.pool.push_back(F("S0", {b, "c7", a}, 2));
+  }
+  cases.push_back(std::move(q0));
+
+  uint64_t covered = 0;        // candidates from the covering atom
+  uint64_t over_twice = 0;     // a covering atom failed the 2x rule
+  uint64_t without_cover = 0;  // FO plan, no atom covers
+  uint64_t beyond_fo = 0;      // would be covered, but no FO program
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const Query& q = cases[c].q;
+    const std::vector<SymbolId>& fv = cases[c].fv;
+    const std::vector<Fact>& pool = cases[c].pool;
+    Rng rng(c * 613 + 1);
+
+    Session::Options sopt;
+    sopt.num_threads = 2;
+    sopt.max_dirty_patterns = 0;
+    PlanCache cache;
+    sopt.plan_cache = &cache;
+    Session session(std::move(cases[c].db), sopt);
+    Result<std::shared_ptr<const QueryPlan>> plan = cache.GetOrCompile(q, fv);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    const bool by_program = (*plan)->DecidesRowsByProgram();
+
+    Result<Rows> served = Materialize(session.CertainAnswers(q, fv));
+    ASSERT_TRUE(served.ok()) << served.status();
+    EXPECT_EQ(session.stats().answers_covered, 0u);  // first page: join
+    for (int d = 0; d < 4; ++d) {
+      const size_t previous = served->size();
+      Result<uint64_t> applied =
+          session.ApplyDelta(RandomDelta(session.db(), pool, &rng));
+      ASSERT_TRUE(applied.ok()) << applied.status();
+      Session::Stats before = session.stats();
+      served = Materialize(session.CertainAnswers(q, fv));
+      ASSERT_TRUE(served.ok()) << served.status();
+      Session::Stats after = session.stats();
+      Result<Rows> fresh = testutil::CertainAnswers(session.db(), q, fv);
+      ASSERT_TRUE(fresh.ok()) << fresh.status();
+      EXPECT_EQ(*served, *fresh)
+          << "case " << c << " delta " << d << " query " << q.ToString();
+
+      // The covering atom with the fewest facts, if any.
+      std::optional<size_t> cover_facts;
+      for (const Atom& atom : q.atoms()) {
+        VarSet atom_vars = atom.Vars();
+        bool covers = std::all_of(fv.begin(), fv.end(), [&](SymbolId v) {
+          return atom_vars.count(v) != 0;
+        });
+        size_t facts = FactsOf(session.db(), atom.relation());
+        if (covers && (!cover_facts || facts < *cover_facts)) {
+          cover_facts = facts;
+        }
+      }
+      const bool full = after.answers_full == before.answers_full + 1;
+      const bool within_twice =
+          cover_facts.has_value() && *cover_facts <= 2 * previous;
+      const bool expect_cover = full && by_program && within_twice;
+      EXPECT_EQ(after.answers_covered - before.answers_covered,
+                expect_cover ? 1u : 0u)
+          << "case " << c << " delta " << d << " query " << q.ToString();
+      if (!full) continue;
+      if (!by_program) {
+        beyond_fo += within_twice ? 1 : 0;
+      } else if (expect_cover) {
+        ++covered;
+      } else if (cover_facts.has_value()) {
+        ++over_twice;
+      } else {
+        ++without_cover;
+      }
+    }
+  }
+  EXPECT_GT(covered, 0u);
+  EXPECT_GT(over_twice, 0u);
+  EXPECT_GT(without_cover, 0u);
+  EXPECT_GT(beyond_fo, 0u);
 }
 
 // ------------------------------------------------------- concurrency
