@@ -146,6 +146,62 @@ BENCHMARK(BM_Session_FullRecompute)
     ->RangeMultiplier(4)
     ->Range(64, cqa_bench::RangeLimit(4096, 64));
 
+/// The 1.5x rule of a stale entry's full recompute (see
+/// Session::ComputeCertainFull): `n` R-blocks R(a_i | b_i), with
+/// S(b_i | c_i) beside a share 10/`r` of them, so R holds about r/10
+/// facts per certain answer. Every request follows a FlipDelta that
+/// changes one block (each block is made uncertain, then restored), and
+/// max_dirty_patterns = 0 turns each into a full recompute of the
+/// cached entry. Up to r = 15 the candidates are R's n rows and the FO
+/// program rejects the unjoined ones; past it they come from the join,
+/// which starts at the smaller S. Each answer has one embedding, so the
+/// join is at its cheapest against the covering atom. rows_decided per
+/// request (n when covered, about n*10/r from the join) says which path
+/// ran.
+void BM_Session_CoveringRule(benchmark::State& state) {
+  int n = static_cast<int>(state.range(0));
+  int r = static_cast<int>(state.range(1));
+  Database db;
+  for (int i = 0; i < n; ++i) {
+    std::string a = "a" + std::to_string(i);
+    std::string b = "b" + std::to_string(i);
+    db.AddFact(Fact::Make("R", {a, b}, 1)).ok();
+    if (i * 10 % r < 10) {
+      db.AddFact(Fact::Make("S", {b, "c" + std::to_string(i)}, 1)).ok();
+    }
+  }
+  Service::Options options = PathServiceOptions();
+  options.session.max_dirty_patterns = 0;
+  Service service(options);
+  service.CreateDatabase("path", std::move(db)).ok();
+  PreparedQueryHandle handle =
+      service.Prepare(PathQ(), {InternSymbol("x")}).value();
+  Service::CertainAnswersRequest request = PathRequest(handle);
+  // Warm: the entry's first computation enumerates the join.
+  size_t rows = service.CertainAnswers(request)->rows.size();
+  uint64_t decided_before =
+      service.Stats({}).value().session.rows_decided;
+  int k = 0;
+  bool uncertain = true;
+  for (auto _ : state) {
+    service.ApplyDelta(FlipDelta(k, uncertain)).ok();
+    auto served = service.CertainAnswers(request);
+    benchmark::DoNotOptimize(served);
+    rows = served->rows.size();
+    if (!uncertain) k = (k + 13) % n;
+    uncertain = !uncertain;
+  }
+  ReportServiceCounters(state, service, rows);
+  state.counters["facts_per_answer"] = r / 10.0;
+  state.counters["rows_decided_per_request"] =
+      static_cast<double>(service.Stats({}).value().session.rows_decided -
+                          decided_before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_Session_CoveringRule)
+    ->ArgsProduct({{cqa_bench::RangeLimit(4096, 256)},
+                   {10, 14, 16, 19, 25, 40, 80}});
+
 /// Thread-scaling series of the full-recompute path: the same workload
 /// as BM_Session_FullRecompute, but the service pool runs `threads`
 /// workers and every request's candidate batch is partitioned across

@@ -260,6 +260,28 @@ const std::vector<const Fact*>* CandidatesFor(
   return best;
 }
 
+/// Facts a search reads between deadline polls, the FO program's row
+/// cadence.
+constexpr int kDeadlineCheckFacts = 256;
+
+/// A deadline polled every kDeadlineCheckFacts facts read, matched or
+/// not, across every search it is passed to: a search that finds no
+/// embedding, or many short seeded searches, still notice expiry.
+struct DeadlinePoll {
+  const Deadline& deadline;
+  int countdown = kDeadlineCheckFacts;
+  bool expired = false;
+
+  /// Counts one fact read; false once the deadline has expired.
+  bool ReadOne() {
+    if (--countdown == 0) {
+      countdown = kDeadlineCheckFacts;
+      expired = deadline.Expired();
+    }
+    return !expired;
+  }
+};
+
 struct SearchState {
   const FactIndex& index;
   /// Atoms in q.atoms() order; `chosen` is aligned with it.
@@ -272,7 +294,16 @@ struct SearchState {
   std::vector<const Fact*> chosen;
   std::vector<SymbolId> prefix_buf;
   bool completed = true;
+  /// Counts every fact read when set; its expiry stops the search.
+  DeadlinePoll* poll = nullptr;
 };
+
+/// False once `st`'s deadline poll has seen expiry; counts one fact read.
+bool ReadOne(SearchState* st) {
+  if (st->poll == nullptr || st->poll->ReadOne()) return true;
+  st->completed = false;
+  return false;
+}
 
 /// Depth-first search with dynamic atom ordering: at every node, match
 /// the unused atom with the fewest index candidates under the current
@@ -303,6 +334,10 @@ bool SearchIndexed(SearchState* st, size_t remaining) {
   bool keep_going = true;
   std::vector<SymbolId> bound;
   for (const Fact* fact : *best_cands) {
+    if (!ReadOne(st)) {
+      keep_going = false;
+      break;
+    }
     if (fact->arity() != atom.arity()) continue;
     bound.clear();
     if (!Unify(atom, *fact, &st->val, &bound)) continue;
@@ -331,6 +366,7 @@ bool SearchNaive(SearchState* st, size_t depth) {
   int ai = st->order[depth];
   const Atom& atom = *st->atoms[ai];
   for (const Fact* fact : st->index.Facts(atom.relation())) {
+    if (!ReadOne(st)) return false;
     if (fact->arity() != atom.arity()) continue;
     std::vector<SymbolId> bound;
     if (!Unify(atom, *fact, &st->val, &bound)) continue;
@@ -344,9 +380,12 @@ bool SearchNaive(SearchState* st, size_t depth) {
   return true;
 }
 
+/// Calls `fn` on every embedding of q extending `initial` until it
+/// returns false. `poll`, when set, counts every fact read and stops the
+/// search once its deadline has expired. False when stopped early.
 bool RunSearch(const FactIndex& index, const Query& q,
                const Valuation& initial, const EmbeddingFactsFn& fn,
-               MatcherMode mode) {
+               MatcherMode mode, DeadlinePoll* poll = nullptr) {
   size_t n = q.atoms().size();
   std::vector<const Atom*> atoms;
   atoms.reserve(n);
@@ -359,7 +398,8 @@ bool RunSearch(const FactIndex& index, const Query& q,
                  initial,
                  std::vector<const Fact*>(n, nullptr),
                  {},
-                 true};
+                 true,
+                 poll};
   if (mode == MatcherMode::kNaive) {
     // Static order by selectivity: fewest candidate facts first.
     st.order.resize(n);
@@ -417,9 +457,6 @@ bool Satisfies(const FactIndex& index, const Query& q) {
 
 namespace {
 
-/// Embeddings between deadline polls, the FO program's row cadence.
-constexpr int kDeadlineCheckEmbeddings = 256;
-
 /// Below this many values the projection buffer keeps its duplicates
 /// until the final sort.
 constexpr size_t kCompactMinValues = size_t{1} << 20;
@@ -461,54 +498,6 @@ void SortDistinctRows(size_t width, std::vector<SymbolId>* flat) {
   flat->resize(kept * width);
 }
 
-/// EnumerateProjections' path for a one-atom query: reads the atom's
-/// candidate bucket under `seed`, checks each fact against the atom's
-/// constants, the seed's bindings and the atom's repeated variables, and
-/// hands the matching facts' projections to `emit` — no search and no
-/// callback through std::function. `poll()` is called once per fact
-/// read and stops the scan when it returns false; so does `emit`.
-template <typename PollFn, typename EmitFn>
-void ScanOneAtom(const FactIndex& index, const Atom& atom,
-                 const Valuation& seed, const std::vector<SymbolId>& vars,
-                 PollFn& poll, EmitFn& emit) {
-  const int arity = atom.arity();
-  const std::vector<Term>& terms = atom.terms();
-  // Per position: the value a matching fact must hold there (a constant
-  // or a seeded variable), else the earlier position repeating its
-  // variable, else nothing to check (a variable's first occurrence).
-  std::vector<std::optional<SymbolId>> fixed(arity);
-  std::vector<int> repeats(arity, -1);
-  for (int i = 0; i < arity; ++i) {
-    fixed[i] = seed.Resolve(terms[i]);
-    if (fixed[i].has_value()) continue;
-    for (int j = 0; j < i && repeats[i] < 0; ++j) {
-      if (terms[j] == terms[i]) repeats[i] = j;
-    }
-  }
-  // The position each projected variable is read from.
-  std::vector<int> column(vars.size());
-  for (size_t k = 0; k < vars.size(); ++k) {
-    column[k] = static_cast<int>(
-        std::find(terms.begin(), terms.end(), Term::Var(vars[k])) -
-        terms.begin());
-  }
-  std::vector<SymbolId> prefix;
-  for (const Fact* fact : *CandidatesFor(index, atom, seed, &prefix)) {
-    if (!poll()) return;
-    if (fact->arity() != arity) continue;
-    const std::vector<SymbolId>& values = fact->values();
-    bool match = true;
-    for (int i = 0; i < arity && match; ++i) {
-      if (fixed[i].has_value()) {
-        match = values[i] == *fixed[i];
-      } else if (repeats[i] >= 0) {
-        match = values[i] == values[repeats[i]];
-      }
-    }
-    if (match && !emit([&](size_t k) { return values[column[k]]; })) return;
-  }
-}
-
 }  // namespace
 
 Result<std::vector<std::vector<SymbolId>>> EnumerateProjections(
@@ -520,43 +509,24 @@ Result<std::vector<std::vector<SymbolId>>> EnumerateProjections(
         "deadline expired before candidate enumeration");
   }
   const size_t width = vars.size();
-  const MatcherMode mode = DefaultMatcherMode();
   std::vector<SymbolId> flat;
   size_t compact_at = kCompactMinValues;
   bool found = false;
-  bool expired = false;
-  int countdown = kDeadlineCheckEmbeddings;
-  // Counts one embedding (or one fact a one-atom scan reads) and polls
-  // the deadline every kDeadlineCheckEmbeddings of them.
-  auto poll = [&] {
-    if (--countdown == 0) {
-      countdown = kDeadlineCheckEmbeddings;
-      expired = deadline.Expired();
-    }
-    return !expired;
-  };
-  // Appends one projection, value_of(k) giving column k.
-  auto emit = [&](auto&& value_of) {
+  DeadlinePoll poll{deadline};
+  EmbeddingFactsFn collect = [&](const Valuation& theta,
+                                 const std::vector<const Fact*>&) {
     found = true;
-    for (size_t k = 0; k < width; ++k) flat.push_back(value_of(k));
+    // Occurrence in q guarantees every embedding binds every var.
+    for (SymbolId v : vars) flat.push_back(*theta.Get(v));
     if (flat.size() >= compact_at) {
       SortDistinctRows(width, &flat);
       compact_at = std::max(kCompactMinValues, 2 * flat.size());
     }
     return width > 0;  // A Boolean projection is decided by one embedding.
   };
-  EmbeddingFactsFn collect = [&](const Valuation& theta,
-                                 const std::vector<const Fact*>&) {
-    // Occurrence in q guarantees every embedding binds every var.
-    return poll() && emit([&](size_t k) { return *theta.Get(vars[k]); });
-  };
   for (const Valuation& seed : seeds) {
-    if (q.atoms().size() == 1 && mode == MatcherMode::kIndexed) {
-      ScanOneAtom(index, q.atoms()[0], seed, vars, poll, emit);
-    } else {
-      RunSearch(index, q, seed, collect, mode);
-    }
-    if (expired) {
+    RunSearch(index, q, seed, collect, DefaultMatcherMode(), &poll);
+    if (poll.expired) {
       return Status::DeadlineExceeded(
           "deadline expired during candidate enumeration");
     }

@@ -192,8 +192,8 @@ bool SatisfiesWith(const FactIndex& index, const Query& q,
 /// projection that many embeddings share keeps memory proportional to
 /// the distinct rows. With `vars` empty (Boolean) the enumeration stops
 /// at the first embedding and the result is empty or the one empty row.
-/// `deadline` is polled before the search and every 256 embeddings;
-/// expiry answers kDeadlineExceeded.
+/// `deadline` is polled before the search and every 256 facts the search
+/// reads, matched or not; expiry answers kDeadlineExceeded.
 Result<std::vector<std::vector<SymbolId>>> EnumerateProjections(
     const FactIndex& index, const Query& q,
     const std::vector<Valuation>& seeds, const std::vector<SymbolId>& vars,

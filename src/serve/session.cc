@@ -657,14 +657,15 @@ Result<Session::RowSet> Session::ComputeCertainFull(
     if (pushed->has_value()) return *std::move(*pushed);
   }
   // Candidates from one covering atom instead of the join, under the
-  // conditions and the 2x rule the declaration states.
+  // conditions and the 1.5x rule the declaration states. A one-atom q
+  // has no join to skip.
   const Atom* cover = nullptr;
-  if (!free_vars.empty() && previous_rows.has_value() &&
-      plan.DecidesRowsByProgram()) {
+  if (q.atoms().size() > 1 && !free_vars.empty() &&
+      previous_rows.has_value() && plan.DecidesRowsByProgram()) {
     cover = CoveringAtom(ctx.fact_index(), q, free_vars);
     if (cover != nullptr &&
-        ctx.fact_index().Facts(cover->relation()).size() >
-            2 * *previous_rows) {
+        2 * ctx.fact_index().Facts(cover->relation()).size() >
+            3 * *previous_rows) {
       cover = nullptr;
     }
   }

@@ -178,8 +178,9 @@ TEST_P(MatcherDifferential, PartialInitialValuation) {
 
 /// One atom of arity 1-4 whose positions draw from three variables and
 /// two constants, so repeated variables and constants past the key are
-/// common: EnumerateProjections' one-atom scan, checked against the
-/// naive matcher, unseeded and seeded.
+/// common: the indexed search on one atom, which a stale entry's
+/// covering-atom candidates run through, checked against the naive
+/// matcher, unseeded and seeded.
 TEST_P(MatcherDifferential, SingleAtomQueries) {
   uint64_t seed = GetParam();
   Rng rng(seed * 29 + 3);
@@ -343,27 +344,33 @@ TEST(EnumerateProjectionsTest, ExpiredDeadlineAnswersDeadlineExceeded) {
   }
 }
 
-/// The one-atom scan polls the deadline per fact read, matched or not:
-/// R(x | x) matches none of these facts, so no embedding is ever found,
-/// yet 65536 full scans of 4096 facts must stop once 20 ms have passed.
-TEST(EnumerateProjectionsTest, DeadlineStopsTheOneAtomScan) {
+/// The search polls the deadline per fact read, matched or not. Neither
+/// query embeds here: no R fact repeats its value, and no S key is an R
+/// value, so every fact read is a dead end and no embedding is ever
+/// found. 65536 searches over 4096 R facts each must still stop once
+/// 20 ms have passed.
+TEST(EnumerateProjectionsTest, DeadlineStopsASearchThatFindsNothing) {
   std::vector<Fact> facts;
-  facts.reserve(4096);
+  facts.reserve(2 * 4096);
   for (int i = 0; i < 4096; ++i) {
     facts.push_back(Fact::Make(
         "R", {"a" + std::to_string(i), "b" + std::to_string(i)}, 1));
+    facts.push_back(Fact::Make(
+        "S", {"c" + std::to_string(i), "d" + std::to_string(i)}, 1));
   }
   FactIndex index;
   for (const Fact& f : facts) index.Add(&f);
-  Query q = MustParseQuery("R(x | x)");
-  std::vector<Valuation> seeds(65536);
-  auto start = std::chrono::steady_clock::now();
-  Result<std::vector<std::vector<SymbolId>>> rows = EnumerateProjections(
-      index, q, seeds, {InternSymbol("x")}, Deadline::AfterMillis(20));
-  auto took = std::chrono::steady_clock::now() - start;
-  ASSERT_FALSE(rows.ok());
-  EXPECT_EQ(rows.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_LT(took, std::chrono::seconds(2));
+  for (const char* text : {"R(x | x)", "R(x | y), S(y | z)"}) {
+    Query q = MustParseQuery(text);
+    std::vector<Valuation> seeds(65536);
+    auto start = std::chrono::steady_clock::now();
+    Result<std::vector<std::vector<SymbolId>>> rows = EnumerateProjections(
+        index, q, seeds, {InternSymbol("x")}, Deadline::AfterMillis(20));
+    auto took = std::chrono::steady_clock::now() - start;
+    ASSERT_FALSE(rows.ok()) << text;
+    EXPECT_EQ(rows.status().code(), StatusCode::kDeadlineExceeded) << text;
+    EXPECT_LT(took, std::chrono::seconds(2)) << text;
+  }
 }
 
 /// Values that differ in every byte position, so the radix sort's four
