@@ -5,6 +5,9 @@
 // recomputing every row (a service whose sessions keep no answer
 // cache). The workload is the incremental-serving shape: one block
 // replaced per request on a database of `range` R-blocks.
+// BM_Session_DeltaReServe replaces R-blocks, whose key pins the answer
+// variable; BM_Session_DeltaReServeUnpinned replaces S-blocks, whose key
+// pins none, so only the reach rule keeps its refresh incremental.
 //
 // Acceptance tracking: BM_Session_DeltaReServe vs
 // BM_Session_FullRecompute at equal sizes in BENCH_results.json — the
@@ -59,6 +62,41 @@ Service::DeltaRequest FlipDelta(int k, bool make_uncertain) {
   return request;
 }
 
+/// The unpinned delta: delete S-block b_k, or restore it — touches
+/// exactly one S block, whose key pins no answer parameter. The one row
+/// it reaches is a_k's.
+Service::DeltaRequest DropSDelta(int k, bool drop) {
+  std::string b = "b" + std::to_string(k);
+  std::vector<Fact> facts;
+  if (!drop) facts.push_back(Fact::Make("S", {b, "c" + std::to_string(k)}, 1));
+  Service::DeltaRequest request;
+  request.database = "path";
+  request.delta.ReplaceBlock(InternSymbol("S"), {InternSymbol(b)},
+                             std::move(facts));
+  return request;
+}
+
+/// The per-request deltas of a series: each block is changed (`make`
+/// true) and then restored before the next block, 13 further on, so
+/// every delta changes one block.
+class DeltaCycle {
+ public:
+  using Make = Service::DeltaRequest (*)(int k, bool change);
+  DeltaCycle(int n, Make make) : n_(n), make_(make) {}
+  Service::DeltaRequest Next() {
+    Service::DeltaRequest request = make_(k_, change_);
+    if (!change_) k_ = (k_ + 13) % n_;
+    change_ = !change_;
+    return request;
+  }
+
+ private:
+  int n_;
+  Make make_;
+  int k_ = 0;
+  bool change_ = true;
+};
+
 /// A single-database service sized for these benches: one worker
 /// thread, service-local plan cache, pages big enough that every
 /// request is a single page (the COW snapshot measured end to end).
@@ -101,19 +139,47 @@ void BM_Session_DeltaReServe(benchmark::State& state) {
   Service::CertainAnswersRequest request = PathRequest(handle);
   // Warm: one full compute populates the cache and the worker index.
   size_t rows = service.CertainAnswers(request)->rows.size();
-  int k = 0;
-  bool uncertain = true;
+  DeltaCycle deltas(n, FlipDelta);
   for (auto _ : state) {
-    service.ApplyDelta(FlipDelta(k, uncertain)).ok();
+    service.ApplyDelta(deltas.Next()).ok();
     auto served = service.CertainAnswers(request);
     benchmark::DoNotOptimize(served);
     rows = served->rows.size();
-    k = (k + 13) % n;
-    uncertain = !uncertain;
   }
   ReportServiceCounters(state, service, rows);
 }
 BENCHMARK(BM_Session_DeltaReServe)
+    ->RangeMultiplier(4)
+    ->Range(64, cqa_bench::RangeLimit(4096, 64));
+
+/// The delta path when the changed block's key pins no free variable:
+/// each delta drops or restores one S-block. S is the only relation the
+/// deltas touch and R, the untouched atom, binds x, so the session
+/// re-decides the rows R joins to that block (a_k's) and copies the rest
+/// of the cached snapshot. rows_decided_per_request says how many.
+void BM_Session_DeltaReServeUnpinned(benchmark::State& state) {
+  int n = static_cast<int>(state.range(0));
+  Service service(PathServiceOptions());
+  service.CreateDatabase("path", PathDb(n)).ok();
+  PreparedQueryHandle handle =
+      service.Prepare(PathQ(), {InternSymbol("x")}).value();
+  Service::CertainAnswersRequest request = PathRequest(handle);
+  size_t rows = service.CertainAnswers(request)->rows.size();
+  uint64_t decided_before = service.Stats({}).value().session.rows_decided;
+  DeltaCycle deltas(n, DropSDelta);
+  for (auto _ : state) {
+    service.ApplyDelta(deltas.Next()).ok();
+    auto served = service.CertainAnswers(request);
+    benchmark::DoNotOptimize(served);
+    rows = served->rows.size();
+  }
+  ReportServiceCounters(state, service, rows);
+  state.counters["rows_decided_per_request"] =
+      static_cast<double>(service.Stats({}).value().session.rows_decided -
+                          decided_before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_Session_DeltaReServeUnpinned)
     ->RangeMultiplier(4)
     ->Range(64, cqa_bench::RangeLimit(4096, 64));
 
@@ -130,15 +196,12 @@ void BM_Session_FullRecompute(benchmark::State& state) {
       service.Prepare(PathQ(), {InternSymbol("x")}).value();
   Service::CertainAnswersRequest request = PathRequest(handle);
   size_t rows = 0;
-  int k = 0;
-  bool uncertain = true;
+  DeltaCycle deltas(n, FlipDelta);
   for (auto _ : state) {
-    service.ApplyDelta(FlipDelta(k, uncertain)).ok();
+    service.ApplyDelta(deltas.Next()).ok();
     auto fresh = service.CertainAnswers(request);
     benchmark::DoNotOptimize(fresh);
     rows = fresh->rows.size();
-    k = (k + 13) % n;
-    uncertain = !uncertain;
   }
   ReportServiceCounters(state, service, rows);
 }
@@ -181,15 +244,12 @@ void BM_Session_CoveringRule(benchmark::State& state) {
   size_t rows = service.CertainAnswers(request)->rows.size();
   uint64_t decided_before =
       service.Stats({}).value().session.rows_decided;
-  int k = 0;
-  bool uncertain = true;
+  DeltaCycle deltas(n, FlipDelta);
   for (auto _ : state) {
-    service.ApplyDelta(FlipDelta(k, uncertain)).ok();
+    service.ApplyDelta(deltas.Next()).ok();
     auto served = service.CertainAnswers(request);
     benchmark::DoNotOptimize(served);
     rows = served->rows.size();
-    if (!uncertain) k = (k + 13) % n;
-    uncertain = !uncertain;
   }
   ReportServiceCounters(state, service, rows);
   state.counters["facts_per_answer"] = r / 10.0;
@@ -219,15 +279,12 @@ void BM_Session_FullRecomputeThreads(benchmark::State& state) {
       service.Prepare(PathQ(), {InternSymbol("x")}).value();
   Service::CertainAnswersRequest request = PathRequest(handle);
   size_t rows = 0;
-  int k = 0;
-  bool uncertain = true;
+  DeltaCycle deltas(n, FlipDelta);
   for (auto _ : state) {
-    service.ApplyDelta(FlipDelta(k, uncertain)).ok();
+    service.ApplyDelta(deltas.Next()).ok();
     auto fresh = service.CertainAnswers(request);
     benchmark::DoNotOptimize(fresh);
     rows = fresh->rows.size();
-    k = (k + 13) % n;
-    uncertain = !uncertain;
   }
   ReportServiceCounters(state, service, rows);
   state.counters["threads"] = threads;
@@ -262,15 +319,12 @@ void BM_Session_DurableDeltaReServe(benchmark::State& state) {
       service.Prepare(PathQ(), {InternSymbol("x")}).value();
   Service::CertainAnswersRequest request = PathRequest(handle);
   size_t rows = service.CertainAnswers(request)->rows.size();
-  int k = 0;
-  bool uncertain = true;
+  DeltaCycle deltas(n, FlipDelta);
   for (auto _ : state) {
-    service.ApplyDelta(FlipDelta(k, uncertain)).ok();
+    service.ApplyDelta(deltas.Next()).ok();
     auto served = service.CertainAnswers(request);
     benchmark::DoNotOptimize(served);
     rows = served->rows.size();
-    k = (k + 13) % n;
-    uncertain = !uncertain;
   }
   ReportServiceCounters(state, service, rows);
   Service::StatsResponse stats = service.Stats({}).value();
@@ -290,12 +344,9 @@ void BM_Session_ApplyDeltaOnly(benchmark::State& state) {
   PreparedQueryHandle handle =
       service.Prepare(PathQ(), {InternSymbol("x")}).value();
   service.CertainAnswers(PathRequest(handle)).ok();  // build the index
-  int k = 0;
-  bool uncertain = true;
+  DeltaCycle deltas(n, FlipDelta);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(service.ApplyDelta(FlipDelta(k, uncertain)));
-    k = (k + 13) % n;
-    uncertain = !uncertain;
+    benchmark::DoNotOptimize(service.ApplyDelta(deltas.Next()));
   }
 }
 BENCHMARK(BM_Session_ApplyDeltaOnly)

@@ -566,15 +566,13 @@ Result<Service::SolveResponse> Service::Solve(const SolveRequest& request) {
 
 // ------------------------------------------------------ certain answers
 
-Service::CertainAnswersResponse Service::MakePage(
-    const std::shared_ptr<const Session::RowSet>& snapshot, uint64_t epoch,
-    size_t offset, size_t end) {
-  const Session::RowSet& rows = *snapshot;
+Service::CertainAnswersResponse Service::MakePage(const RowBlock& snapshot,
+                                                  uint64_t epoch,
+                                                  size_t offset, size_t end) {
   CertainAnswersResponse response;
-  response.total_rows = rows.size();
+  response.total_rows = snapshot.size();
   response.epoch = epoch;
-  response.rows.assign(rows.begin() + static_cast<ptrdiff_t>(offset),
-                       rows.begin() + static_cast<ptrdiff_t>(end));
+  response.rows = snapshot.Rows(offset, end);
   return response;
 }
 
@@ -595,7 +593,7 @@ Result<Service::CertainAnswersResponse> Service::ContinueStream(
   // materialized AFTER release — an in-memory snapshot is immutable and
   // a backend cursor serializes internally — so concurrent page fetches
   // never queue behind each other's row copies.
-  std::shared_ptr<const Session::RowSet> snapshot;
+  std::shared_ptr<const RowBlock> snapshot;
   std::shared_ptr<Backend::AnswerCursor> backend_cursor;
   uint64_t epoch = 0;
   size_t total = 0;
@@ -635,7 +633,7 @@ Result<Service::CertainAnswersResponse> Service::ContinueStream(
   }
   CertainAnswersResponse response;
   if (snapshot != nullptr) {
-    response = MakePage(snapshot, epoch, offset, end);
+    response = MakePage(*snapshot, epoch, offset, end);
   } else {
     // Backend-paged stream: the rows come straight off the backend's
     // pinned read snapshot (e.g. a SQLite read transaction).
@@ -730,13 +728,13 @@ Result<Service::CertainAnswersResponse> Service::CertainAnswers(
   }
 
   uint64_t epoch = 0;
-  Result<std::shared_ptr<const Session::RowSet>> snapshot =
+  Result<std::shared_ptr<const RowBlock>> snapshot =
       (*session)->CertainAnswers(*plan, *q, *fv, &epoch, request.deadline);
   if (!snapshot.ok()) return snapshot.status();
 
   size_t total = (*snapshot)->size();
   size_t end = std::min(page_size, total);
-  CertainAnswersResponse response = MakePage(*snapshot, epoch, 0, end);
+  CertainAnswersResponse response = MakePage(**snapshot, epoch, 0, end);
   if (total <= page_size) {
     return response;  // Single-page result: no cursor to track.
   }

@@ -35,7 +35,7 @@
 ///   SolveRequest     -> one Boolean CERTAINTY(q) decision
 ///   CertainAnswers-  -> certain answers with cursor-based pagination:
 ///     Request           pages stream off the session's copy-on-write
-///                       row-set snapshots, so an open cursor keeps
+///                       `RowBlock` snapshots, so an open cursor keeps
 ///                       serving ONE immutable snapshot no matter how
 ///                       many deltas land behind it
 ///   DeltaRequest     -> a transactional database mutation
@@ -434,10 +434,11 @@ class Service {
   struct Cursor {
     std::string database;
     /// Exactly one of {snapshot, backend_cursor} is set. A snapshot is
-    /// the in-memory materialized row set; a backend cursor pages
-    /// straight out of the execution backend (e.g. a pinned SQLite
-    /// read transaction) without ever materializing the full set.
-    std::shared_ptr<const Session::RowSet> snapshot;
+    /// the in-memory answer set, shared with the session's cache; a
+    /// backend cursor pages straight out of the execution backend (e.g.
+    /// a pinned SQLite read transaction) without ever materializing the
+    /// full set.
+    std::shared_ptr<const RowBlock> snapshot;
     std::shared_ptr<Backend::AnswerCursor> backend_cursor;
     /// Row count of the stream; mirrors snapshot->size() for the
     /// in-memory flavor.
@@ -496,9 +497,9 @@ class Service {
   /// Copies rows [offset, end) of the snapshot into a response. Called
   /// OUTSIDE cursors_mu_ — the snapshot is immutable, so the lock only
   /// guards the cursor table itself.
-  static CertainAnswersResponse MakePage(
-      const std::shared_ptr<const Session::RowSet>& snapshot,
-      uint64_t epoch, size_t offset, size_t end);
+  static CertainAnswersResponse MakePage(const RowBlock& snapshot,
+                                         uint64_t epoch, size_t offset,
+                                         size_t end);
   /// Inserts the cursor under a fresh id, evicting least-recently-used
   /// entries past `max_open_cursors`. Returns the new cursor's id.
   uint64_t RegisterCursor(Cursor cursor);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <condition_variable>
-#include <iterator>
 #include <unordered_set>
 #include <utility>
 
@@ -548,10 +547,10 @@ Result<SolveOutcome> Session::Solve(
   return SolveBatch(std::vector<std::shared_ptr<const QueryPlan>>{plan})[0];
 }
 
-std::vector<Result<std::shared_ptr<const Session::RowSet>>>
+std::vector<Result<std::shared_ptr<const RowBlock>>>
 Session::CertainAnswersBatch(
     const std::vector<CertainAnswersRequest>& requests) {
-  using Snapshot = std::shared_ptr<const RowSet>;
+  using Snapshot = std::shared_ptr<const RowBlock>;
   std::shared_lock<WriterPriorityGate> lock(epoch_mu_);
   std::vector<Result<Snapshot>> results(
       requests.size(),
@@ -574,16 +573,16 @@ Session::CertainAnswersBatch(
   return results;
 }
 
-Result<std::shared_ptr<const Session::RowSet>> Session::CertainAnswers(
+Result<std::shared_ptr<const RowBlock>> Session::CertainAnswers(
     const Query& q, const std::vector<SymbolId>& free_vars) {
   return CertainAnswersBatch({{q, free_vars}})[0];
 }
 
-Result<std::shared_ptr<const Session::RowSet>> Session::CertainAnswers(
+Result<std::shared_ptr<const RowBlock>> Session::CertainAnswers(
     const std::shared_ptr<const QueryPlan>& plan, const Query& q,
     const std::vector<SymbolId>& free_vars, uint64_t* epoch_out,
     const Deadline& deadline) {
-  using Snapshot = std::shared_ptr<const RowSet>;
+  using Snapshot = std::shared_ptr<const RowBlock>;
   std::shared_lock<WriterPriorityGate> lock(epoch_mu_);
   if (epoch_out != nullptr) {
     // Exact while the gate is held shared: no delta can commit.
@@ -640,9 +639,53 @@ const Atom* CoveringAtom(const FactIndex& index, const Query& q,
   return best;
 }
 
+/// The atoms of q over relations outside `touched`, as one query, when
+/// their variables cover every free variable; nullopt otherwise.
+std::optional<Query> UntouchedCover(
+    const Query& q, const std::vector<SymbolId>& free_vars,
+    const std::unordered_set<SymbolId>& touched) {
+  std::vector<Atom> untouched;
+  VarSet covered;
+  for (const Atom& atom : q.atoms()) {
+    if (touched.count(atom.relation()) != 0) continue;
+    untouched.push_back(atom);
+    VarSet vars = atom.Vars();
+    covered.insert(vars.begin(), vars.end());
+  }
+  for (SymbolId v : free_vars) {
+    if (covered.count(v) == 0) return std::nullopt;
+  }
+  return Query(std::move(untouched));
+}
+
+/// One seed per (block, atom of q over the block's relation) pair whose
+/// key can take the block's key: the atom's key variables bound to it.
+std::vector<Valuation> KeySeeds(
+    const Query& q,
+    const std::vector<std::pair<SymbolId, std::vector<SymbolId>>>& blocks) {
+  std::vector<Valuation> seeds;
+  for (const auto& [relation, key] : blocks) {
+    for (const Atom& atom : q.atoms()) {
+      if (atom.relation() != relation ||
+          atom.key_arity() != static_cast<int>(key.size())) {
+        continue;
+      }
+      Valuation seed;
+      bool consistent = true;
+      for (size_t i = 0; i < key.size() && consistent; ++i) {
+        const Term& t = atom.terms()[i];
+        consistent =
+            t.is_const() ? t.id() == key[i] : seed.Bind(t.id(), key[i]);
+      }
+      if (consistent) seeds.push_back(std::move(seed));
+    }
+  }
+  return seeds;
+}
+
 }  // namespace
 
-Result<Session::RowSet> Session::ComputeCertainFull(
+Result<RowBlock> Session::ComputeCertainFull(
     EvalContext& ctx, const Query& q,
     const std::vector<SymbolId>& free_vars, const QueryPlan& plan,
     std::optional<size_t> previous_rows, const Deadline& deadline) {
@@ -654,7 +697,7 @@ Result<Session::RowSet> Session::ComputeCertainFull(
     Result<std::optional<RowSet>> pushed =
         options_.backend->CertainAnswerSet(plan, deadline);
     if (!pushed.ok()) return pushed.status();
-    if (pushed->has_value()) return *std::move(*pushed);
+    if (pushed->has_value()) return RowBlock(free_vars.size(), **pushed);
   }
   // Candidates from one covering atom instead of the join, under the
   // conditions and the 1.5x rule the declaration states. A one-atom q
@@ -675,14 +718,14 @@ Result<Session::RowSet> Session::ComputeCertainFull(
       ctx.fact_index(), cover != nullptr ? covering : q, {Valuation()},
       free_vars, deadline);
   if (!candidates.ok()) return candidates.status();
-  RowSet out;
+  RowBlock out(free_vars.size());
   if (free_vars.empty()) {
     // Boolean semantics: q must be possible (certain answers are always
     // possible answers) and then certain.
     if (!candidates->empty()) {
       Result<SolveOutcome> solved = plan.Solve(ctx, deadline);
       if (!solved.ok()) return solved.status();
-      if (solved->certain) out.push_back({});
+      if (solved->certain) out.Append({});
     }
     return out;
   }
@@ -693,7 +736,7 @@ Result<Session::RowSet> Session::ComputeCertainFull(
       DecideRows(ctx, plan, *candidates, deadline);
   if (!certain.ok()) return certain.status();
   for (size_t i = 0; i < candidates->size(); ++i) {
-    if ((*certain)[i]) out.push_back(std::move((*candidates)[i]));
+    if ((*certain)[i]) out.Append((*candidates)[i]);
   }
   {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
@@ -703,26 +746,33 @@ Result<Session::RowSet> Session::ComputeCertainFull(
   return out;
 }
 
-std::optional<std::vector<Session::DirtyPattern>>
-Session::DirtyPatternsSince(uint64_t from_epoch,
-                            const QueryPlan& plan) const {
+Result<std::optional<std::vector<RowPattern>>> Session::DirtyPatternsSince(
+    EvalContext& ctx, uint64_t from_epoch, const QueryPlan& plan,
+    const Query& q, const std::vector<SymbolId>& free_vars,
+    const Deadline& deadline) const {
+  using Patterns = std::optional<std::vector<RowPattern>>;
   // Reads delta_log_ under the shared epoch lock held by the caller
   // (the log only mutates under the exclusive lock).
   uint64_t now = epoch_.load(std::memory_order_relaxed);
-  if (from_epoch == now) return std::vector<DirtyPattern>{};
+  if (from_epoch == now) return Patterns(std::vector<RowPattern>{});
   if (delta_log_.empty() || delta_log_.front().epoch > from_epoch + 1) {
-    return std::nullopt;  // The log no longer covers the entry's epoch.
+    return Patterns();  // The log no longer covers the entry's epoch.
   }
-  std::vector<DirtyPattern> out;
+  std::vector<RowPattern> out;
+  std::unordered_set<SymbolId> touched;
+  // Changed blocks matching a pattern that pins no free variable.
+  std::vector<std::pair<SymbolId, std::vector<SymbolId>>> unpinned;
   for (const DeltaRecord& record : delta_log_) {
     if (record.epoch <= from_epoch) continue;
-    for (const auto& [relation, key] : record.blocks) {
+    for (const auto& block : record.blocks) {
+      const auto& [relation, key] = block;
+      touched.insert(relation);
       for (const AtomKeyPattern& pattern : plan.key_patterns()) {
         if (pattern.relation != relation ||
             pattern.key.size() != key.size()) {
           continue;
         }
-        DirtyPattern dirty;
+        RowPattern dirty;
         bool matches = true;
         for (size_t i = 0; i < key.size() && matches; ++i) {
           const AtomKeyPattern::Slot& slot = pattern.key[i];
@@ -747,22 +797,45 @@ Session::DirtyPatternsSince(uint64_t from_epoch,
         }
         if (!matches) continue;
         if (dirty.bindings.empty()) {
-          // The block reaches every answer row (no key position pins a
-          // parameter): the whole entry is dirty.
-          return std::nullopt;
+          // A Boolean entry has nothing to narrow: any match dirties it.
+          if (free_vars.empty()) return Patterns();
+          unpinned.push_back(block);
+          continue;
         }
         std::sort(dirty.bindings.begin(), dirty.bindings.end());
         out.push_back(std::move(dirty));
       }
     }
   }
+  if (!unpinned.empty()) {
+    // The reach rule: the rows the unpinned blocks reach through the
+    // atoms no delta in the range touched.
+    if (out.size() > options_.max_dirty_patterns) return Patterns();
+    std::optional<Query> cover = UntouchedCover(q, free_vars, touched);
+    if (!cover.has_value()) return Patterns();
+    std::sort(unpinned.begin(), unpinned.end());
+    unpinned.erase(std::unique(unpinned.begin(), unpinned.end()),
+                   unpinned.end());
+    Result<RowSet> reached =
+        EnumerateProjections(ctx.fact_index(), *cover, KeySeeds(q, unpinned),
+                             free_vars, deadline);
+    if (!reached.ok()) return reached.status();
+    for (const std::vector<SymbolId>& row : *reached) {
+      RowPattern dirty;
+      dirty.bindings.reserve(row.size());
+      for (size_t c = 0; c < row.size(); ++c) {
+        dirty.bindings.emplace_back(static_cast<int>(c), row[c]);
+      }
+      out.push_back(std::move(dirty));
+    }
+  }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
-  if (out.size() > options_.max_dirty_patterns) return std::nullopt;
-  return out;
+  if (out.size() > options_.max_dirty_patterns) return Patterns();
+  return Patterns(std::move(out));
 }
 
-Result<std::shared_ptr<const Session::RowSet>> Session::ServeCertain(
+Result<std::shared_ptr<const RowBlock>> Session::ServeCertain(
     EvalContext& ctx, const std::shared_ptr<const QueryPlan>& plan,
     const Query& q, const std::vector<SymbolId>& free_vars,
     const Deadline& deadline) {
@@ -779,7 +852,7 @@ Result<std::shared_ptr<const Session::RowSet>> Session::ServeCertain(
 
   // The snapshot is shared with the cache entry — no row copy on this
   // read, nor on the cache-hit return below.
-  std::optional<std::pair<uint64_t, std::shared_ptr<const RowSet>>> cached;
+  std::optional<std::pair<uint64_t, std::shared_ptr<const RowBlock>>> cached;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
     auto it = answers_.find(key);
@@ -794,34 +867,24 @@ Result<std::shared_ptr<const Session::RowSet>> Session::ServeCertain(
     return cached->second;
   }
 
-  std::shared_ptr<const RowSet> snapshot;
-  bool incremental = false;
-  if (cached.has_value() && !free_vars.empty()) {
-    std::optional<std::vector<DirtyPattern>> patterns =
-        DirtyPatternsSince(cached->first, *plan);
-    if (patterns.has_value()) {
-      incremental = true;
-      auto matches_any = [&](const std::vector<SymbolId>& row) {
-        for (const DirtyPattern& pattern : *patterns) {
-          bool all = true;
-          for (const auto& [param, value] : pattern.bindings) {
-            all = all && row[param] == value;
-          }
-          if (all) return true;
-        }
-        return false;
-      };
-      // Rows out of every changed block's reach keep their status.
-      RowSet kept;
-      for (const std::vector<SymbolId>& row : *cached->second) {
-        if (!matches_any(row)) kept.push_back(row);
-      }
+  std::shared_ptr<const RowBlock> snapshot;
+  if (cached.has_value()) {
+    Result<std::optional<std::vector<RowPattern>>> patterns =
+        DirtyPatternsSince(ctx, cached->first, *plan, q, free_vars, deadline);
+    if (!patterns.ok()) return patterns.status();
+    if (patterns->has_value() && (*patterns)->empty()) {
+      // No changed block reaches the entry: the snapshot stands.
+      snapshot = cached->second;
+      std::lock_guard<std::mutex> stats_lock(stats_mu_);
+      ++stats_.answers_incremental;
+    } else if (patterns->has_value()) {
+      const std::vector<RowPattern>& dirty = **patterns;
       // Dirty candidates: the possible rows matching a pattern, found
-      // by seeding the matcher with each pattern's key values (dropped
+      // by seeding the matcher with each pattern's values (dropped
       // cached rows that are no longer possible never re-enter).
-      std::vector<Valuation> seeds(patterns->size());
-      for (size_t p = 0; p < patterns->size(); ++p) {
-        for (const auto& [param, value] : (*patterns)[p].bindings) {
+      std::vector<Valuation> seeds(dirty.size());
+      for (size_t p = 0; p < dirty.size(); ++p) {
+        for (const auto& [param, value] : dirty[p].bindings) {
           seeds[p].Bind(free_vars[param], value);
         }
       }
@@ -833,50 +896,29 @@ Result<std::shared_ptr<const Session::RowSet>> Session::ServeCertain(
       Result<std::vector<char>> certain =
           DecideRows(ctx, *plan, *candidates, deadline);
       if (!certain.ok()) return certain.status();
-      RowSet decided;
+      RowBlock decided(free_vars.size());
       for (size_t i = 0; i < candidates->size(); ++i) {
-        if ((*certain)[i]) decided.push_back(std::move((*candidates)[i]));
+        if ((*certain)[i]) decided.Append((*candidates)[i]);
       }
-      // Both runs are sorted, and disjoint (every candidate matches a
-      // pattern, no kept row does), so one linear merge rebuilds the
-      // sorted snapshot.
-      RowSet rows;
-      rows.reserve(kept.size() + decided.size());
-      std::merge(std::make_move_iterator(kept.begin()),
-                 std::make_move_iterator(kept.end()),
-                 std::make_move_iterator(decided.begin()),
-                 std::make_move_iterator(decided.end()),
-                 std::back_inserter(rows));
-      uint64_t reused = kept.size();
-      snapshot = std::make_shared<const RowSet>(std::move(rows));
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mu_);
-        ++stats_.answers_incremental;
-        stats_.rows_reused += reused;
-        stats_.rows_decided += candidates->size();
-      }
-    }
-  } else if (cached.has_value() && free_vars.empty()) {
-    // Boolean entries: clean iff no changed block matches any pattern
-    // (patterns without parameters always force a full recompute, so a
-    // non-null result here is necessarily empty).
-    std::optional<std::vector<DirtyPattern>> patterns =
-        DirtyPatternsSince(cached->first, *plan);
-    if (patterns.has_value() && patterns->empty()) {
-      incremental = true;
-      snapshot = cached->second;
+      // Every decided row matches a pattern and no kept row does, so the
+      // refresh can splice them into the cached rows.
+      size_t reused = 0;
+      snapshot = std::make_shared<const RowBlock>(
+          RowBlock::Refresh(*cached->second, dirty, decided, &reused));
       std::lock_guard<std::mutex> stats_lock(stats_mu_);
       ++stats_.answers_incremental;
+      stats_.rows_reused += reused;
+      stats_.rows_decided += candidates->size();
     }
   }
 
-  if (!incremental) {
+  if (snapshot == nullptr) {
     std::optional<size_t> previous_rows;
     if (cached.has_value()) previous_rows = cached->second->size();
-    Result<RowSet> full =
+    Result<RowBlock> full =
         ComputeCertainFull(ctx, q, free_vars, *plan, previous_rows, deadline);
     if (!full.ok()) return full.status();
-    snapshot = std::make_shared<const RowSet>(*std::move(full));
+    snapshot = std::make_shared<const RowBlock>(*std::move(full));
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.answers_full;
   }

@@ -17,6 +17,7 @@
 #include "db/database.h"
 #include "plan/plan_cache.h"
 #include "plan/query_plan.h"
+#include "serve/row_block.h"
 #include "solvers/solver.h"
 #include "util/deadline.h"
 #include "util/rw_gate.h"
@@ -49,22 +50,28 @@
 ///     so every solve reads one consistent snapshot and no index is
 ///     ever patched mid-search;
 ///   * certain-answer results are cached per session and invalidated
-///     *per answer row* by matching the delta's changed blocks against
-///     the compiled plan's key patterns (`AtomKeyPattern`): after a
-///     delta, only rows whose key patterns the changed blocks can reach
-///     are re-decided — in ONE set-at-a-time execution of the plan's
+///     *per answer row*. A changed block whose key pins free variables
+///     (matched against the compiled plan's key patterns,
+///     `AtomKeyPattern`) reaches the rows with those values. A changed
+///     block matched by an atom whose key pins none reaches only the
+///     rows its embeddings can produce: π_free of the embeddings of q's
+///     atoms over relations no delta since the cached epoch touched,
+///     seeded with that atom's key bound to the block's key (the reach
+///     rule, see DirtyPatternsSince). Only the reached rows are
+///     re-decided — in ONE set-at-a-time execution of the plan's
 ///     compiled FO program (`QueryPlan::IsCertainRows`), not one
 ///     interpreter descent per dirty row — and the candidate scan for
-///     those rows is seeded with the touched key values so the matcher's
+///     those rows is seeded with the touched values so the matcher's
 ///     key-prefix buckets prune the enumeration. Rows out of every
 ///     changed block's reach are served straight from the cache — which
 ///     is what makes a small delta over a large database cheap to
 ///     re-serve;
-///   * answers are returned as shared, immutable row-set snapshots
-///     (copy-on-write): a cache hit hands back the cached
-///     `shared_ptr` instead of copying every row per serve, and a
-///     recompute installs a fresh snapshot without disturbing the
-///     row sets earlier callers still hold.
+///   * answers are returned as shared, immutable flat snapshots
+///     (`RowBlock`, copy-on-write): a cache hit hands back the cached
+///     `shared_ptr` instead of copying every row per serve, a delta no
+///     changed block of which reaches the entry keeps the snapshot, and
+///     a refresh copies the runs of unreached rows into a fresh
+///     snapshot without disturbing the ones earlier callers still hold.
 ///
 /// Serving is parallel at TWO grains: whole requests fan out across the
 /// pool (SolveBatch, CertainAnswersBatch), and inside ONE request a
@@ -133,9 +140,10 @@ Status ApplyDeltaToDatabase(const Delta& delta, Database* db);
 
 class Session {
  public:
-  /// An answer set: distinct rows, sorted lexicographically. Served as
-  /// shared immutable snapshots — hold the pointer as long as needed;
-  /// later deltas never mutate a snapshot already handed out.
+  /// Rows as vectors, distinct and sorted lexicographically: the shape
+  /// of an answer page (`Service::CertainAnswersResponse`) and of the
+  /// candidate rows the plan decides. Whole answer sets are served as
+  /// `RowBlock` snapshots.
   using RowSet = std::vector<std::vector<SymbolId>>;
 
   struct Options {
@@ -148,8 +156,9 @@ class Session {
     /// Deltas remembered for incremental invalidation; an answer-cache
     /// entry staler than this many epochs is recomputed in full.
     size_t delta_log_window = 64;
-    /// Dirty key patterns tolerated per (entry, delta-range) before the
-    /// incremental path gives up and recomputes in full.
+    /// Dirty patterns tolerated per (entry, delta-range) before the
+    /// incremental path gives up and recomputes in full. Each row the
+    /// reach rule finds counts as one pattern.
     size_t max_dirty_patterns = 32;
     /// Minimum candidate rows in one decision batch before it is
     /// partitioned across the pool; smaller batches run on the calling
@@ -245,10 +254,11 @@ class Session {
   /// Certain answers of (q, free_vars), served from the per-session
   /// cache when the epoch allows it (fully, or re-deciding only the
   /// dirty rows). The returned snapshot is shared with the cache
-  /// (copy-on-write): no per-serve row copy.
-  Result<std::shared_ptr<const RowSet>> CertainAnswers(
+  /// (copy-on-write): no per-serve row copy. Its width is
+  /// free_vars.size().
+  Result<std::shared_ptr<const RowBlock>> CertainAnswers(
       const Query& q, const std::vector<SymbolId>& free_vars);
-  std::vector<Result<std::shared_ptr<const RowSet>>> CertainAnswersBatch(
+  std::vector<Result<std::shared_ptr<const RowBlock>>> CertainAnswersBatch(
       const std::vector<CertainAnswersRequest>& requests);
 
   /// Plan-resolved certain answers. `plan` must be the compiled plan of
@@ -260,7 +270,7 @@ class Session {
   /// pipeline (candidate chunk dispatch and the FO program's batch
   /// loops); expiry abandons the serve with kDeadlineExceeded and
   /// leaves the answer cache untouched.
-  Result<std::shared_ptr<const RowSet>> CertainAnswers(
+  Result<std::shared_ptr<const RowBlock>> CertainAnswers(
       const std::shared_ptr<const QueryPlan>& plan, const Query& q,
       const std::vector<SymbolId>& free_vars, uint64_t* epoch_out = nullptr,
       const Deadline& deadline = Deadline());
@@ -318,7 +328,7 @@ class Session {
     uint64_t epoch = 0;
     /// Immutable shared snapshot; replaced wholesale on refresh, never
     /// mutated, so callers holding the pointer are unaffected.
-    std::shared_ptr<const RowSet> rows;
+    std::shared_ptr<const RowBlock> rows;
     std::list<std::string>::iterator lru_pos;
   };
 
@@ -327,18 +337,6 @@ class Session {
     uint64_t epoch = 0;
     /// Deduped (relation, key) pairs.
     std::vector<std::pair<SymbolId, std::vector<SymbolId>>> blocks;
-  };
-
-  /// A conjunctive constraint on answer rows: row[param] == value for
-  /// every binding. Rows matching any dirty pattern are re-decided.
-  struct DirtyPattern {
-    std::vector<std::pair<int, SymbolId>> bindings;
-    bool operator<(const DirtyPattern& o) const {
-      return bindings < o.bindings;
-    }
-    bool operator==(const DirtyPattern& o) const {
-      return bindings == o.bindings;
-    }
   };
 
   /// Runs `serve(ctx, index)` for index in [0, n) over the persistent
@@ -372,7 +370,7 @@ class Session {
       const std::vector<std::vector<SymbolId>>& rows,
       const Deadline& deadline = Deadline());
 
-  Result<std::shared_ptr<const RowSet>> ServeCertain(
+  Result<std::shared_ptr<const RowBlock>> ServeCertain(
       EvalContext& ctx, const std::shared_ptr<const QueryPlan>& plan,
       const Query& q, const std::vector<SymbolId>& free_vars,
       const Deadline& deadline = Deadline());
@@ -389,17 +387,38 @@ class Session {
   /// join: in BM_Session_CoveringRule, where each answer has one
   /// embedding (the join at its cheapest), A is faster at 1×, level with
   /// the join near 1.4× and slower from 1.6×.
-  Result<RowSet> ComputeCertainFull(EvalContext& ctx, const Query& q,
-                                    const std::vector<SymbolId>& free_vars,
-                                    const QueryPlan& plan,
-                                    std::optional<size_t> previous_rows,
-                                    const Deadline& deadline);
+  Result<RowBlock> ComputeCertainFull(EvalContext& ctx, const Query& q,
+                                      const std::vector<SymbolId>& free_vars,
+                                      const QueryPlan& plan,
+                                      std::optional<size_t> previous_rows,
+                                      const Deadline& deadline);
 
-  /// The dirty patterns accumulated since `from_epoch` for this plan,
-  /// or nullopt when incremental serving is not possible (log gap, an
-  /// unconstrained pattern match, or too many patterns).
-  std::optional<std::vector<DirtyPattern>> DirtyPatternsSince(
-      uint64_t from_epoch, const QueryPlan& plan) const;
+  /// The dirty patterns (rows to re-decide) of (q, free_vars) since
+  /// `from_epoch`, or nullopt when incremental serving is not possible:
+  /// a log gap, a Boolean entry one of whose atoms a changed block
+  /// matches, a changed block whose reach cannot be bounded, or more
+  /// than max_dirty_patterns patterns.
+  ///
+  /// A changed block matching an atom's key pattern gives the pattern
+  /// binding the free variables that key pins. When it pins none, the
+  /// reach rule applies. Let U be the atoms of q over relations that no
+  /// delta since `from_epoch` touched. If U's variables cover every free
+  /// variable, each row of π_free of U's embeddings in ctx's index,
+  /// seeded for every atom A of the block's relation with A's key bound
+  /// to the block's key (constants and repeated variables checked),
+  /// becomes a full-binding pattern; otherwise the result is nullopt.
+  /// This is sound by the purification lemma: an embedding through a
+  /// fact of the block, in the cached epoch's database or in the current
+  /// one, maps U to facts both databases share, so it projects to one of
+  /// those rows. A row outside every pattern has no embedding through a
+  /// changed block on either side, and deleting the changed blocks,
+  /// which preserves its certainty on both sides, leaves two equal
+  /// databases.
+  /// The enumeration polls `deadline` (kDeadlineExceeded).
+  Result<std::optional<std::vector<RowPattern>>> DirtyPatternsSince(
+      EvalContext& ctx, uint64_t from_epoch, const QueryPlan& plan,
+      const Query& q, const std::vector<SymbolId>& free_vars,
+      const Deadline& deadline) const;
 
   /// Applies one validated primitive action and patches live indexes.
   void ApplyAdd(const Fact& fact);

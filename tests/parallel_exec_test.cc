@@ -29,10 +29,9 @@ namespace {
 
 using Rows = std::vector<std::vector<SymbolId>>;
 
-Rows Materialize(
-    const Result<std::shared_ptr<const Session::RowSet>>& served) {
+Rows Materialize(const Result<std::shared_ptr<const RowBlock>>& served) {
   EXPECT_TRUE(served.ok()) << served.status().ToString();
-  return served.ok() ? Rows(**served) : Rows{};
+  return served.ok() ? (*served)->Rows(0, (*served)->size()) : Rows{};
 }
 
 /// The answer-path slice of Session::Stats — the part the determinism

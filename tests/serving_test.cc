@@ -230,7 +230,7 @@ TEST(ServingTest, CertainAnswersBatchMatchesOneShot) {
     auto one_shot =
         testutil::CertainAnswers(db, requests[i].query, requests[i].free_vars);
     ASSERT_TRUE(one_shot.ok());
-    EXPECT_EQ(**batch[i], *one_shot) << i;
+    EXPECT_EQ((*batch[i])->Rows(0, (*batch[i])->size()), *one_shot) << i;
   }
 
   // An invalid request fails alone.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -26,12 +28,15 @@ namespace {
 
 using Rows = std::vector<std::vector<SymbolId>>;
 
+/// Every row of a flat answer snapshot, as vectors.
+Rows AllRows(const RowBlock& block) { return block.Rows(0, block.size()); }
+
 /// Copies a served copy-on-write snapshot into a plain row vector, so
 /// the assertions below keep comparing values (the snapshot-sharing
 /// behaviour itself is covered by AnswerSnapshotsAreSharedCopyOnWrite).
-Result<Rows> Materialize(Result<std::shared_ptr<const Session::RowSet>> r) {
+Result<Rows> Materialize(Result<std::shared_ptr<const RowBlock>> r) {
   if (!r.ok()) return r.status();
-  return Rows(**r);
+  return AllRows(**r);
 }
 
 Fact F(const std::string& relation, const std::vector<std::string>& values,
@@ -263,7 +268,8 @@ TEST(SessionTest, CertainAnswersServedFromCacheAcrossUnrelatedDeltas) {
   stats = session.stats();
   EXPECT_EQ(stats.answers_incremental, 2u);
   EXPECT_EQ(stats.rows_decided, 8u + 0u);  // a3 is no longer possible
-  EXPECT_EQ(stats.rows_reused, 8u + 7u);
+  EXPECT_EQ(stats.rows_reused, 7u);  // the unrelated delta reused the
+                                     // snapshot without visiting a row
 
   // Differential against a fresh engine on the materialized database.
   Result<Rows> expected = testutil::CertainAnswers(session.db(), q, fv);
@@ -564,6 +570,403 @@ TEST(SessionTest, CoveringAtomCandidatesMatchFreshEngine) {
   EXPECT_GT(one_atom, 0u);
 }
 
+// ------------------------------------------------------ the reach rule
+
+using Block = std::pair<SymbolId, std::vector<SymbolId>>;
+
+/// The blocks whose facts differ between `before` and `after`.
+std::set<Block> ChangedBlocks(const Database& before, const Database& after) {
+  std::set<Block> out;
+  for (const Fact& f : before.facts()) {
+    if (!after.Contains(f)) out.emplace(f.relation(), f.KeyValues());
+  }
+  for (const Fact& f : after.facts()) {
+    if (!before.Contains(f)) out.emplace(f.relation(), f.KeyValues());
+  }
+  return out;
+}
+
+/// The blocks the primitive actions of `delta` touch, as the session
+/// logs them: a block a delta changes and then restores counts too. Each
+/// op is applied on its own, in order, and diffed.
+std::set<Block> TouchedBlocks(const Database& db, const Delta& delta) {
+  Database current = db;
+  std::set<Block> out;
+  for (const Delta::Op& op : delta.ops()) {
+    Delta one;
+    switch (op.kind) {
+      case Delta::Op::Kind::kInsert:
+        one.Insert(op.fact);
+        break;
+      case Delta::Op::Kind::kRemove:
+        one.Remove(op.fact);
+        break;
+      case Delta::Op::Kind::kReplaceBlock:
+        one.ReplaceBlock(op.relation, op.key, op.block_facts);
+        break;
+    }
+    Database next = current;
+    EXPECT_TRUE(ApplyDeltaToDatabase(one, &next).ok());
+    std::set<Block> changed = ChangedBlocks(current, next);
+    out.insert(changed.begin(), changed.end());
+    current = std::move(next);
+  }
+  return out;
+}
+
+/// Whether some block of `changed` matches an atom of q whose key pins
+/// no free variable (its constants equal the block's key), and whether
+/// the atoms of q over relations no block of `changed` belongs to cover
+/// every free variable.
+struct Reach {
+  bool unpinned = false;
+  bool covered = false;
+};
+Reach ReachOf(const Query& q, const std::vector<SymbolId>& fv,
+              const std::set<Block>& changed) {
+  Reach reach;
+  std::set<SymbolId> touched;
+  for (const auto& [relation, key] : changed) {
+    touched.insert(relation);
+    for (const Atom& atom : q.atoms()) {
+      if (atom.relation() != relation ||
+          atom.key_arity() != static_cast<int>(key.size())) {
+        continue;
+      }
+      bool constants_match = true;
+      bool pins = false;
+      for (size_t i = 0; i < key.size(); ++i) {
+        const Term& t = atom.terms()[i];
+        if (t.is_const()) {
+          constants_match = constants_match && t.id() == key[i];
+        } else if (std::find(fv.begin(), fv.end(), t.id()) != fv.end()) {
+          pins = true;
+        }
+      }
+      reach.unpinned = reach.unpinned || (constants_match && !pins);
+    }
+  }
+  VarSet covered;
+  for (const Atom& atom : q.atoms()) {
+    if (touched.count(atom.relation()) != 0) continue;
+    VarSet vars = atom.Vars();
+    covered.insert(vars.begin(), vars.end());
+  }
+  reach.covered = std::all_of(fv.begin(), fv.end(), [&](SymbolId v) {
+    return covered.count(v) != 0;
+  });
+  return reach;
+}
+
+/// The reach rule's differential. Random acyclic multi-atom queries with
+/// one or two free variables, plus hand-picked shapes (a constant and a
+/// repeated variable in a key, a relation in two atoms, free variables
+/// only a touched atom covers), take random delta streams served every
+/// one to three deltas. Every serve must equal a fresh engine's rows and
+/// order. With no bound on the patterns, an entry is refreshed in place
+/// unless a changed block matches an atom whose key pins no free
+/// variable and the atoms over untouched relations miss a free variable;
+/// then it is recomputed in full.
+TEST(SessionTest, ReachRuleMatchesFreshEngine) {
+  struct Case {
+    Query q;
+    std::vector<SymbolId> fv;
+  };
+  std::vector<Case> cases;
+  auto var = [](const char* name) { return InternSymbol(name); };
+  cases.push_back({MustParseQuery("R(x | y), S(y | z)"), {var("x")}});
+  cases.push_back({MustParseQuery("R(x | y), S(y, y | z)"), {var("x")}});
+  cases.push_back({MustParseQuery("R(x | y), S('c1', y | z)"), {var("x")}});
+  cases.push_back(
+      {MustParseQuery("R(x | y), S(y | z), S(z | w)"), {var("x")}});
+  cases.push_back(
+      {MustParseQuery("R(x | y), S(y | z), T(x | w)"), {var("x")}});
+  cases.push_back({MustParseQuery("R(x | y), S(y | z)"), {var("x"), var("z")}});
+  cases.push_back({MustParseQuery("R(x | y), S(y | z)"), {var("z")}});
+  for (int seed = 1; cases.size() < 120; ++seed) {
+    QueryGenOptions qopt;
+    qopt.seed = seed * 11 + 5;
+    qopt.num_atoms = 2 + seed % 2;
+    qopt.max_arity = 3;
+    qopt.constant_percent = 15;
+    Query q = RandomAcyclicQuery(qopt);
+    VarSet vars = q.Vars();
+    std::vector<SymbolId> fv(vars.begin(), vars.end());
+    Rng rng(seed * 271);
+    rng.Shuffle(&fv);
+    fv.resize(std::min<size_t>(fv.size(), 1 + seed % 2));
+    if (!fv.empty()) cases.push_back({q, fv});
+  }
+
+  int reached = 0;       // the rule refreshed the entry in place
+  int reached_rows = 0;  // ... and re-decided at least one row
+  int fell_back = 0;     // unpinned, free variables uncovered: full
+  int pinned_only = 0;   // no unpinned block: pinned patterns as before
+  int self_join = 0;     // serves of a plan beyond FO
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const Query& q = cases[c].q;
+    const std::vector<SymbolId>& fv = cases[c].fv;
+    BlockDbGenOptions dopt;
+    dopt.seed = c * 97 + 3;
+    dopt.blocks_per_relation = 4;
+    dopt.max_block_size = 2;
+    dopt.domain_size = 4;
+    std::vector<Fact> pool = FactPool(q, c * 41 + 9);
+    Rng rng(c * 389 + 1);
+
+    Session::Options sopt;
+    sopt.num_threads = 2;
+    sopt.max_dirty_patterns = std::numeric_limits<size_t>::max();
+    PlanCache cache;
+    sopt.plan_cache = &cache;
+    Session session(RandomBlockDatabase(q, dopt), sopt);
+    const bool beyond_fo =
+        !cache.GetOrCompile(q, fv).value()->DecidesRowsByProgram();
+
+    ASSERT_TRUE(session.CertainAnswers(q, fv).ok());
+    for (int serve = 0; serve < 10; ++serve) {
+      // Most ranges stay on one relation of q, so that the untouched
+      // atoms can cover the free variables; the rest roam.
+      std::optional<SymbolId> only;
+      if (!rng.Chance(1, 4)) {
+        only = q.atoms()[rng.Below(q.atoms().size())].relation();
+      }
+      std::vector<Fact> range_pool;
+      for (const Fact& f : pool) {
+        if (!only || f.relation() == *only) range_pool.push_back(f);
+      }
+      std::set<Block> changed;
+      int deltas = static_cast<int>(rng.Range(1, 3));
+      for (int d = 0; d < deltas; ++d) {
+        Delta delta = RandomDelta(
+            only ? session.db().Restrict({*only}) : session.db(), range_pool,
+            &rng);
+        std::set<Block> touched = TouchedBlocks(session.db(), delta);
+        changed.insert(touched.begin(), touched.end());
+        ASSERT_TRUE(session.ApplyDelta(delta).ok());
+      }
+      Session::Stats before = session.stats();
+      Result<Rows> served = Materialize(session.CertainAnswers(q, fv));
+      ASSERT_TRUE(served.ok()) << served.status();
+      Session::Stats after = session.stats();
+      Result<Rows> fresh = testutil::CertainAnswers(session.db(), q, fv);
+      ASSERT_TRUE(fresh.ok()) << fresh.status();
+      ASSERT_EQ(*served, *fresh)
+          << "case " << c << " serve " << serve << " query " << q.ToString();
+
+      Reach reach = ReachOf(q, fv, changed);
+      const bool full = reach.unpinned && !reach.covered;
+      EXPECT_EQ(after.answers_full - before.answers_full, full ? 1u : 0u)
+          << "case " << c << " serve " << serve << " query " << q.ToString();
+      EXPECT_EQ(after.answers_incremental - before.answers_incremental,
+                full ? 0u : 1u)
+          << "case " << c << " serve " << serve << " query " << q.ToString();
+      if (!reach.unpinned) {
+        ++pinned_only;
+      } else if (full) {
+        ++fell_back;
+      } else {
+        ++reached;
+        if (after.rows_decided > before.rows_decided) ++reached_rows;
+      }
+      if (beyond_fo) ++self_join;
+    }
+  }
+  EXPECT_GT(reached, 200);
+  EXPECT_GT(reached_rows, 80);
+  EXPECT_GT(fell_back, 100);
+  EXPECT_GT(pinned_only, 100);
+  EXPECT_GT(self_join, 0);
+}
+
+/// The reach enumeration takes the request's deadline: an expired one
+/// answers kDeadlineExceeded and leaves the cache entry as it was.
+TEST(SessionTest, ReachEnumerationHonoursTheDeadline) {
+  Database db;
+  for (int i = 0; i < 8; ++i) {
+    std::string a = "a" + std::to_string(i);
+    std::string b = "b" + std::to_string(i % 4);
+    ASSERT_TRUE(db.AddFact(F("R", {a, b}, 1)).ok());
+  }
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(db.AddFact(F("S", {"b" + std::to_string(i), "c"}, 1)).ok());
+  }
+  PlanCache cache;
+  Session::Options options;
+  options.num_threads = 2;
+  options.plan_cache = &cache;
+  Session session(std::move(db), options);
+  Query q = MustParseQuery("R(x | y), S(y | z)");
+  std::vector<SymbolId> fv = {InternSymbol("x")};
+  std::shared_ptr<const QueryPlan> plan = cache.GetOrCompile(q, fv).value();
+  ASSERT_TRUE(session.CertainAnswers(plan, q, fv).ok());
+
+  // S's key binds y, not the free x: an unpinned block.
+  Delta unpinned;
+  unpinned.ReplaceBlock(InternSymbol("S"), {InternSymbol("b1")}, {});
+  ASSERT_TRUE(session.ApplyDelta(unpinned).ok());
+  Session::Stats before = session.stats();
+  Result<std::shared_ptr<const RowBlock>> expired = session.CertainAnswers(
+      plan, q, fv, nullptr, Deadline::AfterMillis(0));
+  EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
+  Session::Stats after = session.stats();
+  EXPECT_EQ(after.answers_full, before.answers_full);
+  EXPECT_EQ(after.answers_incremental, before.answers_incremental);
+  EXPECT_EQ(after.rows_decided, before.rows_decided);
+
+  // The entry is still at its old epoch; the next serve refreshes it.
+  Result<Rows> served = Materialize(session.CertainAnswers(plan, q, fv));
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(*served, *testutil::CertainAnswers(session.db(), q, fv));
+  EXPECT_EQ(served->size(), 6u);
+  after = session.stats();
+  EXPECT_EQ(after.answers_incremental, before.answers_incremental + 1);
+  EXPECT_EQ(after.rows_decided, before.rows_decided + 0);  // a1, a5 gone
+  EXPECT_EQ(after.rows_reused, before.rows_reused + 6);
+}
+
+/// A delta that reaches no pattern of the entry keeps the cached snapshot
+/// itself: no row is visited, copied or decided.
+TEST(SessionTest, DeltaReachingNoPatternKeepsTheSnapshot) {
+  Database db;
+  for (int i = 0; i < 6; ++i) {
+    std::string a = "a" + std::to_string(i);
+    std::string b = "b" + std::to_string(i);
+    ASSERT_TRUE(db.AddFact(F("R", {a, b}, 1)).ok());
+    ASSERT_TRUE(db.AddFact(F("S", {b, "c"}, 1)).ok());
+  }
+  ASSERT_TRUE(db.AddFact(F("Z", {"z", "z"}, 1)).ok());
+  PlanCache cache;
+  Session::Options options;
+  options.num_threads = 2;
+  options.plan_cache = &cache;
+  Session session(std::move(db), options);
+  Query q = MustParseQuery("R(x | y), S(y | z)");
+  std::vector<SymbolId> fv = {InternSymbol("x")};
+  Result<std::shared_ptr<const RowBlock>> first = session.CertainAnswers(q, fv);
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ((*first)->size(), 6u);
+
+  Delta same;  // rewrites a block with its own contents
+  same.ReplaceBlock(InternSymbol("R"), {InternSymbol("a2")},
+                    {F("R", {"a2", "b2"}, 1)});
+  Delta unrelated;  // a relation the query never mentions
+  unrelated.Insert(F("Z", {"y", "y"}, 1));
+  for (const Delta* delta : {&same, &unrelated}) {
+    Session::Stats before = session.stats();
+    ASSERT_TRUE(session.ApplyDelta(*delta).ok());
+    Result<std::shared_ptr<const RowBlock>> served =
+        session.CertainAnswers(q, fv);
+    ASSERT_TRUE(served.ok());
+    EXPECT_EQ(served->get(), first->get());
+    Session::Stats after = session.stats();
+    EXPECT_EQ(after.answers_incremental, before.answers_incremental + 1);
+    EXPECT_EQ(after.answers_full, before.answers_full);
+    EXPECT_EQ(after.rows_reused, before.rows_reused);
+    EXPECT_EQ(after.rows_decided, before.rows_decided);
+  }
+}
+
+// --------------------------------------------- flat answer snapshots
+
+/// RowBlock::Refresh against the naive filter-and-merge: random sorted
+/// blocks of width 0 to 3, random pattern sets (full rows, leading
+/// columns, patterns that skip column 0) and random decided runs, each
+/// row of which matches some pattern.
+TEST(SessionTest, RowBlockRefreshMatchesNaiveFilterAndMerge) {
+  Rng rng(20261019);
+  auto matches = [](const std::vector<SymbolId>& row, const RowPattern& p) {
+    return std::all_of(p.bindings.begin(), p.bindings.end(),
+                       [&](const std::pair<int, SymbolId>& b) {
+                         return row[b.first] == b.second;
+                       });
+  };
+  int narrowed = 0;  // patterns that bind column 0
+  int scanned = 0;   // patterns that do not
+  for (int trial = 0; trial < 3000; ++trial) {
+    const size_t width = rng.Below(4);
+    const uint64_t domain = 1 + rng.Below(5);
+    auto random_row = [&] {
+      std::vector<SymbolId> row(width);
+      for (SymbolId& v : row) v = static_cast<SymbolId>(1 + rng.Below(domain));
+      return row;
+    };
+    std::set<std::vector<SymbolId>> cached;
+    for (uint64_t i = rng.Below(60); i > 0; --i) cached.insert(random_row());
+    Rows cached_rows(cached.begin(), cached.end());
+
+    std::vector<RowPattern> patterns(rng.Below(5));
+    for (RowPattern& p : patterns) {
+      std::vector<SymbolId> row = !cached_rows.empty() && rng.Chance(1, 2)
+                                      ? cached_rows[rng.Below(cached.size())]
+                                      : random_row();
+      switch (rng.Below(3)) {
+        case 0:  // a full row
+          for (size_t c = 0; c < width; ++c) {
+            p.bindings.emplace_back(static_cast<int>(c), row[c]);
+          }
+          break;
+        case 1: {  // leading columns, then maybe one more
+          size_t lead = width == 0 ? 0 : 1 + rng.Below(width);
+          for (size_t c = 0; c < lead; ++c) {
+            p.bindings.emplace_back(static_cast<int>(c), row[c]);
+          }
+          if (lead + 1 < width && rng.Chance(1, 2)) {
+            size_t c = lead + 1 + rng.Below(width - lead - 1);
+            p.bindings.emplace_back(static_cast<int>(c), row[c]);
+          }
+          break;
+        }
+        default:  // columns after 0 only
+          for (size_t c = 1; c < width; ++c) {
+            if (rng.Chance(1, 2)) {
+              p.bindings.emplace_back(static_cast<int>(c), row[c]);
+            }
+          }
+          break;
+      }
+      (!p.bindings.empty() && p.bindings[0].first == 0 ? narrowed : scanned)++;
+    }
+
+    // Decided runs: rows matching some pattern, among them dropped rows.
+    std::set<std::vector<SymbolId>> decided;
+    for (uint64_t i = rng.Below(30); i > 0 && !patterns.empty(); --i) {
+      std::vector<SymbolId> row = random_row();
+      for (const auto& [column, value] : patterns[rng.Below(patterns.size())]
+                                             .bindings) {
+        row[column] = value;
+      }
+      decided.insert(row);
+    }
+
+    Rows expected;
+    size_t kept = 0;
+    for (const std::vector<SymbolId>& row : cached_rows) {
+      bool dirty = std::any_of(patterns.begin(), patterns.end(),
+                               [&](const RowPattern& p) {
+                                 return matches(row, p);
+                               });
+      if (!dirty) {
+        expected.push_back(row);
+        ++kept;
+      }
+    }
+    expected.insert(expected.end(), decided.begin(), decided.end());
+    std::sort(expected.begin(), expected.end());
+
+    size_t refreshed_kept = 0;
+    RowBlock out = RowBlock::Refresh(
+        RowBlock(width, cached_rows), patterns,
+        RowBlock(width, Rows(decided.begin(), decided.end())),
+        &refreshed_kept);
+    ASSERT_EQ(out.width(), width);
+    ASSERT_EQ(AllRows(out), expected) << "trial " << trial;
+    ASSERT_EQ(refreshed_kept, kept) << "trial " << trial;
+  }
+  EXPECT_GT(narrowed, 1000);
+  EXPECT_GT(scanned, 1000);
+}
+
 // ------------------------------------------------------- concurrency
 
 /// Readers race a writer that flips one block between two states; every
@@ -659,7 +1062,7 @@ TEST(SessionTest, AnswerSnapshotsAreSharedCopyOnWrite) {
 
   // A delta that changes the answers installs a NEW snapshot; the old
   // one, still held here, is untouched (copy-on-write semantics).
-  Rows before = **first;
+  Rows before = AllRows(**first);
   Delta drop;
   drop.ReplaceBlock(InternSymbol("R"), {InternSymbol("a0")},
                     {F("R", {"a0", "nowhere"}, 1)});
@@ -668,7 +1071,7 @@ TEST(SessionTest, AnswerSnapshotsAreSharedCopyOnWrite) {
   ASSERT_TRUE(after.ok());
   EXPECT_NE(first->get(), after->get());
   EXPECT_EQ((*after)->size(), 5u);
-  EXPECT_EQ(**first, before);
+  EXPECT_EQ(AllRows(**first), before);
 }
 
 TEST(SessionTest, PersistentPoolReusesWorkerIndexesAcrossCalls) {
