@@ -17,6 +17,7 @@
 
 #include "cqa.h"
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -261,6 +262,67 @@ void BM_Session_CoveringRule(benchmark::State& state) {
 BENCHMARK(BM_Session_CoveringRule)
     ->ArgsProduct({{cqa_bench::RangeLimit(4096, 256)},
                    {10, 14, 16, 19, 25, 40, 80}});
+
+/// The bound between the reach refresh and a full recompute (see
+/// Session::DirtyPatternsSince): `n` R-blocks R(a_i | b_(i/k)), so each
+/// S-block S(b_j | c_j) is joined by `k` R facts, and every seventh
+/// R-block also holds R(a_i | dead_i). Every request follows a DropSDelta
+/// that drops one S-block or restores it, so the reach rule finds the
+/// `k` rows R joins to it: the restore re-decides them, the drop finds
+/// them no longer possible. Past the bound, and at a parent without the
+/// rule, each request recomputes the entry in full; full_per_request
+/// says which path ran.
+void BM_Session_ReachRule(benchmark::State& state) {
+  int n = static_cast<int>(state.range(0));
+  int k = static_cast<int>(state.range(1));
+  Database db;
+  for (int i = 0; i < n; ++i) {
+    std::string a = "a" + std::to_string(i);
+    db.AddFact(Fact::Make("R", {a, "b" + std::to_string(i / k)}, 1)).ok();
+    if (i % 7 == 0) {
+      db.AddFact(Fact::Make("R", {a, "dead" + std::to_string(i)}, 1)).ok();
+    }
+  }
+  for (int j = 0; j < n / k; ++j) {
+    std::string b = "b" + std::to_string(j);
+    db.AddFact(Fact::Make("S", {b, "c" + std::to_string(j)}, 1)).ok();
+  }
+  Service service(PathServiceOptions());
+  service.CreateDatabase("path", std::move(db)).ok();
+  PreparedQueryHandle handle =
+      service.Prepare(PathQ(), {InternSymbol("x")}).value();
+  Service::CertainAnswersRequest request = PathRequest(handle);
+  size_t rows = service.CertainAnswers(request)->rows.size();
+  Session::Stats before = service.Stats({}).value().session;
+  DeltaCycle deltas(n / k, DropSDelta);
+  for (auto _ : state) {
+    service.ApplyDelta(deltas.Next()).ok();
+    auto served = service.CertainAnswers(request);
+    benchmark::DoNotOptimize(served);
+    rows = served->rows.size();
+  }
+  ReportServiceCounters(state, service, rows);
+  Session::Stats after = service.Stats({}).value().session;
+  double requests = static_cast<double>(state.iterations());
+  state.counters["reach_rows"] = k;
+  state.counters["rows_decided_per_request"] =
+      static_cast<double>(after.rows_decided - before.rows_decided) /
+      requests;
+  state.counters["full_per_request"] =
+      static_cast<double>(after.answers_full - before.answers_full) /
+      requests;
+}
+BENCHMARK(BM_Session_ReachRule)->Apply([](benchmark::internal::Benchmark* b) {
+  const std::set<int64_t> sizes = {cqa_bench::RangeLimit(1024, 256),
+                                   cqa_bench::RangeLimit(4096, 256),
+                                   cqa_bench::RangeLimit(16384, 256)};
+  for (int64_t n : sizes) {
+    for (int64_t k : {8, 32, 64, 128, 256, 512, 1024, 2048, 4096}) {
+      // At least two S-blocks, so the cycle moves on.
+      if (2 * k <= n) b->Args({n, k});
+    }
+  }
+});
 
 /// Thread-scaling series of the full-recompute path: the same workload
 /// as BM_Session_FullRecompute, but the service pool runs `threads`

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
 
 namespace cqa {
@@ -500,29 +501,44 @@ void SortDistinctRows(size_t width, std::vector<SymbolId>* flat) {
 
 }  // namespace
 
-Result<std::vector<std::vector<SymbolId>>> EnumerateProjections(
-    const FactIndex& index, const Query& q,
-    const std::vector<Valuation>& seeds, const std::vector<SymbolId>& vars,
-    const Deadline& deadline) {
+Result<std::optional<std::vector<std::vector<SymbolId>>>>
+EnumerateProjectionsAtMost(const FactIndex& index, const Query& q,
+                           const std::vector<Valuation>& seeds,
+                           const std::vector<SymbolId>& vars, size_t max_rows,
+                           const Deadline& deadline) {
+  using Rows = std::vector<std::vector<SymbolId>>;
   if (deadline.Expired()) {
     return Status::DeadlineExceeded(
         "deadline expired before candidate enumeration");
   }
   const size_t width = vars.size();
   std::vector<SymbolId> flat;
-  size_t compact_at = kCompactMinValues;
+  // Buffered rows that trigger a compaction: past 2^20 values and twice
+  // the distinct rows, and, under a cap, once the buffer could hold more
+  // than max_rows distinct rows (at most twice the rows last kept, so a
+  // compaction's cost is spread over the rows that triggered it).
+  auto next_compaction = [&](size_t kept_rows) {
+    size_t at = std::max(kCompactMinValues, 2 * kept_rows * width) / width;
+    if (max_rows < at) at = std::max(max_rows + 1, 2 * kept_rows);
+    return at;
+  };
+  size_t compact_at = width > 0 ? next_compaction(0) : 0;
   bool found = false;
+  bool over = false;
   DeadlinePoll poll{deadline};
   EmbeddingFactsFn collect = [&](const Valuation& theta,
                                  const std::vector<const Fact*>&) {
     found = true;
+    // A Boolean projection is decided by one embedding.
+    if (width == 0) return false;
     // Occurrence in q guarantees every embedding binds every var.
     for (SymbolId v : vars) flat.push_back(*theta.Get(v));
-    if (flat.size() >= compact_at) {
+    if (flat.size() / width >= compact_at) {
       SortDistinctRows(width, &flat);
-      compact_at = std::max(kCompactMinValues, 2 * flat.size());
+      over = flat.size() / width > max_rows;
+      compact_at = next_compaction(flat.size() / width);
     }
-    return width > 0;  // A Boolean projection is decided by one embedding.
+    return !over;
   };
   for (const Valuation& seed : seeds) {
     RunSearch(index, q, seed, collect, DefaultMatcherMode(), &poll);
@@ -530,19 +546,32 @@ Result<std::vector<std::vector<SymbolId>>> EnumerateProjections(
       return Status::DeadlineExceeded(
           "deadline expired during candidate enumeration");
     }
-    if (found && width == 0) break;
+    if (over || (found && width == 0)) break;
   }
-  std::vector<std::vector<SymbolId>> rows;
+  Rows rows;
   if (width == 0) {
     if (found) rows.emplace_back();
-    return rows;
+  } else if (!over) {
+    SortDistinctRows(width, &flat);
+    rows.reserve(flat.size() / width);
+    for (auto it = flat.begin(); it != flat.end(); it += width) {
+      rows.emplace_back(it, it + width);
+    }
   }
-  SortDistinctRows(width, &flat);
-  rows.reserve(flat.size() / width);
-  for (auto it = flat.begin(); it != flat.end(); it += width) {
-    rows.emplace_back(it, it + width);
-  }
-  return rows;
+  if (over || rows.size() > max_rows) return std::optional<Rows>();
+  return std::optional<Rows>(std::move(rows));
+}
+
+Result<std::vector<std::vector<SymbolId>>> EnumerateProjections(
+    const FactIndex& index, const Query& q,
+    const std::vector<Valuation>& seeds, const std::vector<SymbolId>& vars,
+    const Deadline& deadline) {
+  Result<std::optional<std::vector<std::vector<SymbolId>>>> rows =
+      EnumerateProjectionsAtMost(index, q, seeds, vars,
+                                 std::numeric_limits<size_t>::max(), deadline);
+  if (!rows.ok()) return rows.status();
+  // No row count exceeds the largest size_t.
+  return std::move(**rows);
 }
 
 std::vector<std::vector<SymbolId>> CollectProjectionsSorted(

@@ -2,6 +2,7 @@
 #define CQA_CQ_MATCHER_H_
 
 #include <functional>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -198,6 +199,18 @@ Result<std::vector<std::vector<SymbolId>>> EnumerateProjections(
     const FactIndex& index, const Query& q,
     const std::vector<Valuation>& seeds, const std::vector<SymbolId>& vars,
     const Deadline& deadline = Deadline());
+
+/// EnumerateProjections that gives up once the distinct projections
+/// exceed `max_rows`: then the result holds nullopt. The buffer is
+/// compacted whenever it holds max_rows + 1 rows or twice the distinct
+/// rows it kept last, whichever is more, so the search stops within
+/// about 2 * max_rows + 1 buffered rows of passing the cap instead of
+/// running to the end. A Boolean projection (`vars` empty) is one row.
+Result<std::optional<std::vector<std::vector<SymbolId>>>>
+EnumerateProjectionsAtMost(const FactIndex& index, const Query& q,
+                           const std::vector<Valuation>& seeds,
+                           const std::vector<SymbolId>& vars, size_t max_rows,
+                           const Deadline& deadline = Deadline());
 
 /// EnumerateProjections from the single seed `initial`, without a
 /// deadline.

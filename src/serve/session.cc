@@ -639,9 +639,22 @@ const Atom* CoveringAtom(const FactIndex& index, const Query& q,
   return best;
 }
 
-/// The atoms of q over relations outside `touched`, as one query, when
-/// their variables cover every free variable; nullopt otherwise.
-std::optional<Query> UntouchedCover(
+/// A reach refresh costs about one seeded decision per reached row; a
+/// full recompute decides about as many candidates as the entry holds
+/// rows. In BM_Session_ReachRule the two meet at two fifths to a half of
+/// the cached rows, so the reach rule keeps a refresh incremental up to
+/// a third of them (or max_dirty_patterns, if more).
+constexpr size_t kCachedRowsPerReachRow = 3;
+
+/// Whether some variable is in both sets.
+bool SharesVariable(const VarSet& a, const VarSet& b) {
+  return std::any_of(a.begin(), a.end(),
+                     [&](SymbolId v) { return b.count(v) != 0; });
+}
+
+/// The atoms of q over relations outside `touched`, when their variables
+/// cover every free variable; nullopt otherwise.
+std::optional<std::vector<Atom>> UntouchedCover(
     const Query& q, const std::vector<SymbolId>& free_vars,
     const std::unordered_set<SymbolId>& touched) {
   std::vector<Atom> untouched;
@@ -655,17 +668,59 @@ std::optional<Query> UntouchedCover(
   for (SymbolId v : free_vars) {
     if (covered.count(v) == 0) return std::nullopt;
   }
-  return Query(std::move(untouched));
+  return untouched;
 }
 
-/// One seed per (block, atom of q over the block's relation) pair whose
-/// key can take the block's key: the atom's key variables bound to it.
-std::vector<Valuation> KeySeeds(
-    const Query& q,
-    const std::vector<std::pair<SymbolId, std::vector<SymbolId>>>& blocks) {
-  std::vector<Valuation> seeds;
-  for (const auto& [relation, key] : blocks) {
-    for (const Atom& atom : q.atoms()) {
+/// The rows the changed `blocks` can reach through `untouched` (the
+/// atoms UntouchedCover found), sorted and distinct. For each atom A of q
+/// over a block's relation whose key pins no free variable (a pinned
+/// atom's rows are its partial patterns'), they are π_free of the
+/// embeddings of the components of `untouched` that share a variable
+/// with A's key, seeded with A's key bound to the block's key (constants
+/// and repeated key variables checked). A component that shares none
+/// embeds independently of the block: without a free variable it can
+/// only filter rows out and is left out, but with one the rows would be
+/// a cross product with all of its projections, so the result is nullopt
+/// (recompute in full), as it is once the rows pass `max_rows`.
+Result<std::optional<Session::RowSet>> ReachedRows(
+    const FactIndex& index, const Query& q,
+    const std::vector<Atom>& untouched,
+    const std::vector<SymbolId>& free_vars,
+    const std::vector<std::pair<SymbolId, std::vector<SymbolId>>>& blocks,
+    size_t max_rows, const Deadline& deadline) {
+  using Rows = std::optional<Session::RowSet>;
+  const VarSet free(free_vars.begin(), free_vars.end());
+  // component[i]: the first atom of untouched[i]'s component, where atoms
+  // sharing a variable share a component.
+  const size_t n = untouched.size();
+  std::vector<VarSet> vars;
+  vars.reserve(n);
+  for (const Atom& atom : untouched) vars.push_back(atom.Vars());
+  std::vector<size_t> component(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    if (component[i] != n) continue;
+    component[i] = i;
+    std::vector<size_t> stack = {i};
+    while (!stack.empty()) {
+      size_t a = stack.back();
+      stack.pop_back();
+      for (size_t b = 0; b < n; ++b) {
+        if (component[b] == n && SharesVariable(vars[a], vars[b])) {
+          component[b] = i;
+          stack.push_back(b);
+        }
+      }
+    }
+  }
+  Session::RowSet rows;
+  for (const Atom& atom : q.atoms()) {
+    VarSet key_vars;
+    for (int i = 0; i < atom.key_arity(); ++i) {
+      if (atom.terms()[i].is_var()) key_vars.insert(atom.terms()[i].id());
+    }
+    if (SharesVariable(key_vars, free)) continue;
+    std::vector<Valuation> seeds;
+    for (const auto& [relation, key] : blocks) {
       if (atom.relation() != relation ||
           atom.key_arity() != static_cast<int>(key.size())) {
         continue;
@@ -679,8 +734,30 @@ std::vector<Valuation> KeySeeds(
       }
       if (consistent) seeds.push_back(std::move(seed));
     }
+    if (seeds.empty()) continue;
+    std::vector<bool> seeded(n, false);
+    for (size_t i = 0; i < n; ++i) {
+      if (SharesVariable(vars[i], key_vars)) seeded[component[i]] = true;
+    }
+    std::vector<Atom> reach;
+    for (size_t i = 0; i < n; ++i) {
+      if (seeded[component[i]]) {
+        reach.push_back(untouched[i]);
+      } else if (SharesVariable(vars[i], free)) {
+        return Rows();
+      }
+    }
+    Result<Rows> part = EnumerateProjectionsAtMost(
+        index, Query(std::move(reach)), seeds, free_vars, max_rows, deadline);
+    if (!part.ok()) return part.status();
+    if (!part->has_value()) return Rows();
+    rows.insert(rows.end(), std::make_move_iterator((*part)->begin()),
+                std::make_move_iterator((*part)->end()));
   }
-  return seeds;
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  if (rows.size() > max_rows) return Rows();
+  return Rows(std::move(rows));
 }
 
 }  // namespace
@@ -749,7 +826,7 @@ Result<RowBlock> Session::ComputeCertainFull(
 Result<std::optional<std::vector<RowPattern>>> Session::DirtyPatternsSince(
     EvalContext& ctx, uint64_t from_epoch, const QueryPlan& plan,
     const Query& q, const std::vector<SymbolId>& free_vars,
-    const Deadline& deadline) const {
+    size_t cached_rows, const Deadline& deadline) const {
   using Patterns = std::optional<std::vector<RowPattern>>;
   // Reads delta_log_ under the shared epoch lock held by the caller
   // (the log only mutates under the exclusive lock).
@@ -807,20 +884,28 @@ Result<std::optional<std::vector<RowPattern>>> Session::DirtyPatternsSince(
       }
     }
   }
+  // A block changed by several deltas of the range adds its patterns
+  // once per delta; the bound counts distinct patterns.
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  if (out.size() > options_.max_dirty_patterns) return Patterns();
   if (!unpinned.empty()) {
     // The reach rule: the rows the unpinned blocks reach through the
-    // atoms no delta in the range touched.
-    if (out.size() > options_.max_dirty_patterns) return Patterns();
-    std::optional<Query> cover = UntouchedCover(q, free_vars, touched);
-    if (!cover.has_value()) return Patterns();
+    // atoms no delta in the range touched, as full-row patterns.
+    std::optional<std::vector<Atom>> untouched =
+        UntouchedCover(q, free_vars, touched);
+    if (!untouched.has_value()) return Patterns();
     std::sort(unpinned.begin(), unpinned.end());
     unpinned.erase(std::unique(unpinned.begin(), unpinned.end()),
                    unpinned.end());
-    Result<RowSet> reached =
-        EnumerateProjections(ctx.fact_index(), *cover, KeySeeds(q, unpinned),
-                             free_vars, deadline);
+    Result<std::optional<RowSet>> reached = ReachedRows(
+        ctx.fact_index(), q, *untouched, free_vars, unpinned,
+        std::max(options_.max_dirty_patterns - out.size(),
+                 cached_rows / kCachedRowsPerReachRow),
+        deadline);
     if (!reached.ok()) return reached.status();
-    for (const std::vector<SymbolId>& row : *reached) {
+    if (!reached->has_value()) return Patterns();
+    for (const std::vector<SymbolId>& row : **reached) {
       RowPattern dirty;
       dirty.bindings.reserve(row.size());
       for (size_t c = 0; c < row.size(); ++c) {
@@ -828,10 +913,9 @@ Result<std::optional<std::vector<RowPattern>>> Session::DirtyPatternsSince(
       }
       out.push_back(std::move(dirty));
     }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  if (out.size() > options_.max_dirty_patterns) return Patterns();
   return Patterns(std::move(out));
 }
 
@@ -870,7 +954,8 @@ Result<std::shared_ptr<const RowBlock>> Session::ServeCertain(
   std::shared_ptr<const RowBlock> snapshot;
   if (cached.has_value()) {
     Result<std::optional<std::vector<RowPattern>>> patterns =
-        DirtyPatternsSince(ctx, cached->first, *plan, q, free_vars, deadline);
+        DirtyPatternsSince(ctx, cached->first, *plan, q, free_vars,
+                           cached->second->size(), deadline);
     if (!patterns.ok()) return patterns.status();
     if (patterns->has_value() && (*patterns)->empty()) {
       // No changed block reaches the entry: the snapshot stands.

@@ -156,9 +156,11 @@ class Session {
     /// Deltas remembered for incremental invalidation; an answer-cache
     /// entry staler than this many epochs is recomputed in full.
     size_t delta_log_window = 64;
-    /// Dirty patterns tolerated per (entry, delta-range) before the
-    /// incremental path gives up and recomputes in full. Each row the
-    /// reach rule finds counts as one pattern.
+    /// Dirty key patterns tolerated per (entry, delta-range) before the
+    /// incremental path gives up and recomputes in full. The rows the
+    /// reach rule finds are full-row patterns; they are tolerated up to
+    /// this many less the key patterns, or a third of the cached rows if
+    /// that is more (see DirtyPatternsSince).
     size_t max_dirty_patterns = 32;
     /// Minimum candidate rows in one decision batch before it is
     /// partitioned across the pool; smaller batches run on the calling
@@ -396,17 +398,23 @@ class Session {
   /// The dirty patterns (rows to re-decide) of (q, free_vars) since
   /// `from_epoch`, or nullopt when incremental serving is not possible:
   /// a log gap, a Boolean entry one of whose atoms a changed block
-  /// matches, a changed block whose reach cannot be bounded, or more
-  /// than max_dirty_patterns patterns.
+  /// matches, a changed block whose reach cannot be bounded, more than
+  /// max_dirty_patterns distinct key patterns, or more reached rows than
+  /// the reach bound below. `cached_rows` is the entry's row count.
   ///
   /// A changed block matching an atom's key pattern gives the pattern
   /// binding the free variables that key pins. When it pins none, the
   /// reach rule applies. Let U be the atoms of q over relations that no
   /// delta since `from_epoch` touched. If U's variables cover every free
   /// variable, each row of π_free of U's embeddings in ctx's index,
-  /// seeded for every atom A of the block's relation with A's key bound
-  /// to the block's key (constants and repeated variables checked),
-  /// becomes a full-binding pattern; otherwise the result is nullopt.
+  /// seeded for every atom A of the block's relation whose key pins no
+  /// free variable with A's key bound to the block's key (constants and
+  /// repeated variables checked), becomes a full-binding pattern;
+  /// otherwise the result is nullopt. Only the components of U (atoms
+  /// linked by shared variables) that share a variable with A's key are
+  /// enumerated. Another component without a free variable only filters
+  /// and is left out; one with a free variable would make the rows a
+  /// cross product with all of its projections, so the result is nullopt.
   /// This is sound by the purification lemma: an embedding through a
   /// fact of the block, in the cached epoch's database or in the current
   /// one, maps U to facts both databases share, so it projects to one of
@@ -414,10 +422,19 @@ class Session {
   /// changed block on either side, and deleting the changed blocks,
   /// which preserves its certainty on both sides, leaves two equal
   /// databases.
+  ///
+  /// The reach bound is max_dirty_patterns less the key patterns, or
+  /// cached_rows / 3 if that is more, and the enumeration stops as soon
+  /// as the reached rows pass it. A reach refresh costs about one seeded
+  /// decision per reached row, a full recompute one decision per
+  /// candidate; in BM_Session_ReachRule (1,024 to 16,384 R-blocks, one
+  /// S-block dropped or restored per request) the two meet at two fifths
+  /// to a half of the cached rows.
   /// The enumeration polls `deadline` (kDeadlineExceeded).
   Result<std::optional<std::vector<RowPattern>>> DirtyPatternsSince(
       EvalContext& ctx, uint64_t from_epoch, const QueryPlan& plan,
       const Query& q, const std::vector<SymbolId>& free_vars,
+      size_t cached_rows,
       const Deadline& deadline) const;
 
   /// Applies one validated primitive action and patches live indexes.

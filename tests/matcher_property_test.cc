@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -76,6 +77,20 @@ void ExpectProjectionsAgree(const FactIndex& index, const Query& q,
         << context << "\nquery: " << q.ToString() << "\nprojection of "
         << subset.size() << " variable(s) from " << seeds.size()
         << " seed(s)";
+    // Under a cap: the same rows up to it, nullopt past it.
+    const size_t distinct = expected.size();
+    for (size_t max_rows : {distinct, distinct + 1, distinct / 2,
+                            distinct > 0 ? distinct - 1 : 0}) {
+      Result<std::optional<std::vector<std::vector<SymbolId>>>> capped =
+          EnumerateProjectionsAtMost(index, q, seeds, subset, max_rows);
+      ASSERT_TRUE(capped.ok()) << capped.status();
+      ASSERT_EQ(capped->has_value(), distinct <= max_rows)
+          << context << "\nquery: " << q.ToString() << "\ncap " << max_rows
+          << " over " << distinct << " row(s)";
+      if (capped->has_value()) {
+        ASSERT_EQ(**capped, *rows) << context;
+      }
+    }
   }
 }
 
@@ -429,11 +444,47 @@ TEST(EnumerateProjectionsTest, CompactionKeepsTheDistinctRows) {
   }
   std::sort(expected.begin(), expected.end());
   FactIndex index(db);
+  Query q = MustParseQuery("R(x | y), S(y | z)");
   Result<std::vector<std::vector<SymbolId>>> rows =
-      EnumerateProjections(index, MustParseQuery("R(x | y), S(y | z)"),
-                           {Valuation()}, {InternSymbol("x")});
+      EnumerateProjections(index, q, {Valuation()}, {InternSymbol("x")});
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(*rows, expected);
+  // Under a cap the buffer is compacted far more often; the 1000
+  // repeats of each row must still count once.
+  for (size_t max_rows : {size_t{1100}, size_t{1099}}) {
+    Result<std::optional<std::vector<std::vector<SymbolId>>>> capped =
+        EnumerateProjectionsAtMost(index, q, {Valuation()},
+                                   {InternSymbol("x")}, max_rows);
+    ASSERT_TRUE(capped.ok());
+    ASSERT_EQ(capped->has_value(), max_rows == 1100);
+    if (capped->has_value()) {
+      EXPECT_EQ(**capped, expected);
+    }
+  }
+}
+
+/// A cap stops the search soon after the rows pass it: an 8000 x 4000
+/// cross product projected onto both sides passes 32 distinct rows
+/// within its first few dozen embeddings, while enumerating all 32
+/// million takes far longer than the 200 ms deadline.
+TEST(EnumerateProjectionsTest, CapStopsACrossProductEarly) {
+  std::vector<Fact> facts;
+  facts.reserve(12000);
+  for (int i = 0; i < 8000; ++i) {
+    facts.push_back(Fact::Make("R", {"r" + std::to_string(i), "u"}, 1));
+    if (i < 4000) {
+      facts.push_back(Fact::Make("T", {"t" + std::to_string(i), "v"}, 1));
+    }
+  }
+  FactIndex index;
+  for (const Fact& f : facts) index.Add(&f);
+  Result<std::optional<std::vector<std::vector<SymbolId>>>> capped =
+      EnumerateProjectionsAtMost(index, MustParseQuery("R(x | y), T(z | w)"),
+                                 {Valuation()},
+                                 {InternSymbol("x"), InternSymbol("z")}, 32,
+                                 Deadline::AfterMillis(200));
+  ASSERT_TRUE(capped.ok()) << capped.status();
+  EXPECT_FALSE(capped->has_value());
 }
 
 TEST(RepairEnumeratorTest, IndexedEnumerationMatchesPlain) {

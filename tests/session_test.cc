@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <limits>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -615,19 +617,43 @@ std::set<Block> TouchedBlocks(const Database& db, const Delta& delta) {
 }
 
 /// Whether some block of `changed` matches an atom of q whose key pins
-/// no free variable (its constants equal the block's key), and whether
-/// the atoms of q over relations no block of `changed` belongs to cover
-/// every free variable.
+/// no free variable (its constants equal the block's key), whether the
+/// atoms of q over relations no block of `changed` belongs to cover every
+/// free variable, and whether the reach stays bounded: for each such atom
+/// whose key the block's key can take (repeated key variables too),
+/// every free variable is linked to one of the atom's key variables
+/// through variables shared by those untouched atoms.
 struct Reach {
   bool unpinned = false;
   bool covered = false;
+  bool bounded = true;
 };
 Reach ReachOf(const Query& q, const std::vector<SymbolId>& fv,
               const std::set<Block>& changed) {
   Reach reach;
   std::set<SymbolId> touched;
+  for (const auto& block : changed) touched.insert(block.first);
+  // Union-find over the variables of the untouched atoms.
+  std::map<SymbolId, SymbolId> parent;
+  std::function<SymbolId(SymbolId)> find = [&](SymbolId v) {
+    auto it = parent.find(v);
+    if (it == parent.end() || it->second == v) return v;
+    return it->second = find(it->second);
+  };
+  VarSet covered;
+  for (const Atom& atom : q.atoms()) {
+    if (touched.count(atom.relation()) != 0) continue;
+    VarSet vars = atom.Vars();
+    covered.insert(vars.begin(), vars.end());
+    for (SymbolId v : vars) {
+      parent.emplace(v, v);
+      parent[find(v)] = find(*vars.begin());
+    }
+  }
+  reach.covered = std::all_of(fv.begin(), fv.end(), [&](SymbolId v) {
+    return covered.count(v) != 0;
+  });
   for (const auto& [relation, key] : changed) {
-    touched.insert(relation);
     for (const Atom& atom : q.atoms()) {
       if (atom.relation() != relation ||
           atom.key_arity() != static_cast<int>(key.size())) {
@@ -635,26 +661,32 @@ Reach ReachOf(const Query& q, const std::vector<SymbolId>& fv,
       }
       bool constants_match = true;
       bool pins = false;
+      std::map<SymbolId, SymbolId> seed;
+      bool consistent = true;
       for (size_t i = 0; i < key.size(); ++i) {
         const Term& t = atom.terms()[i];
         if (t.is_const()) {
           constants_match = constants_match && t.id() == key[i];
-        } else if (std::find(fv.begin(), fv.end(), t.id()) != fv.end()) {
-          pins = true;
+        } else {
+          pins = pins || std::find(fv.begin(), fv.end(), t.id()) != fv.end();
+          consistent = seed.emplace(t.id(), key[i]).first->second == key[i] &&
+                       consistent;
         }
       }
-      reach.unpinned = reach.unpinned || (constants_match && !pins);
+      if (!constants_match || pins) continue;
+      reach.unpinned = true;
+      if (!consistent || !reach.covered) continue;
+      std::set<SymbolId> seeded;
+      for (const auto& binding : seed) {
+        if (covered.count(binding.first) != 0) {
+          seeded.insert(find(binding.first));
+        }
+      }
+      for (SymbolId v : fv) {
+        if (seeded.count(find(v)) == 0) reach.bounded = false;
+      }
     }
   }
-  VarSet covered;
-  for (const Atom& atom : q.atoms()) {
-    if (touched.count(atom.relation()) != 0) continue;
-    VarSet vars = atom.Vars();
-    covered.insert(vars.begin(), vars.end());
-  }
-  reach.covered = std::all_of(fv.begin(), fv.end(), [&](SymbolId v) {
-    return covered.count(v) != 0;
-  });
   return reach;
 }
 
@@ -665,8 +697,9 @@ Reach ReachOf(const Query& q, const std::vector<SymbolId>& fv,
 /// one to three deltas. Every serve must equal a fresh engine's rows and
 /// order. With no bound on the patterns, an entry is refreshed in place
 /// unless a changed block matches an atom whose key pins no free
-/// variable and the atoms over untouched relations miss a free variable;
-/// then it is recomputed in full.
+/// variable and the atoms over untouched relations miss a free variable,
+/// or hold one that no chain of shared variables links to that atom's
+/// key; then it is recomputed in full.
 TEST(SessionTest, ReachRuleMatchesFreshEngine) {
   struct Case {
     Query q;
@@ -674,16 +707,23 @@ TEST(SessionTest, ReachRuleMatchesFreshEngine) {
   };
   std::vector<Case> cases;
   auto var = [](const char* name) { return InternSymbol(name); };
-  cases.push_back({MustParseQuery("R(x | y), S(y | z)"), {var("x")}});
-  cases.push_back({MustParseQuery("R(x | y), S(y, y | z)"), {var("x")}});
-  cases.push_back({MustParseQuery("R(x | y), S('c1', y | z)"), {var("x")}});
-  cases.push_back(
-      {MustParseQuery("R(x | y), S(y | z), S(z | w)"), {var("x")}});
-  cases.push_back(
-      {MustParseQuery("R(x | y), S(y | z), T(x | w)"), {var("x")}});
-  cases.push_back({MustParseQuery("R(x | y), S(y | z)"), {var("x"), var("z")}});
-  cases.push_back({MustParseQuery("R(x | y), S(y | z)"), {var("z")}});
-  for (int seed = 1; cases.size() < 120; ++seed) {
+  // The hand-picked shapes run over eight random databases each.
+  for (int copy = 0; copy < 8; ++copy) {
+    cases.push_back({MustParseQuery("R(x | y), S(y | z)"), {var("x")}});
+    cases.push_back({MustParseQuery("R(x | y), S(y, y | z)"), {var("x")}});
+    cases.push_back(
+        {MustParseQuery("R(x | y), S('c1', y | z)"), {var("x")}});
+    cases.push_back(
+        {MustParseQuery("R(x | y), S(y | z), S(z | w)"), {var("x")}});
+    cases.push_back(
+        {MustParseQuery("R(x | y), S(y | z), T(x | w)"), {var("x")}});
+    cases.push_back(
+        {MustParseQuery("R(x | y), S(y | z)"), {var("x"), var("z")}});
+    cases.push_back({MustParseQuery("R(x | y), S(y | z)"), {var("z")}});
+    cases.push_back({MustParseQuery("R(x | y), S(y | z), T(z | w)"),
+                     {var("x"), var("w")}});
+  }
+  for (int seed = 1; cases.size() < 240; ++seed) {
     QueryGenOptions qopt;
     qopt.seed = seed * 11 + 5;
     qopt.num_atoms = 2 + seed % 2;
@@ -701,6 +741,7 @@ TEST(SessionTest, ReachRuleMatchesFreshEngine) {
   int reached = 0;       // the rule refreshed the entry in place
   int reached_rows = 0;  // ... and re-decided at least one row
   int fell_back = 0;     // unpinned, free variables uncovered: full
+  int split = 0;         // ... or covered by a component the key misses
   int pinned_only = 0;   // no unpinned block: pinned patterns as before
   int self_join = 0;     // serves of a plan beyond FO
   for (size_t c = 0; c < cases.size(); ++c) {
@@ -755,7 +796,8 @@ TEST(SessionTest, ReachRuleMatchesFreshEngine) {
           << "case " << c << " serve " << serve << " query " << q.ToString();
 
       Reach reach = ReachOf(q, fv, changed);
-      const bool full = reach.unpinned && !reach.covered;
+      const bool full =
+          reach.unpinned && (!reach.covered || !reach.bounded);
       EXPECT_EQ(after.answers_full - before.answers_full, full ? 1u : 0u)
           << "case " << c << " serve " << serve << " query " << q.ToString();
       EXPECT_EQ(after.answers_incremental - before.answers_incremental,
@@ -765,6 +807,7 @@ TEST(SessionTest, ReachRuleMatchesFreshEngine) {
         ++pinned_only;
       } else if (full) {
         ++fell_back;
+        if (reach.covered) ++split;
       } else {
         ++reached;
         if (after.rows_decided > before.rows_decided) ++reached_rows;
@@ -775,6 +818,7 @@ TEST(SessionTest, ReachRuleMatchesFreshEngine) {
   EXPECT_GT(reached, 200);
   EXPECT_GT(reached_rows, 80);
   EXPECT_GT(fell_back, 100);
+  EXPECT_GT(split, 20);
   EXPECT_GT(pinned_only, 100);
   EXPECT_GT(self_join, 0);
 }
@@ -823,6 +867,159 @@ TEST(SessionTest, ReachEnumerationHonoursTheDeadline) {
   EXPECT_EQ(after.answers_incremental, before.answers_incremental + 1);
   EXPECT_EQ(after.rows_decided, before.rows_decided + 0);  // a1, a5 gone
   EXPECT_EQ(after.rows_reused, before.rows_reused + 6);
+}
+
+/// q = R(x | y), S(y | z), T(z | w) with free {x, w}: a delta on S
+/// leaves U = {R, T}, and T shares no variable with S's key y, so the
+/// rows S's block reaches would be R's x values for that y times every
+/// w of T, found by enumerating all of T once per x. The entry is
+/// recomputed in full instead, a join of a few embeddings. T is large
+/// and has two w values, so the reached rows (8 x 2) would stay under
+/// the bound: only the split sends the entry to the full path.
+TEST(SessionTest, ReachFallsBackWhenTheChangedAtomSplitsTheCover) {
+  Database db;
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(db.AddFact(F("R", {"a" + std::to_string(i), "b"}, 1)).ok());
+  }
+  ASSERT_TRUE(db.AddFact(F("R", {"a8", "b2"}, 1)).ok());
+  ASSERT_TRUE(db.AddFact(F("S", {"b", "c0"}, 1)).ok());
+  ASSERT_TRUE(db.AddFact(F("S", {"b2", "c1"}, 1)).ok());
+  ASSERT_TRUE(db.AddFact(F("T", {"c0", "w0"}, 1)).ok());
+  ASSERT_TRUE(db.AddFact(F("T", {"c1", "w1"}, 1)).ok());
+  for (int j = 0; j < 20000; ++j) {
+    ASSERT_TRUE(db.AddFact(F("T", {"t" + std::to_string(j), "w0"}, 1)).ok());
+  }
+  PlanCache cache;
+  Session::Options options;
+  options.num_threads = 2;
+  options.plan_cache = &cache;
+  Session session(std::move(db), options);
+  Query q = MustParseQuery("R(x | y), S(y | z), T(z | w)");
+  std::vector<SymbolId> fv = {InternSymbol("x"), InternSymbol("w")};
+  Result<Rows> first = Materialize(session.CertainAnswers(q, fv));
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_EQ(first->size(), 9u);
+
+  Delta delta;  // S's key y pins neither x nor w
+  delta.ReplaceBlock(InternSymbol("S"), {InternSymbol("b")},
+                     {F("S", {"b", "c1"}, 1)});
+  ASSERT_TRUE(session.ApplyDelta(delta).ok());
+  Session::Stats before = session.stats();
+  Result<Rows> served = Materialize(session.CertainAnswers(q, fv));
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(*served, *testutil::CertainAnswers(session.db(), q, fv));
+  EXPECT_EQ(served->size(), 9u);
+  Session::Stats after = session.stats();
+  EXPECT_EQ(after.answers_full, before.answers_full + 1);
+  EXPECT_EQ(after.answers_incremental, before.answers_incremental);
+  EXPECT_EQ(after.rows_decided, before.rows_decided + 9);
+}
+
+/// The reach rule's bound: the reached rows may number max_dirty_patterns
+/// less the key patterns, or a third of the cached rows if that is more.
+/// With max_dirty_patterns = 0 the third alone decides. 100 R-blocks, 20
+/// joined to S-block bA, 40 to bB and 40 to blocks of their own.
+TEST(SessionTest, ReachStopsAtTheBound) {
+  Database db;
+  for (int i = 0; i < 100; ++i) {
+    std::string b = i < 20 ? "bA" : i < 60 ? "bB" : "b" + std::to_string(i);
+    ASSERT_TRUE(db.AddFact(F("R", {"a" + std::to_string(i), b}, 1)).ok());
+    if (i >= 60) {
+      ASSERT_TRUE(db.AddFact(F("S", {b, "c"}, 1)).ok());
+    }
+  }
+  ASSERT_TRUE(db.AddFact(F("S", {"bA", "c"}, 1)).ok());
+  ASSERT_TRUE(db.AddFact(F("S", {"bB", "c"}, 1)).ok());
+  PlanCache cache;
+  Session::Options options;
+  options.num_threads = 2;
+  options.plan_cache = &cache;
+  options.max_dirty_patterns = 0;
+  Session session(std::move(db), options);
+  Query q = MustParseQuery("R(x | y), S(y | z)");
+  std::vector<SymbolId> fv = {InternSymbol("x")};
+  ASSERT_TRUE(session.CertainAnswers(q, fv).ok());
+
+  auto s_block = [](const char* b, bool present) {
+    Delta delta;
+    std::vector<Fact> facts;
+    if (present) facts.push_back(F("S", {b, "c"}, 1));
+    delta.ReplaceBlock(InternSymbol("S"), {InternSymbol(b)}, std::move(facts));
+    return delta;
+  };
+  struct Step {
+    Delta delta;
+    size_t rows;       // served afterwards
+    bool incremental;  // refreshed in place, not recomputed
+  };
+  const std::vector<Step> steps = {
+      {s_block("bB", false), 60, false},  // 40 reached, 100 cached: bound 33
+      {s_block("bA", false), 40, true},   // 20 of 60: bound 20
+      {s_block("bA", true), 60, false},   // 20 of 40: bound 13
+      {s_block("bB", true), 100, false},  // 40 of 60: bound 20
+      {s_block("bA", false), 80, true},   // 20 of 100: bound 33
+  };
+  for (size_t i = 0; i < steps.size(); ++i) {
+    ASSERT_TRUE(session.ApplyDelta(steps[i].delta).ok());
+    Session::Stats before = session.stats();
+    Result<Rows> served = Materialize(session.CertainAnswers(q, fv));
+    ASSERT_TRUE(served.ok()) << served.status();
+    EXPECT_EQ(*served, *testutil::CertainAnswers(session.db(), q, fv))
+        << "step " << i;
+    EXPECT_EQ(served->size(), steps[i].rows) << "step " << i;
+    Session::Stats after = session.stats();
+    EXPECT_EQ(after.answers_incremental - before.answers_incremental,
+              steps[i].incremental ? 1u : 0u)
+        << "step " << i;
+    EXPECT_EQ(after.answers_full - before.answers_full,
+              steps[i].incremental ? 0u : 1u)
+        << "step " << i;
+  }
+}
+
+/// The bound counts distinct patterns: ten deltas that flip one block of
+/// P, whose key pins x, give one pattern, so a further delta into an
+/// S-block, whose key pins nothing, still refreshes the entry in place
+/// through R under max_dirty_patterns = 4.
+TEST(SessionTest, ReachBoundCountsDistinctPatterns) {
+  Database db;
+  for (int i = 0; i < 6; ++i) {
+    std::string a = "a" + std::to_string(i);
+    std::string b = "b" + std::to_string(i);
+    ASSERT_TRUE(db.AddFact(F("R", {a, b}, 1)).ok());
+    ASSERT_TRUE(db.AddFact(F("S", {b, "c"}, 1)).ok());
+    ASSERT_TRUE(db.AddFact(F("P", {a, "p"}, 1)).ok());
+  }
+  PlanCache cache;
+  Session::Options options;
+  options.num_threads = 2;
+  options.plan_cache = &cache;
+  options.max_dirty_patterns = 4;
+  Session session(std::move(db), options);
+  Query q = MustParseQuery("R(x | y), S(y | z), P(x | v)");
+  std::vector<SymbolId> fv = {InternSymbol("x")};
+  ASSERT_TRUE(session.CertainAnswers(q, fv).ok());
+
+  for (int flip = 0; flip < 10; ++flip) {
+    std::vector<Fact> facts = {F("P", {"a0", "p"}, 1)};
+    if (flip % 2 == 0) facts.push_back(F("P", {"a0", "p2"}, 1));
+    Delta pinned;  // the pattern x = a0
+    pinned.ReplaceBlock(InternSymbol("P"), {InternSymbol("a0")},
+                        std::move(facts));
+    ASSERT_TRUE(session.ApplyDelta(pinned).ok());
+  }
+  Delta unpinned;  // reaches x = a1 through R
+  unpinned.ReplaceBlock(InternSymbol("S"), {InternSymbol("b1")}, {});
+  ASSERT_TRUE(session.ApplyDelta(unpinned).ok());
+  Session::Stats before = session.stats();
+  Result<Rows> served = Materialize(session.CertainAnswers(q, fv));
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(*served, *testutil::CertainAnswers(session.db(), q, fv));
+  EXPECT_EQ(served->size(), 5u);
+  Session::Stats after = session.stats();
+  EXPECT_EQ(after.answers_incremental, before.answers_incremental + 1);
+  EXPECT_EQ(after.answers_full, before.answers_full);
+  EXPECT_EQ(after.rows_decided, before.rows_decided + 1);  // a0; a1 is gone
 }
 
 /// A delta that reaches no pattern of the entry keeps the cached snapshot
