@@ -90,10 +90,11 @@ class JsonAppendReporter : public benchmark::ConsoleReporter {
            << ",\"facts_per_sec\":"
            << (wall_s > 0 ? facts / wall_s : 0);
       if (repeated) line << ",\"repetitions\":" << run.repetitions;
-      // Plan-cache and serving counters, when the benchmark sets them.
+      // Plan-cache, serving and memory counters, when the benchmark
+      // sets them.
       for (const char* key :
            {"plan_hits", "plan_misses", "hit_rate", "qps", "threads",
-            "parallel_chunks"}) {
+            "parallel_chunks", "bytes_per_fact"}) {
         auto cit = run.counters.find(key);
         if (cit != run.counters.end()) {
           line << ",\"" << key << "\":" << cit->second.value;

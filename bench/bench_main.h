@@ -17,7 +17,8 @@
 ///    "indexed"|"naive", "wall_ms": <per-iteration wall clock>,
 ///    "facts": <facts counter if set>, "facts_per_sec": <derived>,
 ///    "plan_hits"/"plan_misses"/"hit_rate"/"qps"/"threads": <serving and
-///    plan-cache counters, present when the benchmark sets them>}
+///    plan-cache counters, present when the benchmark sets them>,
+///    "bytes_per_fact": <allocator bytes per stored fact, likewise>}
 ///
 /// Under --benchmark_repetitions=N (N > 1) the record holds the median
 /// of the N repetitions (its wall_ms and counters) and carries

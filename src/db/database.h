@@ -1,6 +1,7 @@
 #ifndef CQA_DB_DATABASE_H_
 #define CQA_DB_DATABASE_H_
 
+#include <cstdint>
 #include <deque>
 #include <string>
 #include <unordered_map>
@@ -26,6 +27,18 @@
 /// slot, which dies); callers maintaining external indexes read
 /// `FactPtr`/`LastFact` before the removal and patch accordingly (see
 /// serve/session.cc).
+///
+/// Layout. Two flat open-addressing tables of int32 ids index the
+/// facts and the blocks in place: the fact table hashes facts()[id] by
+/// value, the block table hashes blocks()[id] by (relation, key). A
+/// slot is an id and its key's 32-bit hash (8 bytes), and the tables
+/// stay at most three quarters full, so neither holds a second copy of
+/// a fact, a key or an address, and a copy of the database copies two
+/// flat vectors. For two-column facts in blocks of one or two, a fact
+/// costs about 220 allocator bytes (230 when built fact by fact, with
+/// the vectors' growth slack): its deque slot and values, its block's
+/// `Block` with two heap vectors, two ints of per-relation bookkeeping
+/// and the two tables' slots (`bench_database`).
 
 namespace cqa {
 
@@ -34,10 +47,11 @@ class Database {
   Database() = default;
   explicit Database(Schema schema) : schema_(std::move(schema)) {}
 
-  // The address->id map must follow the copy's own storage; moves keep
-  // the deque's slots (and thus the handed-out fact addresses) alive.
-  Database(const Database& o);
-  Database& operator=(const Database& o);
+  // The tables hold ids, not addresses, so a copy copies them as they
+  // are; moves keep the deque's slots (and thus the handed-out fact
+  // addresses) alive.
+  Database(const Database&) = default;
+  Database& operator=(const Database&) = default;
   Database(Database&&) = default;
   Database& operator=(Database&&) = default;
 
@@ -60,9 +74,7 @@ class Database {
   int size() const { return static_cast<int>(facts_.size()); }
   bool empty() const { return facts_.empty(); }
 
-  bool Contains(const Fact& fact) const {
-    return fact_ids_.find(fact) != fact_ids_.end();
-  }
+  bool Contains(const Fact& fact) const { return FactId(fact) >= 0; }
 
   /// Index of `fact` in facts(), or -1 when absent. Hash lookup; the hot
   /// paths (SAT encoding, repair counting) use this instead of building
@@ -71,8 +83,10 @@ class Database {
 
   /// Id of a fact referenced by its *storage address* (a pointer handed
   /// out by FactPtr or observed through a FactIndex over this database);
-  /// -1 for strangers. Pointer-keyed hash lookup — cheaper than hashing
-  /// the fact's values on the embedding-enumeration hot paths.
+  /// -1 for strangers, equal facts stored elsewhere included. Resolves
+  /// the fact by value and then checks the address, so it dereferences
+  /// `fact`: the pointer must be live. Every caller passes a fact
+  /// matched through a FactIndex over this same database.
   int FactIdOf(const Fact* fact) const;
 
   /// Storage address of `fact`, or nullptr when absent. Stable until the
@@ -133,32 +147,65 @@ class Database {
   std::string ToString() const;
 
  private:
-  /// Stores `fact`, which must be absent and fit the schema.
-  void Insert(const Fact& fact);
+  /// Open-addressing table of int32 ids whose keys live elsewhere (in
+  /// facts_ or blocks_): linear probing over a power-of-two slot array
+  /// at most kMaxLoadNum/kMaxLoadDen full. Each slot keeps its id's
+  /// 32-bit hash, so a probe compares hashes before it reads a key, and
+  /// growth rehashes without reading any. Deletion shifts the rest of
+  /// the probe run back over the freed slot (wrapping around the end of
+  /// the array), so the table never holds a tombstone.
+  class IdTable {
+   public:
+    /// The id stored under `hash` for which `eq(id)` holds, or -1.
+    template <typename Eq>
+    int Find(uint32_t hash, const Eq& eq) const;
+    /// Adds `id`, which must be absent, under `hash`.
+    void Insert(uint32_t hash, int id);
+    /// Removes `id`, stored under `hash`.
+    void Erase(uint32_t hash, int id);
+    /// The slot holding `from` (stored under `hash`) holds `to` instead.
+    void Repoint(uint32_t hash, int from, int to);
+    /// Grows the slot array so that `n` ids fit without growing again.
+    void Reserve(size_t n);
 
-  struct BlockKeyHash {
-    size_t operator()(const std::pair<SymbolId, std::vector<SymbolId>>& k)
-        const {
-      size_t h = k.first;
-      for (SymbolId v : k.second) h = h * 1000003u + v;
-      return h;
-    }
+   private:
+    static constexpr size_t kMaxLoadNum = 3;
+    static constexpr size_t kMaxLoadDen = 4;
+    static constexpr int32_t kEmpty = -1;
+    struct Slot {
+      int32_t id = kEmpty;
+      uint32_t hash = 0;
+    };
+    /// Index of the slot holding `id`, stored under `hash`.
+    size_t SlotOf(uint32_t hash, int id) const;
+    void Rehash(size_t capacity);
+
+    std::vector<Slot> slots_;
+    size_t size_ = 0;
   };
+
+  /// Id of `fact`, whose hash is `hash`, or -1.
+  int FindFact(const Fact& fact, uint32_t hash) const;
+  /// Id of the block (relation, key[0..key_arity)), whose hash is
+  /// `hash`, or -1.
+  int FindBlockId(SymbolId relation, const SymbolId* key, size_t key_arity,
+                  uint32_t hash) const;
+
+  /// Stores `fact`, which must be absent and fit the schema; `hash` is
+  /// its fact-table hash.
+  void Insert(const Fact& fact, uint32_t hash);
 
   Schema schema_;
   std::deque<Fact> facts_;
-  std::unordered_map<Fact, int, FactHash> fact_ids_;
-  /// Storage address -> id, for FactIdOf. Rebuilt entry-wise alongside
-  /// fact_ids_ (deque slots are address-stable until popped).
-  std::unordered_map<const Fact*, int> ptr_ids_;
+  /// facts_ by value: Contains, FactId, FactPtr and FactIdOf.
+  IdTable fact_table_;
   /// rel_slots_[id] = position of `id` inside by_relation_[relation of
   /// facts_[id]]. Keeps RemoveFact O(block) instead of O(|relation|) —
   /// the serving session's small-delta-over-large-db contract.
   std::vector<int> rel_slots_;
   std::vector<Block> blocks_;
-  std::unordered_map<std::pair<SymbolId, std::vector<SymbolId>>, int,
-                     BlockKeyHash>
-      block_index_;
+  /// blocks_ by (relation, key): FindBlock, BlockIdOf and BlockOf.
+  IdTable block_table_;
   std::unordered_map<SymbolId, std::vector<int>> by_relation_;
 };
 

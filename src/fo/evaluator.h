@@ -27,20 +27,16 @@ class FormulaEvaluator {
   /// Borrowing constructor for long-lived serving contexts: evaluates
   /// over an externally owned index (which the owner keeps current
   /// across database deltas) with an explicit active domain. `index`
-  /// must outlive the evaluator.
+  /// must outlive the evaluator. The domain is a snapshot: the
+  /// unguarded quantifiers range over it, and rewritings contain
+  /// negation, so a stale superset is not sound — the owner drops the
+  /// evaluator when a delta may have changed it
+  /// (`EvalContext::ResetEvaluator`).
   FormulaEvaluator(const FactIndex* index, std::vector<SymbolId> adom);
-
-  /// Replaces the active domain — the owner of a borrowed index calls
-  /// this after a delta changed the set of occurring constants (the
-  /// unguarded quantifiers range over adom, and rewritings contain
-  /// negation, so a stale superset is not sound).
-  void SetActiveDomain(std::vector<SymbolId> adom) {
-    adom_ = std::move(adom);
-  }
 
   /// The active domain the unguarded quantifiers range over. The
   /// set-at-a-time program executor reads it from here so both execution
-  /// modes always see the same (session-maintained) domain.
+  /// modes always see the same domain.
   const std::vector<SymbolId>& adom() const { return adom_; }
 
   /// Evaluates a sentence (no free variables outside `binding`).

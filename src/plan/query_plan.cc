@@ -238,7 +238,10 @@ Result<SolveOutcome> QueryPlan::Solve(EvalContext& ctx,
         "IsCertainRow");
   }
   Result<SolverCall> call = [&]() -> Result<SolverCall> {
-    if (kind_ == SolverKind::kFoRewriting) return solver_->Decide(ctx);
+    if (kind_ == SolverKind::kFoRewriting) {
+      return fo_ != nullptr ? fo_->Decide(ctx, deadline)
+                            : solver_->Decide(ctx);
+    }
     if (kind_ == SolverKind::kOracle) {
       // The reference the scoped solvers are checked against: every
       // repair of the whole database.

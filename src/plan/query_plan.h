@@ -165,9 +165,11 @@ class QueryPlan {
   /// SAT plans run their solver on ctx.db() restricted to the query's
   /// relations: a fact of any other relation lies in no embedding, so
   /// dropping its block preserves certainty (Lemma 1). Forced-oracle
-  /// plans enumerate the repairs of the whole database. The SAT search
-  /// and the oracle poll `deadline` and answer kDeadlineExceeded once it
-  /// expires; FO plans and the polynomial solvers run to completion.
+  /// plans enumerate the repairs of the whole database. The FO program
+  /// (at its batch checkpoints), the SAT search and the oracle poll
+  /// `deadline` and answer kDeadlineExceeded once it expires; the FO
+  /// interpreter oracle checks it before it starts, and the polynomial
+  /// solvers run to completion.
   Result<SolveOutcome> Solve(const Database& db) const;
   Result<SolveOutcome> Solve(EvalContext& ctx,
                              const Deadline& deadline = Deadline()) const;

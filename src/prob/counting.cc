@@ -154,7 +154,7 @@ BigInt Counting::CountByDecomposition(const Database& db, const Query& q) {
   }
   // Collect embeddings as (block, fact) requirement lists and union the
   // blocks each embedding touches. The matcher hands back the matched
-  // facts; their ids come from the database's address->id map.
+  // facts; their ids come from `Database::FactIdOf`.
   UnionFind uf(static_cast<int>(db.blocks().size()));
   std::vector<std::vector<std::pair<int, int>>> embeddings;
   FactIndex index(db);

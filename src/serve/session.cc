@@ -177,7 +177,6 @@ Session::Session(Database db, const Options& options)
       plan_cache_(options.plan_cache != nullptr ? options.plan_cache
                                                 : &PlanCache::Global()) {
   epoch_.store(options_.initial_epoch, std::memory_order_release);
-  for (const Fact& f : db_.facts()) BumpAdomCounts(f, +1);
   int n = options_.num_threads > 0 ? options_.num_threads
                                    : DefaultServingThreads();
   pool_ = std::make_unique<ThreadPool>(n);
@@ -206,18 +205,6 @@ Session::Stats Session::stats() const {
   return out;
 }
 
-void Session::BumpAdomCounts(const Fact& fact, int direction) {
-  for (SymbolId v : fact.values()) {
-    if (direction > 0) {
-      ++adom_counts_[v];
-    } else {
-      auto it = adom_counts_.find(v);
-      assert(it != adom_counts_.end());
-      if (--it->second == 0) adom_counts_.erase(it);
-    }
-  }
-}
-
 void Session::ForEachLiveIndex(const std::function<void(FactIndex&)>& fn) {
   for (const std::unique_ptr<EvalContext>& worker : workers_) {
     if (FactIndex* index = worker->fact_index_if_built()) fn(*index);
@@ -230,7 +217,6 @@ void Session::ApplyAdd(const Fact& fact) {
   (void)st;
   const Fact* added = db_.FactPtr(fact);
   ForEachLiveIndex([&](FactIndex& index) { index.Add(added); });
-  BumpAdomCounts(fact, +1);
 }
 
 void Session::ApplyRemove(const Fact& fact) {
@@ -250,7 +236,6 @@ void Session::ApplyRemove(const Fact& fact) {
   if (last != target) {
     ForEachLiveIndex([&](FactIndex& index) { index.Add(target); });
   }
-  BumpAdomCounts(fact, -1);
 }
 
 void Session::MarkDefunct() {
@@ -274,12 +259,12 @@ Result<uint64_t> Session::ApplyDelta(const Delta& delta) {
     CQA_RETURN_NOT_OK(options_.commit_hook(delta, next));
   }
 
-  bool domain_changed = false;
-  std::vector<std::pair<SymbolId, std::vector<SymbolId>>> blocks;
   uint64_t added = 0;
   uint64_t removed = 0;
+  // A fact's actions alternate between add and remove, so it differs
+  // from the pre-delta database iff it has an odd number of them.
+  std::unordered_map<Fact, bool, FactHash> flipped;
   for (const Action& action : *actions) {
-    size_t before = adom_counts_.size();
     if (action.add) {
       ApplyAdd(action.fact);
       ++added;
@@ -287,25 +272,21 @@ Result<uint64_t> Session::ApplyDelta(const Delta& delta) {
       ApplyRemove(action.fact);
       ++removed;
     }
-    domain_changed = domain_changed || adom_counts_.size() != before;
-    blocks.emplace_back(action.fact.relation(), action.fact.KeyValues());
+    bool& odd = flipped[action.fact];
+    odd = !odd;
+  }
+  // The evaluators' domain snapshots may be stale now; the next use
+  // snapshots the post-delta database.
+  for (const std::unique_ptr<EvalContext>& worker : workers_) {
+    worker->ResetEvaluator();
   }
 
-  if (domain_changed) {
-    std::vector<SymbolId> adom;
-    adom.reserve(adom_counts_.size());
-    for (const auto& [constant, count] : adom_counts_) {
-      (void)count;
-      adom.push_back(constant);
-    }
-    std::sort(adom.begin(), adom.end());
-    for (const std::unique_ptr<EvalContext>& worker : workers_) {
-      if (FormulaEvaluator* evaluator = worker->evaluator_if_built()) {
-        evaluator->SetActiveDomain(adom);
-      }
-    }
+  // Log only the blocks whose contents moved: a block that one op
+  // changes and a later op restores reaches no row.
+  std::vector<std::pair<SymbolId, std::vector<SymbolId>>> blocks;
+  for (const auto& [fact, odd] : flipped) {
+    if (odd) blocks.emplace_back(fact.relation(), fact.KeyValues());
   }
-
   std::sort(blocks.begin(), blocks.end());
   blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
 

@@ -36,11 +36,14 @@
 /// over a *persistent* worker pool, while the database evolves through
 /// transactional deltas:
 ///
-///   * each pool worker keeps one `EvalContext` whose `FactIndex` (and
-///     borrowed FO evaluator) survives across calls — `ApplyDelta`
-///     patches the already-built indexes in place through the
-///     incremental `FactIndex::Add/Remove` paths instead of letting the
-///     next call reindex the world;
+///   * each pool worker keeps one `EvalContext` whose `FactIndex`
+///     survives across calls — `ApplyDelta` patches the already-built
+///     indexes in place through the incremental `FactIndex::Add/Remove`
+///     paths instead of letting the next call reindex the world. The
+///     session keeps no active-domain counts: a delta drops each
+///     worker's FO evaluator (`EvalContext::ResetEvaluator`), whose next
+///     use snapshots the domain from the database; only the interpreter
+///     oracle builds one;
 ///   * deltas are transactional (`Insert` / `Remove` / `ReplaceBlock`
 ///     ops validate as a unit against the pre-delta state; an invalid
 ///     op rejects the whole delta and mutates nothing) and bump the
@@ -245,10 +248,11 @@ class Session {
   /// was served at (read under the epoch gate).
   Result<SolveOutcome> Solve(const std::shared_ptr<const QueryPlan>& plan);
   /// `deadline` applies to the whole batch: items not yet dispatched
-  /// when it fires answer kDeadlineExceeded individually. A running SAT
-  /// or oracle solve polls it too and stops with kDeadlineExceeded; FO
-  /// plans and the polynomial solvers (terminal cycles, AC(k), C(k))
-  /// run to completion once started.
+  /// when it fires answer kDeadlineExceeded individually. A running FO
+  /// program, SAT or oracle solve polls it too and stops with
+  /// kDeadlineExceeded; the polynomial solvers (terminal cycles, AC(k),
+  /// C(k)) and the FO interpreter oracle run to completion once
+  /// started.
   std::vector<Result<SolveOutcome>> SolveBatch(
       const std::vector<std::shared_ptr<const QueryPlan>>& plans,
       uint64_t* epoch_out = nullptr, const Deadline& deadline = Deadline());
@@ -334,10 +338,12 @@ class Session {
     std::list<std::string>::iterator lru_pos;
   };
 
-  /// One applied delta: the blocks it touched, at the epoch it created.
+  /// One applied delta: the blocks it changed, at the epoch it created.
   struct DeltaRecord {
     uint64_t epoch = 0;
-    /// Deduped (relation, key) pairs.
+    /// Deduped (relation, key) pairs of the blocks whose contents differ
+    /// from the pre-delta database: a block that one op changes and a
+    /// later op restores is not logged.
     std::vector<std::pair<SymbolId, std::vector<SymbolId>>> blocks;
   };
 
@@ -441,7 +447,6 @@ class Session {
   void ApplyAdd(const Fact& fact);
   void ApplyRemove(const Fact& fact);
   void ForEachLiveIndex(const std::function<void(FactIndex&)>& fn);
-  void BumpAdomCounts(const Fact& fact, int direction);
 
   Options options_;
   Database db_;
@@ -455,11 +460,6 @@ class Session {
   mutable WriterPriorityGate epoch_mu_;
   std::atomic<uint64_t> epoch_{0};
   std::atomic<bool> defunct_{false};
-
-  /// Constant -> number of occurrences across all fact positions; the
-  /// exact active domain is its key set (rewritings contain negation,
-  /// so a stale superset would be unsound).
-  std::unordered_map<SymbolId, uint64_t> adom_counts_;
 
   /// Per-worker contexts, index-aligned with the pool's workers.
   std::vector<std::unique_ptr<EvalContext>> workers_;

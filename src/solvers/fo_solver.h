@@ -44,8 +44,15 @@ class FoSolver final : public Solver {
   /// db ∈ CERTAINTY(q), by compiled-program execution (or formula
   /// interpretation under FoExecMode::kInterpreter) — polynomial time.
   /// Reuses the context's shared index (one FactIndex per database, not
-  /// per call).
+  /// per call). Polls ctx.deadline().
   Result<SolverCall> Decide(EvalContext& ctx) const override;
+
+  /// Decide under `deadline` instead of the context's: the program
+  /// polls it at its batch checkpoints and answers kDeadlineExceeded
+  /// once it fires; the interpreter checks it once, before it starts.
+  /// An unlimited deadline reads no clock. This lets a long-lived
+  /// worker context serve requests with different budgets.
+  Result<SolverCall> Decide(EvalContext& ctx, const Deadline& deadline) const;
 
   /// db ∈ CERTAINTY(θ(q)) for the parameter binding θ, by tree
   /// interpretation over a caller-provided evaluator. This is the

@@ -38,9 +38,9 @@ bool Encode(EvalContext& ctx, const Query& q, Encoding* out) {
     }
   }
   // Forbid every embedding of q. The matcher hands back the matched
-  // facts; their ids come from the database's address->id map, no value
-  // hashing needed. The index comes from the context, so a batch worker
-  // reuses one set of lazily built buckets across every query it serves.
+  // facts; their ids come from `Database::FactIdOf`. The index comes
+  // from the context, so a batch worker reuses one set of lazily built
+  // buckets across every query it serves.
   // The deadline is polled every 256 embeddings.
   const Deadline& deadline = ctx.deadline();
   uint64_t embeddings = 0;

@@ -131,11 +131,14 @@ class EvalContext {
     return index_.has_value() ? &*index_ : nullptr;
   }
 
-  /// The FO evaluator, when already built (null otherwise). Mutable so
-  /// the session can swap in the post-delta active domain.
-  FormulaEvaluator* evaluator_if_built() {
-    return evaluator_.has_value() ? &*evaluator_ : nullptr;
-  }
+  /// Drops the built FO evaluator, if any. A delta may change the
+  /// active domain the evaluator snapshotted, so the session calls this
+  /// after every delta; the next `evaluator()` takes a fresh snapshot.
+  /// Only the interpreter oracle builds an evaluator (a compiled
+  /// program asks for one only for its domain quantifiers, which the
+  /// rewritings never contain), so the production path never pays for
+  /// the snapshot.
+  void ResetEvaluator() { evaluator_.reset(); }
 
  private:
   const Database& db_;

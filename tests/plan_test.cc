@@ -606,5 +606,26 @@ TEST(QueryPlanTest, RowFallbackBoundsEachRowByTheDeadline) {
   EXPECT_LT(elapsed_ms, 40.0);
 }
 
+TEST(QueryPlanTest, FoSolveHonoursTheDeadline) {
+  Database db = corpus::ConferenceDatabase();
+  Query q = corpus::ConferenceQuery();
+  std::shared_ptr<const QueryPlan> plan = MustCompile(q);
+  ASSERT_EQ(plan->solver_kind(), SolverKind::kFoRewriting);
+  Result<SolveOutcome> expected = testutil::Solve(db, q);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  const FoExecMode saved = DefaultFoExecMode();
+  for (FoExecMode mode : {FoExecMode::kProgram, FoExecMode::kInterpreter}) {
+    SetDefaultFoExecMode(mode);
+    EvalContext ctx(db);
+    Result<SolveOutcome> expired = plan->Solve(ctx, Deadline::AfterMillis(0));
+    ASSERT_FALSE(expired.ok());
+    EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
+    Result<SolveOutcome> unlimited = plan->Solve(ctx, Deadline());
+    ASSERT_TRUE(unlimited.ok()) << unlimited.status();
+    EXPECT_EQ(unlimited->certain, expected->certain);
+  }
+  SetDefaultFoExecMode(saved);
+}
+
 }  // namespace
 }  // namespace cqa

@@ -63,7 +63,7 @@ TEST(SessionTest, DatabaseRemoveFactKeepsEveryStructureCoherent) {
   EXPECT_FALSE(db.Contains(F("R", {"a", "y"}, 1)));
   EXPECT_TRUE(db.Contains(F("R", {"a", "x"}, 1)));
   EXPECT_TRUE(db.Contains(F("S", {"x", "1"}, 1)));
-  // Ids stay dense and the address map agrees with the value map.
+  // Ids stay dense, and lookups by address agree with lookups by value.
   for (int i = 0; i < db.size(); ++i) {
     EXPECT_EQ(db.FactId(db.facts()[i]), i);
     EXPECT_EQ(db.FactIdOf(db.FactPtrAt(i)), i);
@@ -104,8 +104,9 @@ TEST(SessionTest, DatabaseCopyRebuildsTheAddressMap) {
   ASSERT_TRUE(db.AddFact(F("R", {"a", "x"}, 1)).ok());
   ASSERT_TRUE(db.AddFact(F("R", {"b", "y"}, 1)).ok());
   Database copy = db;
-  // The copy's address map must resolve the copy's own storage, and the
-  // original keeps working after the copy mutates.
+  // FactIdOf on the copy must resolve the copy's own storage and refuse
+  // the original's equal facts, and the original keeps working after
+  // the copy mutates.
   EXPECT_EQ(copy.FactIdOf(copy.FactPtrAt(1)), 1);
   EXPECT_EQ(copy.FactIdOf(db.FactPtrAt(1)), -1);
   ASSERT_TRUE(copy.RemoveFact(F("R", {"a", "x"}, 1)).ok());
@@ -572,6 +573,82 @@ TEST(SessionTest, CoveringAtomCandidatesMatchFreshEngine) {
   EXPECT_GT(one_atom, 0u);
 }
 
+/// Sets the process-wide FO execution mode for one scope.
+class ScopedExecMode {
+ public:
+  explicit ScopedExecMode(FoExecMode mode) : saved_(DefaultFoExecMode()) {
+    SetDefaultFoExecMode(mode);
+  }
+  ~ScopedExecMode() { SetDefaultFoExecMode(saved_); }
+
+ private:
+  FoExecMode saved_;
+};
+
+/// Under the interpreter oracle each worker builds an FO evaluator over
+/// a snapshot of the active domain, and every delta drops it. The delta
+/// fodder draws from a wider domain than the databases, so deltas bring
+/// constants in and retire them; verdicts and rows must still equal a
+/// fresh engine's.
+TEST(SessionTest, InterpreterTracksTheDomainAcrossDeltas) {
+  ScopedExecMode mode(FoExecMode::kInterpreter);
+  int checks = 0;
+  int domain_changes = 0;
+  for (int seed = 1; seed <= 40; ++seed) {
+    QueryGenOptions qopt;
+    qopt.seed = seed * 13 + 1;
+    qopt.num_atoms = 1 + seed % 3;
+    qopt.max_arity = 3;
+    Query q = RandomAcyclicQuery(qopt);
+    VarSet vars = q.Vars();
+    std::vector<SymbolId> fv(vars.begin(), vars.end());
+    Rng rng(seed * 613);
+    rng.Shuffle(&fv);
+    fv.resize(std::min<size_t>(fv.size(), seed % 3));
+
+    BlockDbGenOptions dopt;
+    dopt.seed = seed * 37;
+    dopt.blocks_per_relation = 3;
+    dopt.max_block_size = 2;
+    dopt.domain_size = 4;
+    BlockDbGenOptions popt = dopt;
+    popt.seed = seed * 131;
+    popt.domain_size = 8;
+    Database fodder = RandomBlockDatabase(q, popt);
+    std::vector<Fact> pool(fodder.facts().begin(), fodder.facts().end());
+
+    Session::Options sopt;
+    sopt.num_threads = 2;
+    PlanCache cache;
+    sopt.plan_cache = &cache;
+    Session session(RandomBlockDatabase(q, dopt), sopt);
+    for (int d = 0; d < 6; ++d) {
+      std::vector<SymbolId> domain = session.db().ActiveDomain();
+      Result<uint64_t> applied =
+          session.ApplyDelta(RandomDelta(session.db(), pool, &rng));
+      ASSERT_TRUE(applied.ok()) << applied.status();
+      if (session.db().ActiveDomain() != domain) ++domain_changes;
+
+      Result<SolveOutcome> verdict = session.Solve(q);
+      ASSERT_TRUE(verdict.ok()) << verdict.status();
+      Result<SolveOutcome> fresh_verdict = testutil::Solve(session.db(), q);
+      ASSERT_TRUE(fresh_verdict.ok()) << fresh_verdict.status();
+      EXPECT_EQ(verdict->certain, fresh_verdict->certain)
+          << "seed " << seed << " delta " << d << " query " << q.ToString();
+
+      Result<Rows> served = Materialize(session.CertainAnswers(q, fv));
+      ASSERT_TRUE(served.ok()) << served.status();
+      Result<Rows> fresh = testutil::CertainAnswers(session.db(), q, fv);
+      ASSERT_TRUE(fresh.ok()) << fresh.status();
+      EXPECT_EQ(*served, *fresh)
+          << "seed " << seed << " delta " << d << " query " << q.ToString();
+      ++checks;
+    }
+  }
+  EXPECT_EQ(checks, 240);
+  EXPECT_GT(domain_changes, 60);
+}
+
 // ------------------------------------------------------ the reach rule
 
 using Block = std::pair<SymbolId, std::vector<SymbolId>>;
@@ -584,34 +661,6 @@ std::set<Block> ChangedBlocks(const Database& before, const Database& after) {
   }
   for (const Fact& f : after.facts()) {
     if (!before.Contains(f)) out.emplace(f.relation(), f.KeyValues());
-  }
-  return out;
-}
-
-/// The blocks the primitive actions of `delta` touch, as the session
-/// logs them: a block a delta changes and then restores counts too. Each
-/// op is applied on its own, in order, and diffed.
-std::set<Block> TouchedBlocks(const Database& db, const Delta& delta) {
-  Database current = db;
-  std::set<Block> out;
-  for (const Delta::Op& op : delta.ops()) {
-    Delta one;
-    switch (op.kind) {
-      case Delta::Op::Kind::kInsert:
-        one.Insert(op.fact);
-        break;
-      case Delta::Op::Kind::kRemove:
-        one.Remove(op.fact);
-        break;
-      case Delta::Op::Kind::kReplaceBlock:
-        one.ReplaceBlock(op.relation, op.key, op.block_facts);
-        break;
-    }
-    Database next = current;
-    EXPECT_TRUE(ApplyDeltaToDatabase(one, &next).ok());
-    std::set<Block> changed = ChangedBlocks(current, next);
-    out.insert(changed.begin(), changed.end());
-    current = std::move(next);
   }
   return out;
 }
@@ -765,7 +814,7 @@ TEST(SessionTest, ReachRuleMatchesFreshEngine) {
         !cache.GetOrCompile(q, fv).value()->DecidesRowsByProgram();
 
     ASSERT_TRUE(session.CertainAnswers(q, fv).ok());
-    for (int serve = 0; serve < 10; ++serve) {
+    for (int serve = 0; serve < 12; ++serve) {
       // Most ranges stay on one relation of q, so that the untouched
       // atoms can cover the free variables; the rest roam.
       std::optional<SymbolId> only;
@@ -782,9 +831,11 @@ TEST(SessionTest, ReachRuleMatchesFreshEngine) {
         Delta delta = RandomDelta(
             only ? session.db().Restrict({*only}) : session.db(), range_pool,
             &rng);
-        std::set<Block> touched = TouchedBlocks(session.db(), delta);
-        changed.insert(touched.begin(), touched.end());
+        // The session logs the blocks each delta changes on net.
+        Database before_delta = session.db();
         ASSERT_TRUE(session.ApplyDelta(delta).ok());
+        std::set<Block> net = ChangedBlocks(before_delta, session.db());
+        changed.insert(net.begin(), net.end());
       }
       Session::Stats before = session.stats();
       Result<Rows> served = Materialize(session.CertainAnswers(q, fv));
@@ -1049,7 +1100,13 @@ TEST(SessionTest, DeltaReachingNoPatternKeepsTheSnapshot) {
                     {F("R", {"a2", "b2"}, 1)});
   Delta unrelated;  // a relation the query never mentions
   unrelated.Insert(F("Z", {"y", "y"}, 1));
-  for (const Delta* delta : {&same, &unrelated}) {
+  // An insert that a later op of the same delta undoes: the block's
+  // contents do not move, so the session logs no block.
+  Delta restored;
+  restored.Insert(F("R", {"a3", "e"}, 1));
+  restored.ReplaceBlock(InternSymbol("R"), {InternSymbol("a3")},
+                        {F("R", {"a3", "b3"}, 1)});
+  for (const Delta* delta : {&same, &unrelated, &restored}) {
     Session::Stats before = session.stats();
     ASSERT_TRUE(session.ApplyDelta(*delta).ok());
     Result<std::shared_ptr<const RowBlock>> served =
