@@ -1,8 +1,8 @@
 // The storage layer's price list: what building, copying and
 // restricting an uncertain database costs in time and in allocator
 // bytes per fact. Every serving tenant holds a `Database`, and
-// `Service::CreateDatabase`, `Session::Snapshot` and the scoped solves
-// beyond FO (`QueryPlan::Solve` on `Database::Restrict`) copy one.
+// `Service::CreateDatabase` and the scoped solves beyond FO
+// (`QueryPlan::Solve` on `Database::Restrict`) copy one.
 //
 // The facts are shaped like perfbench's answers_full tenant: two
 // columns, key arity one, and one block in seven holding two facts.

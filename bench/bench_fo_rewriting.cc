@@ -92,11 +92,11 @@ BENCHMARK(BM_Fo_CertainAnswersProgram)
 
 void BM_Fo_CertainAnswersParallel(benchmark::State& state) {
   // Thread-scaling series of the data-parallel row path: one large
-  // CertainAnswers call per iteration, its candidate batch partitioned
-  // across `threads` workers (the answer cache is disabled so every
-  // iteration re-decides the full batch). The arg-pair (blocks,
-  // threads) makes the 1/2/4/8-worker curve one filtered series in
-  // BENCH_results.json.
+  // CertainAnswers call per iteration on a plan compiled before the
+  // loop, its candidate batch partitioned across `threads` workers (the
+  // answer cache is disabled so every iteration re-decides the full
+  // batch). The arg-pair (blocks, threads) makes the 1/2/4/8-worker
+  // curve one filtered series in BENCH_results.json.
   Database db = PathDb(static_cast<int>(state.range(0)), 42);
   int threads = static_cast<int>(state.range(1));
   double facts = db.size();
@@ -106,9 +106,11 @@ void BM_Fo_CertainAnswersParallel(benchmark::State& state) {
   Session session(std::move(db), options);
   Query q = corpus::PathQuery2();
   std::vector<SymbolId> fv = {InternSymbol("x")};
+  std::shared_ptr<const QueryPlan> plan =
+      PlanCache::Global().GetOrCompile(q, fv).value();
   size_t answers = 0;
   for (auto _ : state) {
-    answers = (*session.CertainAnswers(q, fv))->size();
+    answers = (*session.CertainAnswers(plan, q, fv))->size();
     benchmark::DoNotOptimize(answers);
   }
   state.counters["facts"] = facts;

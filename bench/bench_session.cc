@@ -12,6 +12,10 @@
 // Acceptance tracking: BM_Session_DeltaReServe vs
 // BM_Session_FullRecompute at equal sizes in BENCH_results.json — the
 // delta path must win by >= 3x on the larger sizes.
+//
+// Every series uses real time: the work runs on a session worker while
+// the calling thread waits, so the caller's CPU time would understate
+// each iteration and inflate the iteration count.
 
 #include "bench_main.h"
 
@@ -151,7 +155,8 @@ void BM_Session_DeltaReServe(benchmark::State& state) {
 }
 BENCHMARK(BM_Session_DeltaReServe)
     ->RangeMultiplier(4)
-    ->Range(64, cqa_bench::RangeLimit(4096, 64));
+    ->Range(64, cqa_bench::RangeLimit(4096, 64))
+    ->UseRealTime();
 
 /// The delta path when the changed block's key pins no free variable:
 /// each delta drops or restores one S-block. S is the only relation the
@@ -182,7 +187,8 @@ void BM_Session_DeltaReServeUnpinned(benchmark::State& state) {
 }
 BENCHMARK(BM_Session_DeltaReServeUnpinned)
     ->RangeMultiplier(4)
-    ->Range(64, cqa_bench::RangeLimit(4096, 64));
+    ->Range(64, cqa_bench::RangeLimit(4096, 64))
+    ->UseRealTime();
 
 /// Baseline: the same deltas answered by a service whose sessions keep
 /// no answer cache — every request re-enumerates the candidates and
@@ -208,7 +214,8 @@ void BM_Session_FullRecompute(benchmark::State& state) {
 }
 BENCHMARK(BM_Session_FullRecompute)
     ->RangeMultiplier(4)
-    ->Range(64, cqa_bench::RangeLimit(4096, 64));
+    ->Range(64, cqa_bench::RangeLimit(4096, 64))
+    ->UseRealTime();
 
 /// The 1.5x rule of a stale entry's full recompute (see
 /// Session::ComputeCertainFull): `n` R-blocks R(a_i | b_i), with
@@ -261,7 +268,8 @@ void BM_Session_CoveringRule(benchmark::State& state) {
 }
 BENCHMARK(BM_Session_CoveringRule)
     ->ArgsProduct({{cqa_bench::RangeLimit(4096, 256)},
-                   {10, 14, 16, 19, 25, 40, 80}});
+                   {10, 14, 16, 19, 25, 40, 80}})
+    ->UseRealTime();
 
 /// The bound between the reach refresh and a full recompute (see
 /// Session::DirtyPatternsSince): `n` R-blocks R(a_i | b_(i/k)), so each
@@ -322,7 +330,7 @@ BENCHMARK(BM_Session_ReachRule)->Apply([](benchmark::internal::Benchmark* b) {
       if (2 * k <= n) b->Args({n, k});
     }
   }
-});
+})->UseRealTime();
 
 /// Thread-scaling series of the full-recompute path: the same workload
 /// as BM_Session_FullRecompute, but the service pool runs `threads`
@@ -356,7 +364,8 @@ void BM_Session_FullRecomputeThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_Session_FullRecomputeThreads)
     ->ArgsProduct({{cqa_bench::RangeLimit(4096, 64)},
-                   cqa_bench::ThreadCounts()});
+                   cqa_bench::ThreadCounts()})
+    ->UseRealTime();
 
 /// The durability tax on the delta re-serve path: identical workload to
 /// BM_Session_DeltaReServe, but every delta goes through the
@@ -395,7 +404,8 @@ void BM_Session_DurableDeltaReServe(benchmark::State& state) {
 }
 BENCHMARK(BM_Session_DurableDeltaReServe)
     ->RangeMultiplier(4)
-    ->Range(64, cqa_bench::RangeLimit(4096, 64));
+    ->Range(64, cqa_bench::RangeLimit(4096, 64))
+    ->UseRealTime();
 
 /// Delta cost in isolation: transactional validation + database
 /// mutation + in-place patching of one warm worker index.
@@ -413,7 +423,8 @@ void BM_Session_ApplyDeltaOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_Session_ApplyDeltaOnly)
     ->RangeMultiplier(4)
-    ->Range(64, cqa_bench::RangeLimit(4096, 64));
+    ->Range(64, cqa_bench::RangeLimit(4096, 64))
+    ->UseRealTime();
 
 /// Boolean serving across deltas: the relation-level cache keeps
 /// serving a Boolean query whose relations the deltas never touch.
@@ -441,6 +452,7 @@ void BM_Session_BooleanUntouchedRelations(benchmark::State& state) {
 }
 BENCHMARK(BM_Session_BooleanUntouchedRelations)
     ->RangeMultiplier(4)
-    ->Range(64, cqa_bench::RangeLimit(1024, 64));
+    ->Range(64, cqa_bench::RangeLimit(1024, 64))
+    ->UseRealTime();
 
 }  // namespace

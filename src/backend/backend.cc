@@ -1,98 +1,6 @@
 #include "backend/backend.h"
 
-#include <mutex>
-
 namespace cqa {
-
-namespace {
-
-/// The identity backend. Every pushdown declines, so the session's
-/// serving paths run exactly as they do with no backend at all; the
-/// only live code is the fallback-admission counter.
-class InMemoryBackend : public Backend {
- public:
-  BackendOptions::Kind kind() const override {
-    return BackendOptions::Kind::kInMemory;
-  }
-
-  Status Load(const Database& db, uint64_t epoch) override {
-    (void)db;
-    (void)epoch;
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.loads;
-    return Status::OK();
-  }
-
-  Status ApplyMutations(const std::vector<Mutation>& mutations,
-                        const Database& post, uint64_t epoch) override {
-    (void)post;
-    (void)epoch;
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.mutations_mirrored += mutations.size();
-    ++stats_.transactions_committed;
-    return Status::OK();
-  }
-
-  bool SupportsNatively(const QueryPlan& plan) override {
-    (void)plan;
-    // "Natively" here means the session's own engine — every plan —
-    // so AdmitFallback's refusal policy never applies in memory.
-    return true;
-  }
-
-  Status AdmitFallback(const QueryPlan& plan, size_t db_facts) override {
-    (void)plan;
-    (void)db_facts;
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.fallback_admitted;
-    return Status::OK();
-  }
-
-  bool PartitionsRows(const QueryPlan& plan) override {
-    (void)plan;
-    return true;
-  }
-
-  Status DecideRowSpan(EvalContext& ctx, const QueryPlan& plan,
-                       const std::vector<std::vector<SymbolId>>& rows,
-                       size_t begin, size_t end, std::vector<char>* out,
-                       const Deadline& deadline) override {
-    return plan.IsCertainRowSpan(ctx, rows, begin, end, out, deadline);
-  }
-
-  Result<std::optional<bool>> SolveCertain(const QueryPlan& plan) override {
-    (void)plan;
-    return std::optional<bool>();  // decline
-  }
-
-  Result<std::optional<RowSet>> CertainAnswerSet(
-      const QueryPlan& plan, const Deadline& deadline) override {
-    (void)plan;
-    (void)deadline;
-    return std::optional<RowSet>();  // decline
-  }
-
-  Result<std::shared_ptr<AnswerCursor>> OpenAnswerCursor(
-      const QueryPlan& plan) override {
-    (void)plan;
-    return std::shared_ptr<AnswerCursor>();  // decline
-  }
-
-  Stats stats() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  Stats stats_;
-};
-
-}  // namespace
-
-std::unique_ptr<Backend> MakeInMemoryBackend() {
-  return std::make_unique<InMemoryBackend>();
-}
 
 #if !defined(CQA_WITH_SQLITE)
 

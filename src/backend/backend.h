@@ -16,19 +16,16 @@
 /// \file
 /// Pluggable execution backends — where a certainty decision actually
 /// runs. The serving tier (serve/session.h) owns the authoritative
-/// in-memory `Database` and the compiled `QueryPlan`s; a `Backend`
-/// decides how plan evaluation and answer enumeration execute:
-///
-///   * `InMemoryBackend` is the identity backend: it declines every
-///     pushdown, so the session runs today's `FoProgram` / solver path
-///     unchanged — byte-identical behaviour, zero overhead;
-///   * `SqliteBackend` (backend/sqlite_backend.cc, compiled when
-///     CQA_WITH_SQLITE is ON) mirrors the tenant's facts into an
-///     embedded SQLite database — a per-tenant file under the tenant
-///     dir, or `:memory:` — and executes FO-rewritable plans as plain
-///     SQL (fo/sql_lower.h): the ConQuer deployment path, pointed at
-///     tenants whose working set should not live in the session's RAM
-///     indexes.
+/// in-memory `Database` and the compiled `QueryPlan`s. A tenant without
+/// a backend (a null `Backend`) serves every decision through the
+/// session's own `FoProgram` / solver path; a tenant with one lets it
+/// decide how plan evaluation and answer enumeration execute. The one
+/// backend is `SqliteBackend` (backend/sqlite_backend.cc, compiled when
+/// CQA_WITH_SQLITE is ON): it mirrors the tenant's facts into an
+/// embedded SQLite database — a per-tenant file under the tenant dir,
+/// or `:memory:` — and executes FO-rewritable plans as plain SQL
+/// (fo/sql_lower.h): the ConQuer deployment path, pointed at tenants
+/// whose working set should not live in the session's RAM indexes.
 ///
 /// The contract is *decline-based*: every pushdown entry point may
 /// answer "not me" (nullopt / null cursor / SupportsNatively == false),
@@ -50,6 +47,7 @@ namespace cqa {
 /// Per-database backend selection, carried by `Service::Options` (the
 /// default for every database) and per-database `CreateDatabase`.
 struct BackendOptions {
+  /// kInMemory builds no backend: the tenant serves in memory.
   enum class Kind : uint8_t { kInMemory, kSqlite };
   Kind kind = Kind::kInMemory;
   /// SQLite placement: an explicit directory for the per-tenant file.
@@ -66,8 +64,9 @@ struct BackendOptions {
 
 class Backend {
  public:
-  /// An answer set, identical in shape and order contract to
-  /// `Session::RowSet`: distinct rows, sorted lexicographically.
+  /// Rows as vectors, distinct and sorted lexicographically: an answer
+  /// set or page, and the candidate rows a plan decides
+  /// (`Session::RowSet` is this type).
   using RowSet = std::vector<std::vector<SymbolId>>;
 
   /// One validated primitive mutation of a committed delta (the
@@ -93,8 +92,8 @@ class Backend {
     /// Pushdown traffic actually served by the backend.
     uint64_t pushed_solves = 0;       // Boolean certainty via SQL
     uint64_t pushed_answer_sets = 0;  // full answer sets via SQL
-    uint64_t pushed_row_spans = 0;    // row-decision spans via SQL
-    uint64_t pushed_rows = 0;         // rows decided across those spans
+    uint64_t pushed_row_spans = 0;    // row-decision batches via SQL
+    uint64_t pushed_rows = 0;         // rows decided across those batches
     uint64_t cursors_opened = 0;      // snapshot answer cursors
     /// Fallback policy outcomes for plans the backend cannot push down.
     uint64_t fallback_admitted = 0;
@@ -112,8 +111,6 @@ class Backend {
   };
 
   virtual ~Backend() = default;
-
-  virtual BackendOptions::Kind kind() const = 0;
 
   /// Rebuilds the backend's mirror from `db` at `epoch` (session
   /// construction / store recovery). Called before any serving.
@@ -139,23 +136,17 @@ class Backend {
   /// budget). `db_facts` is the current fact count.
   virtual Status AdmitFallback(const QueryPlan& plan, size_t db_facts) = 0;
 
-  /// True when row-decision batches for `plan` should be partitioned
-  /// across the session pool (the in-memory path). Backends whose
-  /// row decisions serialize on one connection answer false and get
-  /// the whole batch as a single span.
-  virtual bool PartitionsRows(const QueryPlan& plan) = 0;
-
-  /// Decides rows[begin, end) of a parameterized plan into
-  /// (*out)[begin, end) — the backend-routed twin of
-  /// `QueryPlan::IsCertainRowSpan`, REQUIRED to produce identical
-  /// verdicts. Implementations may execute natively or delegate to the
-  /// plan; `ctx` is the calling worker's context for the delegated
-  /// path.
-  virtual Status DecideRowSpan(EvalContext& ctx, const QueryPlan& plan,
-                               const std::vector<std::vector<SymbolId>>& rows,
-                               size_t begin, size_t end,
-                               std::vector<char>* out,
-                               const Deadline& deadline) = 0;
+  /// Decides every row of a parameterized plan — the backend-routed
+  /// twin of `QueryPlan::IsCertainRows`, REQUIRED to produce identical
+  /// verdicts. The session hands a natively supported plan's whole
+  /// batch over in one call, since the backend's row decisions
+  /// serialize on its connection. Implementations may execute natively
+  /// or delegate to the plan; `ctx` is the calling worker's context for
+  /// the delegated path.
+  virtual Result<std::vector<char>> DecideRows(EvalContext& ctx,
+                                               const QueryPlan& plan,
+                                               const RowSet& rows,
+                                               const Deadline& deadline) = 0;
 
   /// Boolean certainty of a parameterless plan, pushed down. nullopt
   /// declines (the session runs plan.Solve); a value must equal what
@@ -182,11 +173,6 @@ class Backend {
   /// Releases every on-disk resource (the tenant is being dropped).
   virtual void TearDown() {}
 };
-
-/// The identity backend: declines every pushdown, partitions rows,
-/// admits every fallback — the session behaves exactly as without a
-/// backend.
-std::unique_ptr<Backend> MakeInMemoryBackend();
 
 /// True when this build carries the SQLite backend (CQA_WITH_SQLITE).
 bool SqliteBackendAvailable();

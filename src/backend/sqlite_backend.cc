@@ -132,10 +132,6 @@ class SqliteBackend : public Backend {
     return Status::OK();
   }
 
-  BackendOptions::Kind kind() const override {
-    return BackendOptions::Kind::kSqlite;
-  }
-
   Status Load(const Database& db, uint64_t epoch) override {
     (void)epoch;
     std::lock_guard<std::mutex> lock(mu_);
@@ -181,36 +177,27 @@ class SqliteBackend : public Backend {
     return Status::OK();
   }
 
-  bool PartitionsRows(const QueryPlan& plan) override {
-    // Native row decisions serialize on the one main connection —
-    // hand the whole batch over as a single span instead of queueing
-    // pool workers on the connection mutex.
-    return !SupportsNatively(plan);
-  }
-
-  Status DecideRowSpan(EvalContext& ctx, const QueryPlan& plan,
-                       const std::vector<std::vector<SymbolId>>& rows,
-                       size_t begin, size_t end, std::vector<char>* out,
-                       const Deadline& deadline) override {
+  Result<std::vector<char>> DecideRows(EvalContext& ctx,
+                                       const QueryPlan& plan,
+                                       const RowSet& rows,
+                                       const Deadline& deadline) override {
     {
       std::lock_guard<std::mutex> lock(mu_);
       PlanSql* sql = PlanSqlLocked(plan);
       if (!degraded_ && sql->native && sql->row_stmt != nullptr) {
-        Status st =
-            DecideSpanLocked(sql, rows, begin, end, out, deadline);
-        if (st.ok() || st.code() == StatusCode::kDeadlineExceeded) {
-          if (st.ok()) {
-            ++stats_.pushed_row_spans;
-            stats_.pushed_rows += end - begin;
-          }
-          return st;
+        std::vector<char> out(rows.size(), 0);
+        Status st = DecideRowsLocked(sql, rows, &out, deadline);
+        if (st.ok()) {
+          ++stats_.pushed_row_spans;
+          stats_.pushed_rows += rows.size();
+          return out;
         }
-        // Execution error: degrade and fall through to the in-memory
-        // span below (idempotent — it overwrites the whole span).
+        if (st.code() == StatusCode::kDeadlineExceeded) return st;
+        // Execution error: degrade and decide the rows in memory below.
         DegradeLocked();
       }
     }
-    return plan.IsCertainRowSpan(ctx, rows, begin, end, out, deadline);
+    return plan.IsCertainRows(ctx, rows, deadline);
   }
 
   Result<std::optional<bool>> SolveCertain(const QueryPlan& plan) override {
@@ -600,13 +587,11 @@ class SqliteBackend : public Backend {
     return value;
   }
 
-  Status DecideSpanLocked(PlanSql* sql,
-                          const std::vector<std::vector<SymbolId>>& rows,
-                          size_t begin, size_t end, std::vector<char>* out,
-                          const Deadline& deadline) {
+  Status DecideRowsLocked(PlanSql* sql, const RowSet& rows,
+                          std::vector<char>* out, const Deadline& deadline) {
     sqlite3_stmt* stmt = sql->row_stmt;
-    for (size_t i = begin; i < end; ++i) {
-      if ((i - begin) % kDecideDeadlineStride == 0 && deadline.Expired()) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (i % kDecideDeadlineStride == 0 && deadline.Expired()) {
         return Status::DeadlineExceeded("deadline expired deciding rows");
       }
       const std::vector<SymbolId>& row = rows[i];

@@ -32,8 +32,8 @@
 /// With `Service::Options::durability.dir` set, databases are durable:
 /// deltas hit a per-database write-ahead log before they apply, the log
 /// compacts into checksummed snapshots, and `OpenStore` recovers a
-/// database after a crash (see store/store.h). Direct `Session` use
-/// remains supported for embedding the serving loop without the façade.
+/// database after a crash (see store/store.h). A `Session` can still be
+/// built directly; it serves compiled `QueryPlan`s only.
 ///
 /// The whole Service API also travels over TCP: `net::Server` speaks
 /// the length-prefixed, CRC-framed binary protocol of docs/PROTOCOL.md

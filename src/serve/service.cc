@@ -74,6 +74,8 @@ void AccumulateStore(Service::StoreStats* into,
   into->snapshots_skipped += from.snapshots_skipped;
 }
 
+/// Every backend is a SQLite pushdown backend: an in-memory tenant has
+/// none.
 void AccumulateBackend(Service::StatsResponse* into, const Backend& backend) {
   Backend::Stats from = backend.stats();
   into->backend.pushed_solves += from.pushed_solves;
@@ -89,9 +91,7 @@ void AccumulateBackend(Service::StatsResponse* into, const Backend& backend) {
   into->backend.statements_prepared += from.statements_prepared;
   into->backend.statement_cache_hits += from.statement_cache_hits;
   if (from.degraded) ++into->degraded_backends;
-  if (backend.kind() == BackendOptions::Kind::kSqlite) {
-    ++into->sqlite_databases;
-  }
+  ++into->sqlite_databases;
 }
 
 /// Database names are arbitrary strings; directory names are not.
@@ -169,7 +169,7 @@ store::DbStore::Options Service::StoreOptions() const {
 Result<std::shared_ptr<Backend>> Service::MakeBackend(
     const std::string& name, const BackendOptions& backend_options) const {
   if (backend_options.kind == BackendOptions::Kind::kInMemory) {
-    return std::shared_ptr<Backend>(MakeInMemoryBackend());
+    return std::shared_ptr<Backend>();
   }
   // SQLite path resolution. The mirror is always a rebuilt-on-open
   // execution replica (the in-memory database stays authoritative), so
@@ -200,7 +200,6 @@ std::shared_ptr<Session> Service::MakeSession(
     uint64_t initial_epoch, const std::shared_ptr<Backend>& backend) {
   Session::Options session_options = options_.session;
   session_options.num_threads = options_.num_threads;
-  session_options.plan_cache = &plan_cache_;
   session_options.initial_epoch = initial_epoch;
   session_options.backend = backend;
   if (backend != nullptr) {

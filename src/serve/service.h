@@ -67,13 +67,12 @@
 /// WAL is compacted into checksummed snapshots as it grows, and
 /// `OpenStore` recovers a database from disk after a restart — newest
 /// valid snapshot plus WAL tail replay, resuming the epoch chain where
-/// it left off. Direct `Session` construction remains supported for
-/// embedding the serving loop without the façade; this is the seam
-/// future scenarios (sharding, remote transport, multi-tenant quotas)
-/// attach to — and the one `net::Server` already uses: every request
-/// struct here has a wire codec (net/codec.h) and the whole API
-/// travels over TCP per docs/PROTOCOL.md. docs/ARCHITECTURE.md traces
-/// a request through every layer.
+/// it left off. This façade is the seam future scenarios (sharding,
+/// remote transport, multi-tenant quotas) attach to — and the one
+/// `net::Server` already uses: every request struct here has a wire
+/// codec (net/codec.h) and the whole API travels over TCP per
+/// docs/PROTOCOL.md. docs/ARCHITECTURE.md traces a request through
+/// every layer.
 
 namespace cqa {
 
@@ -134,11 +133,12 @@ class Service {
   struct Options {
     /// Worker threads per database session; 0 = DefaultServingThreads().
     int num_threads = 0;
-    /// The service-local plan cache (shared by every database and by
-    /// Prepare).
+    /// The service-local plan cache: Prepare and the ad-hoc requests to
+    /// every database resolve through it.
     PlanCache::Options plan_cache;
-    /// Per-database session tuning. `num_threads` and `plan_cache` in
-    /// here are overridden by the service's own.
+    /// Per-database session tuning. `num_threads`, `initial_epoch` and
+    /// `backend` in here are overridden by the service's own, and so are
+    /// the commit hooks of a durable database.
     Session::Options session;
     /// Registry capacity.
     size_t max_databases = 64;
@@ -150,10 +150,11 @@ class Service {
     size_t max_page_size = 4096;
     size_t max_open_cursors = 64;
     /// Default execution backend for every database this service
-    /// creates (backend/backend.h). kInMemory (the default) serves
-    /// exactly as before; kSqlite mirrors each tenant into an embedded
-    /// SQLite database and pushes FO-rewritable plans down as SQL. A
-    /// per-database override is available on CreateDatabase.
+    /// creates (backend/backend.h). kInMemory (the default) builds no
+    /// backend: the tenant serves from its session's in-memory engine.
+    /// kSqlite mirrors each tenant into an embedded SQLite database and
+    /// pushes FO-rewritable plans down as SQL. A per-database override
+    /// is available on CreateDatabase.
     BackendOptions backend;
     /// Durable storage. With `dir` empty (the default) databases live
     /// in memory only and the rest of this struct is ignored.
@@ -403,10 +404,11 @@ class Service {
     StoreStats store;
     size_t databases = 0;
     /// Execution-backend counters, summed over the selected
-    /// database(s) (see Backend::Stats). `sqlite_databases` counts
-    /// tenants served by the SQLite pushdown backend;
-    /// `degraded_backends` counts backends that hit an execution
-    /// failure and fell back to declining every pushdown.
+    /// database(s) (see Backend::Stats); an in-memory tenant has no
+    /// backend and adds nothing. `sqlite_databases` counts tenants
+    /// served by the SQLite pushdown backend; `degraded_backends` counts
+    /// backends that hit an execution failure and fell back to
+    /// declining every pushdown.
     Backend::Stats backend;
     size_t sqlite_databases = 0;
     size_t degraded_backends = 0;
@@ -455,8 +457,8 @@ class Service {
   struct Entry {
     std::shared_ptr<Session> session;
     std::shared_ptr<store::DbStore> store;
-    /// The database's execution backend; never null (the in-memory
-    /// backend is the identity). Shared with the session's options.
+    /// The database's execution backend, shared with the session's
+    /// options; null for an in-memory tenant.
     std::shared_ptr<Backend> backend;
   };
 
@@ -469,8 +471,8 @@ class Service {
   /// `<durability root>/<escaped name>`.
   std::string StorePath(const std::string& name) const;
   store::DbStore::Options StoreOptions() const;
-  /// Builds the execution backend for database `name`. The SQLite
-  /// flavor resolves its file path here: an explicit
+  /// Builds the execution backend for database `name`: null for
+  /// kInMemory. The SQLite flavor resolves its file path here: an explicit
   /// `BackendOptions::sqlite_dir` wins; a durable database on the
   /// default filesystem keeps its mirror inside its own store
   /// directory; anything else (memory-only service, injected test Env)

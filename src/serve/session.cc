@@ -41,21 +41,15 @@ Delta& Delta::ReplaceBlock(SymbolId relation, std::vector<SymbolId> key,
 
 namespace {
 
-/// One validated primitive mutation; the apply phase cannot fail.
-struct Action {
-  bool add = false;
-  Fact fact;
-};
-
 using FactSet = std::unordered_set<Fact, FactHash>;
 
 /// Resolves the delta into primitive actions with sequential semantics,
 /// validating every op against the pre-delta database overlaid with the
 /// effect of the earlier ops. Nothing is mutated here — an error
-/// rejects the whole delta.
-Result<std::vector<Action>> ValidateDelta(const Database& db,
-                                          const Delta& delta) {
-  std::vector<Action> actions;
+/// rejects the whole delta, and the apply phase cannot fail.
+Result<std::vector<Backend::Mutation>> ValidateDelta(const Database& db,
+                                                     const Delta& delta) {
+  std::vector<Backend::Mutation> actions;
   FactSet inserted;
   FactSet removed;
   // Signatures of relations first introduced by this delta.
@@ -157,9 +151,9 @@ Result<std::vector<Action>> ValidateDelta(const Database& db,
 }  // namespace
 
 Status ApplyDeltaToDatabase(const Delta& delta, Database* db) {
-  Result<std::vector<Action>> actions = ValidateDelta(*db, delta);
+  Result<std::vector<Backend::Mutation>> actions = ValidateDelta(*db, delta);
   if (!actions.ok()) return actions.status();
-  for (const Action& action : *actions) {
+  for (const Backend::Mutation& action : *actions) {
     Status st = action.add ? db->AddFact(action.fact)
                            : db->RemoveFact(action.fact);
     CQA_RETURN_NOT_OK(st);
@@ -172,10 +166,7 @@ Status ApplyDeltaToDatabase(const Delta& delta, Database* db) {
 Session::Session(Database db) : Session(std::move(db), Options()) {}
 
 Session::Session(Database db, const Options& options)
-    : options_(options),
-      db_(std::move(db)),
-      plan_cache_(options.plan_cache != nullptr ? options.plan_cache
-                                                : &PlanCache::Global()) {
+    : options_(options), db_(std::move(db)) {
   epoch_.store(options_.initial_epoch, std::memory_order_release);
   int n = options_.num_threads > 0 ? options_.num_threads
                                    : DefaultServingThreads();
@@ -187,11 +178,6 @@ Session::Session(Database db, const Options& options)
 }
 
 Session::~Session() = default;
-
-Database Session::Snapshot() const {
-  std::shared_lock<WriterPriorityGate> lock(epoch_mu_);
-  return db_;
-}
 
 Session::Stats Session::stats() const {
   Stats out;
@@ -249,7 +235,7 @@ Result<uint64_t> Session::ApplyDelta(const Delta& delta) {
     return Status::NotFound("database was dropped");
   }
 
-  Result<std::vector<Action>> actions = ValidateDelta(db_, delta);
+  Result<std::vector<Backend::Mutation>> actions = ValidateDelta(db_, delta);
   if (!actions.ok()) return actions.status();
 
   uint64_t next = epoch_.load(std::memory_order_relaxed) + 1;
@@ -264,7 +250,7 @@ Result<uint64_t> Session::ApplyDelta(const Delta& delta) {
   // A fact's actions alternate between add and remove, so it differs
   // from the pre-delta database iff it has an odd number of them.
   std::unordered_map<Fact, bool, FactHash> flipped;
-  for (const Action& action : *actions) {
+  for (const Backend::Mutation& action : *actions) {
     if (action.add) {
       ApplyAdd(action.fact);
       ++added;
@@ -303,15 +289,10 @@ Result<uint64_t> Session::ApplyDelta(const Delta& delta) {
     stats_.facts_removed += removed;
   }
   if (options_.backend != nullptr) {
-    std::vector<Backend::Mutation> mirror;
-    mirror.reserve(actions->size());
-    for (const Action& action : *actions) {
-      mirror.push_back({action.add, action.fact});
-    }
     // A mirror failure degrades the backend (it starts declining every
     // pushdown) but never the committed delta: the in-memory database
     // is authoritative.
-    Status mirrored = options_.backend->ApplyMutations(mirror, db_, next);
+    Status mirrored = options_.backend->ApplyMutations(*actions, db_, next);
     (void)mirrored;
   }
   if (options_.post_commit_hook) options_.post_commit_hook(db_, next);
@@ -416,19 +397,17 @@ Result<SolveOutcome> Session::SolvePlanRouted(EvalContext& ctx,
   return plan.Solve(ctx, deadline);
 }
 
-Result<std::vector<char>> Session::DecideRows(
-    EvalContext& ctx, const QueryPlan& plan,
-    const std::vector<std::vector<SymbolId>>& rows,
-    const Deadline& deadline) {
+Result<std::vector<char>> Session::DecideRows(EvalContext& ctx,
+                                              const QueryPlan& plan,
+                                              const RowSet& rows,
+                                              const Deadline& deadline) {
   size_t n = rows.size();
-  if (options_.backend != nullptr && !options_.backend->PartitionsRows(plan)) {
-    // The backend decides rows itself (e.g. SQLite's one serialized
-    // connection): hand the whole batch over as a single span instead
-    // of queueing pool workers on its connection.
-    std::vector<char> out(n, 0);
-    CQA_RETURN_NOT_OK(
-        options_.backend->DecideRowSpan(ctx, plan, rows, 0, n, &out, deadline));
-    return out;
+  if (n == 0) return std::vector<char>();
+  if (options_.backend != nullptr && options_.backend->SupportsNatively(plan)) {
+    // The backend decides the rows itself, on its one serialized
+    // connection: hand it the whole batch instead of queueing pool
+    // workers on that connection.
+    return options_.backend->DecideRows(ctx, plan, rows, deadline);
   }
   size_t threshold = options_.parallel_row_threshold;
   if (threshold == 0 || n < threshold || pool_->size() < 2) {
@@ -472,32 +451,6 @@ Result<std::vector<char>> Session::DecideRows(
 }
 
 std::vector<Result<SolveOutcome>> Session::SolveBatch(
-    const std::vector<Query>& queries) {
-  std::shared_lock<WriterPriorityGate> lock(epoch_mu_);
-  std::vector<Result<SolveOutcome>> results(
-      queries.size(),
-      Result<SolveOutcome>(Status::Internal("batch item not served")));
-  RunOnPool(queries.size(), [&](EvalContext& ctx, size_t i) {
-    Result<std::shared_ptr<const QueryPlan>> plan =
-        plan_cache_->GetOrCompile(queries[i]);
-    if (!plan.ok()) {
-      results[i] = plan.status();
-      return;
-    }
-    results[i] = SolvePlanRouted(ctx, **plan, Deadline());
-  });
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    stats_.solves += queries.size();
-  }
-  return results;
-}
-
-Result<SolveOutcome> Session::Solve(const Query& q) {
-  return SolveBatch({q})[0];
-}
-
-std::vector<Result<SolveOutcome>> Session::SolveBatch(
     const std::vector<std::shared_ptr<const QueryPlan>>& plans,
     uint64_t* epoch_out, const Deadline& deadline) {
   std::shared_lock<WriterPriorityGate> lock(epoch_mu_);
@@ -521,42 +474,6 @@ std::vector<Result<SolveOutcome>> Session::SolveBatch(
     stats_.solves += plans.size();
   }
   return results;
-}
-
-Result<SolveOutcome> Session::Solve(
-    const std::shared_ptr<const QueryPlan>& plan) {
-  return SolveBatch(std::vector<std::shared_ptr<const QueryPlan>>{plan})[0];
-}
-
-std::vector<Result<std::shared_ptr<const RowBlock>>>
-Session::CertainAnswersBatch(
-    const std::vector<CertainAnswersRequest>& requests) {
-  using Snapshot = std::shared_ptr<const RowBlock>;
-  std::shared_lock<WriterPriorityGate> lock(epoch_mu_);
-  std::vector<Result<Snapshot>> results(
-      requests.size(),
-      Result<Snapshot>(Status::Internal("batch item not served")));
-  RunOnPool(requests.size(), [&](EvalContext& ctx, size_t i) {
-    // Plan compilation validates the request (including free variables
-    // that do not occur in the query) and negatively caches the Status,
-    // so repeated malformed traffic never recompiles.
-    const CertainAnswersRequest& req = requests[i];
-    Result<std::shared_ptr<const QueryPlan>> plan =
-        req.free_vars.empty()
-            ? plan_cache_->GetOrCompile(req.query)
-            : plan_cache_->GetOrCompile(req.query, req.free_vars);
-    if (!plan.ok()) {
-      results[i] = plan.status();
-      return;
-    }
-    results[i] = ServeCertain(ctx, *plan, req.query, req.free_vars);
-  });
-  return results;
-}
-
-Result<std::shared_ptr<const RowBlock>> Session::CertainAnswers(
-    const Query& q, const std::vector<SymbolId>& free_vars) {
-  return CertainAnswersBatch({{q, free_vars}})[0];
 }
 
 Result<std::shared_ptr<const RowBlock>> Session::CertainAnswers(

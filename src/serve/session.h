@@ -15,7 +15,6 @@
 
 #include "backend/backend.h"
 #include "db/database.h"
-#include "plan/plan_cache.h"
 #include "plan/query_plan.h"
 #include "serve/row_block.h"
 #include "solvers/solver.h"
@@ -25,11 +24,12 @@
 #include "util/thread_pool.h"
 
 /// \file
-/// The engine room of the serving tier. New code should reach it
-/// through the one front door — `cqa::Service` (serve/service.h), which
-/// owns a registry of named Sessions and speaks versioned request
-/// structs; direct Session construction remains supported for embedding
-/// the serving loop without the façade.
+/// The engine room of the serving tier, reached through the one front
+/// door — `cqa::Service` (serve/service.h), which owns a registry of
+/// named Sessions, speaks versioned request structs and resolves every
+/// query to a compiled `QueryPlan` before it reaches a session. A
+/// session serves plans only: its entry points take the plan, never a
+/// bare query.
 ///
 /// A `Session` owns ONE uncertain database
 /// and serves CERTAINTY decisions and certain-answer queries against it
@@ -77,9 +77,9 @@
 ///     snapshot without disturbing the ones earlier callers still hold.
 ///
 /// Serving is parallel at TWO grains: whole requests fan out across the
-/// pool (SolveBatch, CertainAnswersBatch), and inside ONE request a
-/// large candidate row batch is itself partitioned into contiguous
-/// chunks decided by several workers at once (data parallelism; see
+/// pool (SolveBatch), and inside ONE request a large candidate row batch
+/// is itself partitioned into contiguous chunks decided by several
+/// workers at once (data parallelism; see
 /// `Options::parallel_row_threshold`). The row split is exact: rows are
 /// per-row-independent FO work, each chunk writes a disjoint span of the
 /// output, and chunk boundaries don't alter any verdict — so the
@@ -127,13 +127,6 @@ class Delta {
   std::vector<Op> ops_;
 };
 
-/// One certain-answer request: the certain answers of `query` projected
-/// onto `free_vars` (empty = Boolean certainty).
-struct CertainAnswersRequest {
-  Query query;
-  std::vector<SymbolId> free_vars;
-};
-
 /// Validates and applies `delta` to a bare database — no indexes, no
 /// epochs, no pool. This is the replay primitive: recovery re-applies a
 /// WAL tail with exactly the semantics `Session::ApplyDelta` committed
@@ -143,17 +136,14 @@ Status ApplyDeltaToDatabase(const Delta& delta, Database* db);
 
 class Session {
  public:
-  /// Rows as vectors, distinct and sorted lexicographically: the shape
-  /// of an answer page (`Service::CertainAnswersResponse`) and of the
-  /// candidate rows the plan decides. Whole answer sets are served as
-  /// `RowBlock` snapshots.
-  using RowSet = std::vector<std::vector<SymbolId>>;
+  /// The shape of an answer page (`Service::CertainAnswersResponse`)
+  /// and of the candidate rows the plan decides; whole answer sets are
+  /// served as `RowBlock` snapshots.
+  using RowSet = Backend::RowSet;
 
   struct Options {
     /// Worker threads; 0 = DefaultServingThreads().
     int num_threads = 0;
-    /// Plan cache to resolve queries through; null = PlanCache::Global().
-    PlanCache* plan_cache = nullptr;
     /// Certain-answer cache entries kept (per canonical query).
     size_t answer_cache_capacity = 256;
     /// Deltas remembered for incremental invalidation; an answer-cache
@@ -176,13 +166,12 @@ class Session {
     /// resumes the epoch chain its WAL left off at instead of
     /// restarting from 0.
     uint64_t initial_epoch = 0;
-    /// Execution backend (backend/backend.h). Null (the default) and
-    /// the in-memory backend behave identically: every decision runs on
-    /// the session's own FoProgram/solver path. A SQLite backend mirrors
-    /// deltas into its embedded database and serves FO-rewritable plans
-    /// as pushed-down SQL; plans it cannot push down pass its
-    /// AdmitFallback policy gate before the in-memory engine serves
-    /// them.
+    /// Execution backend (backend/backend.h). Null (the default) means
+    /// in memory: every decision runs on the session's own
+    /// FoProgram/solver path. A SQLite backend mirrors deltas into its
+    /// embedded database and serves FO-rewritable plans as pushed-down
+    /// SQL; plans it cannot push down pass its AdmitFallback policy gate
+    /// before the in-memory engine serves them.
     std::shared_ptr<Backend> backend;
     /// Called under the exclusive epoch gate after a delta validates
     /// and BEFORE anything mutates, with the epoch the delta will
@@ -212,11 +201,8 @@ class Session {
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   /// The owned database. Only coherent while no ApplyDelta runs
-  /// concurrently; concurrent callers should use Snapshot().
+  /// concurrently.
   const Database& db() const { return db_; }
-
-  /// A copy of the current database, taken under the epoch lock.
-  Database Snapshot() const;
 
   /// Applies the delta transactionally: validates every op against the
   /// pre-delta state, then mutates the database and patches every
@@ -232,26 +218,21 @@ class Session {
   bool defunct() const { return defunct_.load(std::memory_order_acquire); }
 
   // --------------------------------------------------------- serving
-  /// Decides CERTAINTY(q) against the current epoch, resolving the
-  /// query through the plan cache. Thread-safe; holds the epoch gate
-  /// shared for the whole decision.
-  Result<SolveOutcome> Solve(const Query& q);
-  /// Batched decisions fanned out across the worker pool; results
-  /// align positionally and each carries its own status.
-  std::vector<Result<SolveOutcome>> SolveBatch(
-      const std::vector<Query>& queries);
-
-  /// Plan-resolved serving: the entry points `cqa::Service` routes
-  /// through once it has pinned a compiled plan to a prepared-query
-  /// handle — no canonicalization or cache lookup on the hot path.
-  /// `epoch_out`, when non-null, receives the exact epoch the batch
-  /// was served at (read under the epoch gate).
-  Result<SolveOutcome> Solve(const std::shared_ptr<const QueryPlan>& plan);
-  /// `deadline` applies to the whole batch: items not yet dispatched
-  /// when it fires answer kDeadlineExceeded individually. A running FO
-  /// program, SAT or oracle solve polls it too and stops with
-  /// kDeadlineExceeded; the polynomial solvers (terminal cycles, AC(k),
-  /// C(k)) and the FO interpreter oracle run to completion once
+  /// Plan-resolved serving: `cqa::Service` pins a compiled plan to each
+  /// prepared-query handle (or resolves an ad-hoc query through its plan
+  /// cache), so no canonicalization or cache lookup runs here.
+  /// `epoch_out`, when non-null, receives the exact epoch the request
+  /// was served at (read under the epoch gate, so it cannot race a
+  /// concurrent delta).
+  ///
+  /// Decides CERTAINTY of each plan against one epoch, fanned out
+  /// across the worker pool; results align positionally and each
+  /// carries its own status. Holds the epoch gate shared for the whole
+  /// batch. `deadline` applies to the whole batch: items not yet
+  /// dispatched when it fires answer kDeadlineExceeded individually. A
+  /// running FO program, SAT or oracle solve polls it too and stops
+  /// with kDeadlineExceeded; the polynomial solvers (terminal cycles,
+  /// AC(k), C(k)) and the FO interpreter oracle run to completion once
   /// started.
   std::vector<Result<SolveOutcome>> SolveBatch(
       const std::vector<std::shared_ptr<const QueryPlan>>& plans,
@@ -259,19 +240,11 @@ class Session {
 
   /// Certain answers of (q, free_vars), served from the per-session
   /// cache when the epoch allows it (fully, or re-deciding only the
-  /// dirty rows). The returned snapshot is shared with the cache
+  /// dirty rows). `plan` must be the compiled plan of (q, free_vars) —
+  /// the Service guarantees that by construction of its prepared
+  /// handles. The returned snapshot is shared with the cache
   /// (copy-on-write): no per-serve row copy. Its width is
   /// free_vars.size().
-  Result<std::shared_ptr<const RowBlock>> CertainAnswers(
-      const Query& q, const std::vector<SymbolId>& free_vars);
-  std::vector<Result<std::shared_ptr<const RowBlock>>> CertainAnswersBatch(
-      const std::vector<CertainAnswersRequest>& requests);
-
-  /// Plan-resolved certain answers. `plan` must be the compiled plan of
-  /// (q, free_vars) — the Service guarantees that by construction of its
-  /// prepared handles. `epoch_out`, when non-null, receives the exact
-  /// epoch the snapshot was served at (read under the epoch gate, so it
-  /// cannot race a concurrent delta).
   /// `deadline` is polled cooperatively through the whole decision
   /// pipeline (candidate chunk dispatch and the FO program's batch
   /// loops); expiry abandons the serve with kDeadlineExceeded and
@@ -321,10 +294,6 @@ class Session {
   /// stats lock; gate counters read from the gate's own atomics).
   Stats stats() const;
 
-  /// Actual worker count of the persistent pool (after
-  /// DefaultServingThreads() resolution).
-  int num_threads() const { return pool_->size(); }
-
  private:
   /// One cached certain-answer result, keyed (in answers_) by the
   /// plan's canonical key — α-variant requests share the entry. The
@@ -365,18 +334,20 @@ class Session {
                                        const Deadline& deadline);
 
   /// Decides `rows` against `plan`, equivalent to
-  /// `plan.IsCertainRows(ctx, rows)` but partitioned across the pool in
-  /// contiguous chunks when the batch is large enough
-  /// (`Options::parallel_row_threshold`) and workers are available.
+  /// `plan.IsCertainRows(ctx, rows)`. An empty batch calls nothing. A
+  /// plan the backend supports natively goes to the backend whole;
+  /// otherwise the batch is partitioned across the pool in contiguous
+  /// chunks when it is large enough (`Options::parallel_row_threshold`)
+  /// and workers are available.
   /// Deterministic: output and error selection are independent of the
   /// partitioning (on failure, the error of the lowest-indexed failing
   /// chunk is returned). `ctx` is the calling worker's context, used
   /// directly for the sequential path and for the caller's own share of
   /// a partitioned batch.
-  Result<std::vector<char>> DecideRows(
-      EvalContext& ctx, const QueryPlan& plan,
-      const std::vector<std::vector<SymbolId>>& rows,
-      const Deadline& deadline = Deadline());
+  Result<std::vector<char>> DecideRows(EvalContext& ctx,
+                                       const QueryPlan& plan,
+                                       const RowSet& rows,
+                                       const Deadline& deadline);
 
   Result<std::shared_ptr<const RowBlock>> ServeCertain(
       EvalContext& ctx, const std::shared_ptr<const QueryPlan>& plan,
@@ -450,7 +421,6 @@ class Session {
 
   Options options_;
   Database db_;
-  PlanCache* plan_cache_;
 
   /// Serving holds it shared for a whole call; ApplyDelta exclusively.
   /// Writer-priority (pending-writer counter + condvar): the moment a

@@ -10,16 +10,17 @@
 #include "cq/parser.h"
 #include "db/database.h"
 #include "gen/db_gen.h"
+#include "net/codec.h"
 #include "serve/service.h"
 #include "util/status.h"
 
 /// \file
 /// Backend equivalence: a service whose databases run on the SQLite
-/// pushdown backend must be observably IDENTICAL to one on the
-/// in-memory backend — same Boolean verdicts, same certain-answer rows
-/// in the same order, same pagination, same post-delta state — across
-/// the whole named-query corpus. Pushdown is an execution strategy,
-/// never a semantics change.
+/// pushdown backend must be observably IDENTICAL to one whose databases
+/// have no backend and serve in memory — same Boolean verdicts, same
+/// certain-answer rows in the same order, same pagination, same
+/// post-delta state — across the whole named-query corpus. Pushdown is
+/// an execution strategy, never a semantics change.
 
 namespace cqa {
 namespace {
@@ -319,17 +320,153 @@ TEST(BackendDiffTest, SqliteRequestWithoutBuildSupportIsUnsupported) {
             StatusCode::kUnsupported);
 }
 
-TEST(BackendDiffTest, InMemoryBackendIsTheIdentity) {
-  // Default options: every database gets the in-memory backend, and
-  // serving is exactly the legacy path (covered by the whole rest of
-  // the test suite); here we just pin the stats contract.
+/// `n` R-blocks R(a_i | b_i) joined to S(b_i | c); the answers of
+/// R(x | y), S(y | z) with x free are every a_i.
+Database JoinDb(int n) {
+  Database db;
+  for (int i = 0; i < n; ++i) {
+    std::string b = "b" + std::to_string(i);
+    EXPECT_TRUE(
+        db.AddFact(Fact::Make("R", {"a" + std::to_string(i), b}, 1)).ok());
+    EXPECT_TRUE(db.AddFact(Fact::Make("S", {b, "c"}, 1)).ok());
+  }
+  return db;
+}
+
+Service::CertainAnswersRequest JoinRequest(const std::string& db_name) {
+  Service::CertainAnswersRequest req;
+  req.database = db_name;
+  req.query = MustParseQuery("R(x | y), S(y | z)");
+  req.free_vars = {InternSymbol("x")};
+  return req;
+}
+
+/// Adds to `delta` a ReplaceBlock of R-block a_i with R(a_i | b) for
+/// each b of `targets`.
+void ReplaceR(Delta* delta, int i, const std::vector<std::string>& targets) {
+  std::string a = "a" + std::to_string(i);
+  std::vector<Fact> facts;
+  for (const std::string& b : targets) {
+    facts.push_back(Fact::Make("R", {a, b}, 1));
+  }
+  delta->ReplaceBlock(InternSymbol("R"), {InternSymbol(a)}, std::move(facts));
+}
+
+/// A tenant without a backend mirrors nothing and pushes nothing down:
+/// after a solve, a delta and a page, every backend counter reads 0.
+TEST(BackendDiffTest, InMemoryTenantHasNoBackend) {
   Service service(MemOptions());
-  ASSERT_TRUE(service.CreateDatabase("t", Database()).ok());
+  ASSERT_TRUE(service.CreateDatabase("t", JoinDb(8)).ok());
+  Service::SolveRequest solve;
+  solve.database = "t";
+  solve.query = MustParseQuery("R(x | y), S(y | z)");
+  ASSERT_TRUE(service.Solve(solve).ok());
+  Service::DeltaRequest delta;
+  delta.database = "t";
+  ReplaceR(&delta.delta, 3, {"b3", "dead"});
+  ASSERT_TRUE(service.ApplyDelta(delta).ok());
+  Result<Service::CertainAnswersResponse> page =
+      service.CertainAnswers(JoinRequest("t"));
+  ASSERT_TRUE(page.ok()) << page.status();
+  EXPECT_EQ(page->total_rows, 7u);
+
+  int backend_counters = 0;
   Service::StatsResponse stats = service.Stats({}).value();
-  EXPECT_EQ(stats.sqlite_databases, 0u);
-  EXPECT_EQ(stats.degraded_backends, 0u);
-  EXPECT_EQ(stats.backend.pushed_solves, 0u);
+  for (const auto& [name, value] : net::FlattenStats(stats)) {
+    if (name.rfind("backend.", 0) != 0) continue;
+    ++backend_counters;
+    EXPECT_EQ(value, 0u) << name;
+  }
+  EXPECT_GT(backend_counters, 0);
+
+  if (!SqliteBackendAvailable()) return;
+  // One SQLite tenant beside the in-memory one: only it counts.
+  BackendOptions sqlite;
+  sqlite.kind = BackendOptions::Kind::kSqlite;
+  ASSERT_TRUE(service.CreateDatabase("sq", JoinDb(8), sqlite).ok());
+  stats = service.Stats({}).value();
+  EXPECT_EQ(stats.databases, 2u);
+  EXPECT_EQ(stats.sqlite_databases, 1u);
   EXPECT_EQ(stats.backend.loads, 1u);
+}
+
+/// A `:memory:` SQLite tenant's stats before and after the page that
+/// followed a delta, and the rows that page served.
+struct SqliteRefresh {
+  Service::StatsResponse before;
+  Service::StatsResponse after;
+  size_t rows = 0;
+};
+
+/// A `:memory:` SQLite tenant has no snapshot cursors, so its pages come
+/// from the session's answer cache. Serves a first page, applies `delta`
+/// to the tenant and to an in-memory one, and serves both again; the two
+/// must serve the same rows.
+SqliteRefresh RefreshAfter(const Delta& delta) {
+  SqliteRefresh out;
+  Service sq(SqliteOptions());
+  Service mem(MemOptions());
+  EXPECT_TRUE(sq.CreateDatabase("t", JoinDb(8)).ok());
+  EXPECT_TRUE(mem.CreateDatabase("t", JoinDb(8)).ok());
+  EXPECT_TRUE(sq.CertainAnswers(JoinRequest("t")).ok());
+  Service::DeltaRequest request;
+  request.database = "t";
+  request.delta = delta;
+  EXPECT_TRUE(sq.ApplyDelta(request).ok());
+  EXPECT_TRUE(mem.ApplyDelta(request).ok());
+
+  out.before = sq.Stats({}).value();
+  Result<Session::RowSet> rows_sq = Reassemble(sq, JoinRequest("t"));
+  out.after = sq.Stats({}).value();
+  Result<Session::RowSet> rows_mem = Reassemble(mem, JoinRequest("t"));
+  EXPECT_TRUE(rows_sq.ok()) << rows_sq.status();
+  EXPECT_TRUE(rows_mem.ok()) << rows_mem.status();
+  if (rows_sq.ok() && rows_mem.ok()) {
+    EXPECT_EQ(*rows_sq, *rows_mem);
+    out.rows = rows_sq->size();
+  }
+  return out;
+}
+
+/// A refresh hands every dirty row of a plan the backend runs natively
+/// to ONE backend call.
+TEST(BackendDiffTest, SqliteRefreshDecidesDirtyRowsInOneBackendCall) {
+  if (!SqliteBackendAvailable()) {
+    GTEST_SKIP() << "built without CQA_WITH_SQLITE";
+  }
+  // Three R-blocks turn uncertain: three dirty rows, each still possible.
+  Delta delta;
+  for (int i : {2, 3, 4}) {
+    ReplaceR(&delta, i, {"b" + std::to_string(i), "dead"});
+  }
+  SqliteRefresh r = RefreshAfter(delta);
+  EXPECT_EQ(r.rows, 5u);
+  EXPECT_EQ(r.after.session.answers_incremental,
+            r.before.session.answers_incremental + 1);
+  EXPECT_EQ(r.after.session.rows_decided, r.before.session.rows_decided + 3);
+  EXPECT_EQ(r.after.backend.pushed_row_spans,
+            r.before.backend.pushed_row_spans + 1);
+  EXPECT_EQ(r.after.backend.pushed_rows - r.before.backend.pushed_rows,
+            r.after.session.rows_decided - r.before.session.rows_decided);
+  EXPECT_EQ(r.after.degraded_backends, 0u);
+}
+
+/// A refresh whose dirty row is no longer possible decides no row, and
+/// an empty decision batch calls no backend.
+TEST(BackendDiffTest, EmptyRefreshCallsNoBackend) {
+  if (!SqliteBackendAvailable()) {
+    GTEST_SKIP() << "built without CQA_WITH_SQLITE";
+  }
+  Delta delta;  // R-block a3 now joins no S-block.
+  ReplaceR(&delta, 3, {"nowhere"});
+  SqliteRefresh r = RefreshAfter(delta);
+  EXPECT_EQ(r.rows, 7u);
+  EXPECT_EQ(r.after.session.answers_incremental,
+            r.before.session.answers_incremental + 1);
+  EXPECT_EQ(r.after.session.rows_decided, r.before.session.rows_decided);
+  EXPECT_EQ(r.after.backend.pushed_row_spans,
+            r.before.backend.pushed_row_spans);
+  EXPECT_EQ(r.after.backend.pushed_rows, r.before.backend.pushed_rows);
 }
 
 }  // namespace

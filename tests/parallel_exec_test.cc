@@ -20,6 +20,7 @@
 #include "gen/query_gen.h"
 #include "plan/query_plan.h"
 #include "serve/session.h"
+#include "solve_helpers.h"
 #include "util/interner.h"
 #include "util/rw_gate.h"
 #include "util/thread_pool.h"
@@ -81,7 +82,7 @@ Rows ServeOnce(const Database& db, const Query& q,
   options.num_threads = threads;
   options.parallel_row_threshold = threshold;
   Session session(db, options);
-  return Materialize(session.CertainAnswers(q, fv));
+  return Materialize(testutil::SessionCertainAnswers(session, q, fv));
 }
 
 TEST(ParallelRows, WorkerCountsAgreeOnCorpus) {
@@ -193,8 +194,8 @@ TEST(ParallelRows, DirtyRowReDecideAgreesAcrossWorkers) {
   par_opts.parallel_row_threshold = 1;
   Session parallel(JoinDb(n), par_opts);
 
-  ASSERT_EQ(Materialize(sequential.CertainAnswers(q, fv)),
-            Materialize(parallel.CertainAnswers(q, fv)));
+  ASSERT_EQ(Materialize(testutil::SessionCertainAnswers(sequential, q, fv)),
+            Materialize(testutil::SessionCertainAnswers(parallel, q, fv)));
 
   for (int step = 0; step < 12; ++step) {
     int k = (step * 13) % n;
@@ -208,8 +209,8 @@ TEST(ParallelRows, DirtyRowReDecideAgreesAcrossWorkers) {
     delta.ReplaceBlock(InternSymbol("R"), {InternSymbol(a)}, facts);
     ASSERT_TRUE(sequential.ApplyDelta(delta).ok());
     ASSERT_TRUE(parallel.ApplyDelta(delta).ok());
-    ASSERT_EQ(Materialize(sequential.CertainAnswers(q, fv)),
-              Materialize(parallel.CertainAnswers(q, fv)))
+    ASSERT_EQ(Materialize(testutil::SessionCertainAnswers(sequential, q, fv)),
+              Materialize(testutil::SessionCertainAnswers(parallel, q, fv)))
         << "step " << step;
     ASSERT_TRUE(AnswerPath(sequential.stats()) == AnswerPath(parallel.stats()))
         << "step " << step;
@@ -231,16 +232,15 @@ TEST(ParallelRows, ConcurrentBatchesWithNestedPartitioning) {
   Session session(JoinDb(150), options);
   Query q = JoinQ();
   std::vector<SymbolId> fv = {InternSymbol("x")};
-  Rows expected = Materialize(session.CertainAnswers(q, fv));
+  Rows expected = Materialize(testutil::SessionCertainAnswers(session, q, fv));
 
   std::atomic<int> disagreements{0};
   std::vector<std::thread> callers;
   for (int t = 0; t < 6; ++t) {
     callers.emplace_back([&] {
       for (int i = 0; i < 8; ++i) {
-        if (Materialize(session.CertainAnswers(q, fv)) != expected) {
-          disagreements.fetch_add(1);
-        }
+        Rows got = Materialize(testutil::SessionCertainAnswers(session, q, fv));
+        if (got != expected) disagreements.fetch_add(1);
       }
     });
   }

@@ -9,6 +9,7 @@
 #include "gen/db_gen.h"
 #include "plan/plan_cache.h"
 #include "plan/query_plan.h"
+#include "serve/service.h"
 #include "serve/session.h"
 #include "solve_helpers.h"
 
@@ -56,35 +57,40 @@ Database ServingDatabase(uint64_t seed) {
   return db;
 }
 
+/// The front door resolves a batch of ad-hoc queries through its plan
+/// cache and decides them on one database's pool.
 TEST(ServingTest, SolveBatchMatchesSequentialSolve) {
   Database db = ServingDatabase(7);
   std::vector<Query> queries = ServingWorkload(12);
 
-  PlanCache cache;
-  Session::Options options;
+  Service::Options options;
   options.num_threads = 8;
-  options.plan_cache = &cache;
-  Session session(db, options);
-  std::vector<Result<SolveOutcome>> batch = session.SolveBatch(queries);
+  Service service(options);
+  ASSERT_TRUE(service.CreateDatabase("db", db).ok());
+  std::vector<Service::SolveRequest> requests(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    requests[i].database = "db";
+    requests[i].query = queries[i];
+  }
+  std::vector<Result<Service::SolveResponse>> batch =
+      service.SolveBatch(requests);
   ASSERT_EQ(batch.size(), queries.size());
 
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(batch[i].ok()) << i << ": " << batch[i].status();
     Result<SolveOutcome> sequential = testutil::Solve(db, queries[i]);
     ASSERT_TRUE(sequential.ok());
-    EXPECT_EQ(batch[i]->certain, sequential->certain) << i;
-    EXPECT_EQ(batch[i]->solver, sequential->solver) << i;
-    EXPECT_EQ(batch[i]->complexity, sequential->complexity) << i;
+    EXPECT_EQ(batch[i]->outcome.certain, sequential->certain) << i;
+    EXPECT_EQ(batch[i]->outcome.solver, sequential->solver) << i;
+    EXPECT_EQ(batch[i]->outcome.complexity, sequential->complexity) << i;
   }
 
-  // 6 α-classes (two workload entries share one plan). Concurrent
-  // workers may race a first compile, so misses can exceed the class
-  // count, but the cache must deduplicate entries and the workload must
-  // be overwhelmingly hits.
-  PlanCache::Stats stats = cache.Snapshot();
+  // 6 α-classes (two workload entries share one plan). The service
+  // resolves every item on the calling thread before it fans the batch
+  // out, so each class misses once and every other lookup hits.
+  PlanCache::Stats stats = service.Stats({}).value().plan_cache;
   EXPECT_EQ(stats.entries, 6u);
-  EXPECT_GE(stats.misses, 6u);
-  EXPECT_LE(stats.misses, 6u * (1u + 8u));
+  EXPECT_EQ(stats.misses, 6u);
   EXPECT_EQ(stats.hits + stats.misses, queries.size());
 }
 
@@ -93,27 +99,17 @@ TEST(ServingTest, EmptyBatchAndSingleThread) {
   Session::Options options;
   options.num_threads = 1;
   Session session(db, options);
-  EXPECT_TRUE(session.SolveBatch(std::vector<Query>{}).empty());
+  EXPECT_TRUE(session.SolveBatch({}).empty());
   std::vector<Query> queries = ServingWorkload(2);
-  std::vector<Result<SolveOutcome>> batch = session.SolveBatch(queries);
+  std::vector<std::shared_ptr<const QueryPlan>> plans;
+  for (const Query& q : queries) {
+    plans.push_back(testutil::GlobalPlan(q).value());
+  }
+  std::vector<Result<SolveOutcome>> batch = session.SolveBatch(plans);
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(batch[i].ok());
     EXPECT_EQ(batch[i]->certain, testutil::Solve(db, queries[i])->certain);
   }
-}
-
-TEST(ServingTest, RepeatedQueriesResolveThroughTheGlobalCache) {
-  Database db = ServingDatabase(3);
-  std::vector<Query> queries = {corpus::ConferenceQuery(),
-                                corpus::PathQuery2(),
-                                corpus::ConferenceQuery()};
-  Session session(db);
-  std::vector<Result<SolveOutcome>> batch = session.SolveBatch(queries);
-  ASSERT_EQ(batch.size(), 3u);
-  for (const auto& r : batch) EXPECT_TRUE(r.ok());
-  EXPECT_EQ(batch[0]->certain, batch[2]->certain);
-  // The default batch path shares the global cache with testutil::Solve.
-  EXPECT_NE(PlanCache::Global().Lookup(corpus::ConferenceQuery()), nullptr);
 }
 
 /// One compiled plan shared by >= 8 threads, each with its own
@@ -203,11 +199,17 @@ TEST(ServingTest, OneCacheManyThreads) {
                             kThreads * 6);
 }
 
-TEST(ServingTest, CertainAnswersBatchMatchesOneShot) {
+/// Certain answers served by a session equal the one-shot helper's;
+/// the repeated requests are served from the session's answer cache.
+TEST(ServingTest, CertainAnswersMatchOneShot) {
   Database db = corpus::ConferenceDatabase();
   ASSERT_TRUE(db.AddFact(Fact::Make("C", {"ICDT", "2018", "Lyon"}, 2)).ok());
   ASSERT_TRUE(db.AddFact(Fact::Make("R", {"ICDT", "A"}, 1)).ok());
-  std::vector<CertainAnswersRequest> requests;
+  struct Request {
+    Query query;
+    std::vector<SymbolId> free_vars;
+  };
+  std::vector<Request> requests;
   requests.push_back({MustParseQuery("C(x, y | c), R(x | 'A')"),
                       {InternSymbol("c")}});
   requests.push_back({MustParseQuery("C(x, y | c)"),
@@ -218,30 +220,20 @@ TEST(ServingTest, CertainAnswersBatchMatchesOneShot) {
   requests.push_back(requests[0]);
   requests.push_back(requests[1]);
 
-  PlanCache cache;
   Session::Options options;
   options.num_threads = 4;
-  options.plan_cache = &cache;
   Session session(db, options);
-  auto batch = session.CertainAnswersBatch(requests);
-  ASSERT_EQ(batch.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_TRUE(batch[i].ok()) << i << ": " << batch[i].status();
+    Result<std::shared_ptr<const RowBlock>> served =
+        testutil::SessionCertainAnswers(session, requests[i].query,
+                                        requests[i].free_vars);
+    ASSERT_TRUE(served.ok()) << i << ": " << served.status();
     auto one_shot =
         testutil::CertainAnswers(db, requests[i].query, requests[i].free_vars);
     ASSERT_TRUE(one_shot.ok());
-    EXPECT_EQ((*batch[i])->Rows(0, (*batch[i])->size()), *one_shot) << i;
+    EXPECT_EQ((*served)->Rows(0, (*served)->size()), *one_shot) << i;
   }
-
-  // An invalid request fails alone.
-  requests.push_back({MustParseQuery("C(x, y | c)"),
-                      {InternSymbol("nosuchvar")}});
-  auto with_bad = session.CertainAnswersBatch(requests);
-  EXPECT_FALSE(with_bad.back().ok());
-  EXPECT_EQ(with_bad.back().status().code(), StatusCode::kInvalidArgument);
-  for (size_t i = 0; i + 1 < with_bad.size(); ++i) {
-    EXPECT_TRUE(with_bad[i].ok());
-  }
+  EXPECT_EQ(session.stats().answers_cached, 2u);
 }
 
 }  // namespace

@@ -41,6 +41,12 @@ Result<Rows> Materialize(Result<std::shared_ptr<const RowBlock>> r) {
   return AllRows(**r);
 }
 
+/// The certain answers `session` serves for (q, fv), as plain rows.
+Result<Rows> Serve(Session& session, const Query& q,
+                   const std::vector<SymbolId>& fv) {
+  return Materialize(testutil::SessionCertainAnswers(session, q, fv));
+}
+
 Fact F(const std::string& relation, const std::vector<std::string>& values,
        int key_arity) {
   return Fact::Make(relation, values, key_arity);
@@ -190,15 +196,17 @@ TEST(SessionTest, SolveAndBatchMatchEngineAcrossDeltas) {
   Database db = corpus::ConferenceDatabase();
   Session::Options options;
   options.num_threads = 4;
-  PlanCache cache;
-  options.plan_cache = &cache;
   Session session(db, options);
   std::vector<Query> queries = {corpus::ConferenceQuery(),
                                 corpus::PathQuery2(),
                                 corpus::ConferenceQuery()};
+  std::vector<std::shared_ptr<const QueryPlan>> plans;
+  for (const Query& q : queries) {
+    plans.push_back(testutil::GlobalPlan(q).value());
+  }
 
   for (int round = 0; round < 3; ++round) {
-    std::vector<Result<SolveOutcome>> batch = session.SolveBatch(queries);
+    std::vector<Result<SolveOutcome>> batch = session.SolveBatch(plans);
     ASSERT_EQ(batch.size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
       ASSERT_TRUE(batch[i].ok()) << batch[i].status();
@@ -230,19 +238,17 @@ TEST(SessionTest, CertainAnswersServedFromCacheAcrossUnrelatedDeltas) {
   ASSERT_TRUE(db.AddFact(F("Z", {"z", "z"}, 1)).ok());
   Session::Options options;
   options.num_threads = 2;
-  PlanCache cache;
-  options.plan_cache = &cache;
   Session session(db, options);
 
   Query q = MustParseQuery("R(x | y), S(y | z)");
   std::vector<SymbolId> fv = {InternSymbol("x")};
-  Result<Rows> first = Materialize(session.CertainAnswers(q, fv));
+  Result<Rows> first = Serve(session, q, fv);
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_EQ(first->size(), 8u);
   EXPECT_EQ(session.stats().answers_full, 1u);
 
   // Same epoch: verbatim cache hit.
-  Result<Rows> again = Materialize(session.CertainAnswers(q, fv));
+  Result<Rows> again = Serve(session, q, fv);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*again, *first);
   EXPECT_EQ(session.stats().answers_cached, 1u);
@@ -252,7 +258,7 @@ TEST(SessionTest, CertainAnswersServedFromCacheAcrossUnrelatedDeltas) {
   Delta unrelated;
   unrelated.Insert(F("Z", {"y", "y"}, 1));
   ASSERT_TRUE(session.ApplyDelta(unrelated).ok());
-  Result<Rows> after = Materialize(session.CertainAnswers(q, fv));
+  Result<Rows> after = Serve(session, q, fv);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*after, *first);
   Session::Stats stats = session.stats();
@@ -265,7 +271,7 @@ TEST(SessionTest, CertainAnswersServedFromCacheAcrossUnrelatedDeltas) {
                      {InternSymbol("a3")},
                      {F("R", {"a3", "nowhere"}, 1)});
   ASSERT_TRUE(session.ApplyDelta(touch).ok());
-  Result<Rows> pruned = Materialize(session.CertainAnswers(q, fv));
+  Result<Rows> pruned = Serve(session, q, fv);
   ASSERT_TRUE(pruned.ok());
   EXPECT_EQ(pruned->size(), 7u);  // a3 now dangles into no S fact
   stats = session.stats();
@@ -285,12 +291,10 @@ TEST(SessionTest, BooleanAnswersUseRelationLevelInvalidation) {
   ASSERT_TRUE(db.AddFact(F("Z", {"z"}, 1)).ok());
   Session::Options options;
   options.num_threads = 2;
-  PlanCache cache;
-  options.plan_cache = &cache;
   Session session(db, options);
   Query q = corpus::ConferenceQuery();
 
-  Result<Rows> base = Materialize(session.CertainAnswers(q, {}));
+  Result<Rows> base = Serve(session, q, {});
   ASSERT_TRUE(base.ok());
   Result<Rows> expected = testutil::CertainAnswers(session.db(), q, {});
   ASSERT_TRUE(expected.ok());
@@ -299,7 +303,7 @@ TEST(SessionTest, BooleanAnswersUseRelationLevelInvalidation) {
   Delta unrelated;
   unrelated.Insert(F("Z", {"zz"}, 1));
   ASSERT_TRUE(session.ApplyDelta(unrelated).ok());
-  Result<Rows> cached = Materialize(session.CertainAnswers(q, {}));
+  Result<Rows> cached = Serve(session, q, {});
   ASSERT_TRUE(cached.ok());
   EXPECT_EQ(*cached, *base);
   EXPECT_EQ(session.stats().answers_incremental, 1u);
@@ -309,7 +313,7 @@ TEST(SessionTest, BooleanAnswersUseRelationLevelInvalidation) {
   Delta flip;
   flip.Remove(F("R", {"PODS", "A"}, 1));
   ASSERT_TRUE(session.ApplyDelta(flip).ok());
-  Result<Rows> after = Materialize(session.CertainAnswers(q, {}));
+  Result<Rows> after = Serve(session, q, {});
   ASSERT_TRUE(after.ok());
   Result<Rows> fresh = testutil::CertainAnswers(session.db(), q, {});
   ASSERT_TRUE(fresh.ok());
@@ -413,8 +417,6 @@ TEST(SessionTest, RandomDeltaSequencesMatchFreshEngine) {
 
     Session::Options sopt;
     sopt.num_threads = 2;
-    PlanCache cache;
-    sopt.plan_cache = &cache;
     Session session(std::move(db), sopt);
 
     for (int d = 0; d < kDeltasPerSeed; ++d) {
@@ -422,7 +424,7 @@ TEST(SessionTest, RandomDeltaSequencesMatchFreshEngine) {
       Result<uint64_t> applied = session.ApplyDelta(delta);
       ASSERT_TRUE(applied.ok()) << applied.status();
 
-      Result<Rows> served = Materialize(session.CertainAnswers(q, fv));
+      Result<Rows> served = Serve(session, q, fv);
       ASSERT_TRUE(served.ok())
           << seed << "/" << d << ": " << served.status();
       Result<Rows> fresh = testutil::CertainAnswers(session.db(), q, fv);
@@ -508,14 +510,12 @@ TEST(SessionTest, CoveringAtomCandidatesMatchFreshEngine) {
     Session::Options sopt;
     sopt.num_threads = 2;
     sopt.max_dirty_patterns = 0;
-    PlanCache cache;
-    sopt.plan_cache = &cache;
     Session session(std::move(cases[c].db), sopt);
-    Result<std::shared_ptr<const QueryPlan>> plan = cache.GetOrCompile(q, fv);
+    Result<std::shared_ptr<const QueryPlan>> plan = testutil::GlobalPlan(q, fv);
     ASSERT_TRUE(plan.ok()) << plan.status();
     const bool by_program = (*plan)->DecidesRowsByProgram();
 
-    Result<Rows> served = Materialize(session.CertainAnswers(q, fv));
+    Result<Rows> served = Serve(session, q, fv);
     ASSERT_TRUE(served.ok()) << served.status();
     EXPECT_EQ(session.stats().answers_covered, 0u);  // first page: join
     for (int d = 0; d < 4; ++d) {
@@ -524,7 +524,7 @@ TEST(SessionTest, CoveringAtomCandidatesMatchFreshEngine) {
           session.ApplyDelta(RandomDelta(session.db(), pool, &rng));
       ASSERT_TRUE(applied.ok()) << applied.status();
       Session::Stats before = session.stats();
-      served = Materialize(session.CertainAnswers(q, fv));
+      served = Serve(session, q, fv);
       ASSERT_TRUE(served.ok()) << served.status();
       Session::Stats after = session.stats();
       Result<Rows> fresh = testutil::CertainAnswers(session.db(), q, fv);
@@ -619,8 +619,6 @@ TEST(SessionTest, InterpreterTracksTheDomainAcrossDeltas) {
 
     Session::Options sopt;
     sopt.num_threads = 2;
-    PlanCache cache;
-    sopt.plan_cache = &cache;
     Session session(RandomBlockDatabase(q, dopt), sopt);
     for (int d = 0; d < 6; ++d) {
       std::vector<SymbolId> domain = session.db().ActiveDomain();
@@ -629,14 +627,14 @@ TEST(SessionTest, InterpreterTracksTheDomainAcrossDeltas) {
       ASSERT_TRUE(applied.ok()) << applied.status();
       if (session.db().ActiveDomain() != domain) ++domain_changes;
 
-      Result<SolveOutcome> verdict = session.Solve(q);
+      Result<SolveOutcome> verdict = testutil::SessionSolve(session, q);
       ASSERT_TRUE(verdict.ok()) << verdict.status();
       Result<SolveOutcome> fresh_verdict = testutil::Solve(session.db(), q);
       ASSERT_TRUE(fresh_verdict.ok()) << fresh_verdict.status();
       EXPECT_EQ(verdict->certain, fresh_verdict->certain)
           << "seed " << seed << " delta " << d << " query " << q.ToString();
 
-      Result<Rows> served = Materialize(session.CertainAnswers(q, fv));
+      Result<Rows> served = Serve(session, q, fv);
       ASSERT_TRUE(served.ok()) << served.status();
       Result<Rows> fresh = testutil::CertainAnswers(session.db(), q, fv);
       ASSERT_TRUE(fresh.ok()) << fresh.status();
@@ -807,13 +805,11 @@ TEST(SessionTest, ReachRuleMatchesFreshEngine) {
     Session::Options sopt;
     sopt.num_threads = 2;
     sopt.max_dirty_patterns = std::numeric_limits<size_t>::max();
-    PlanCache cache;
-    sopt.plan_cache = &cache;
     Session session(RandomBlockDatabase(q, dopt), sopt);
     const bool beyond_fo =
-        !cache.GetOrCompile(q, fv).value()->DecidesRowsByProgram();
+        !testutil::GlobalPlan(q, fv).value()->DecidesRowsByProgram();
 
-    ASSERT_TRUE(session.CertainAnswers(q, fv).ok());
+    ASSERT_TRUE(testutil::SessionCertainAnswers(session, q, fv).ok());
     for (int serve = 0; serve < 12; ++serve) {
       // Most ranges stay on one relation of q, so that the untouched
       // atoms can cover the free variables; the rest roam.
@@ -838,7 +834,7 @@ TEST(SessionTest, ReachRuleMatchesFreshEngine) {
         changed.insert(net.begin(), net.end());
       }
       Session::Stats before = session.stats();
-      Result<Rows> served = Materialize(session.CertainAnswers(q, fv));
+      Result<Rows> served = Serve(session, q, fv);
       ASSERT_TRUE(served.ok()) << served.status();
       Session::Stats after = session.stats();
       Result<Rows> fresh = testutil::CertainAnswers(session.db(), q, fv);
@@ -886,14 +882,12 @@ TEST(SessionTest, ReachEnumerationHonoursTheDeadline) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(db.AddFact(F("S", {"b" + std::to_string(i), "c"}, 1)).ok());
   }
-  PlanCache cache;
   Session::Options options;
   options.num_threads = 2;
-  options.plan_cache = &cache;
   Session session(std::move(db), options);
   Query q = MustParseQuery("R(x | y), S(y | z)");
   std::vector<SymbolId> fv = {InternSymbol("x")};
-  std::shared_ptr<const QueryPlan> plan = cache.GetOrCompile(q, fv).value();
+  std::shared_ptr<const QueryPlan> plan = testutil::GlobalPlan(q, fv).value();
   ASSERT_TRUE(session.CertainAnswers(plan, q, fv).ok());
 
   // S's key binds y, not the free x: an unpinned block.
@@ -940,14 +934,12 @@ TEST(SessionTest, ReachFallsBackWhenTheChangedAtomSplitsTheCover) {
   for (int j = 0; j < 20000; ++j) {
     ASSERT_TRUE(db.AddFact(F("T", {"t" + std::to_string(j), "w0"}, 1)).ok());
   }
-  PlanCache cache;
   Session::Options options;
   options.num_threads = 2;
-  options.plan_cache = &cache;
   Session session(std::move(db), options);
   Query q = MustParseQuery("R(x | y), S(y | z), T(z | w)");
   std::vector<SymbolId> fv = {InternSymbol("x"), InternSymbol("w")};
-  Result<Rows> first = Materialize(session.CertainAnswers(q, fv));
+  Result<Rows> first = Serve(session, q, fv);
   ASSERT_TRUE(first.ok()) << first.status();
   ASSERT_EQ(first->size(), 9u);
 
@@ -956,7 +948,7 @@ TEST(SessionTest, ReachFallsBackWhenTheChangedAtomSplitsTheCover) {
                      {F("S", {"b", "c1"}, 1)});
   ASSERT_TRUE(session.ApplyDelta(delta).ok());
   Session::Stats before = session.stats();
-  Result<Rows> served = Materialize(session.CertainAnswers(q, fv));
+  Result<Rows> served = Serve(session, q, fv);
   ASSERT_TRUE(served.ok()) << served.status();
   EXPECT_EQ(*served, *testutil::CertainAnswers(session.db(), q, fv));
   EXPECT_EQ(served->size(), 9u);
@@ -981,15 +973,13 @@ TEST(SessionTest, ReachStopsAtTheBound) {
   }
   ASSERT_TRUE(db.AddFact(F("S", {"bA", "c"}, 1)).ok());
   ASSERT_TRUE(db.AddFact(F("S", {"bB", "c"}, 1)).ok());
-  PlanCache cache;
   Session::Options options;
   options.num_threads = 2;
-  options.plan_cache = &cache;
   options.max_dirty_patterns = 0;
   Session session(std::move(db), options);
   Query q = MustParseQuery("R(x | y), S(y | z)");
   std::vector<SymbolId> fv = {InternSymbol("x")};
-  ASSERT_TRUE(session.CertainAnswers(q, fv).ok());
+  ASSERT_TRUE(testutil::SessionCertainAnswers(session, q, fv).ok());
 
   auto s_block = [](const char* b, bool present) {
     Delta delta;
@@ -1013,7 +1003,7 @@ TEST(SessionTest, ReachStopsAtTheBound) {
   for (size_t i = 0; i < steps.size(); ++i) {
     ASSERT_TRUE(session.ApplyDelta(steps[i].delta).ok());
     Session::Stats before = session.stats();
-    Result<Rows> served = Materialize(session.CertainAnswers(q, fv));
+    Result<Rows> served = Serve(session, q, fv);
     ASSERT_TRUE(served.ok()) << served.status();
     EXPECT_EQ(*served, *testutil::CertainAnswers(session.db(), q, fv))
         << "step " << i;
@@ -1041,15 +1031,13 @@ TEST(SessionTest, ReachBoundCountsDistinctPatterns) {
     ASSERT_TRUE(db.AddFact(F("S", {b, "c"}, 1)).ok());
     ASSERT_TRUE(db.AddFact(F("P", {a, "p"}, 1)).ok());
   }
-  PlanCache cache;
   Session::Options options;
   options.num_threads = 2;
-  options.plan_cache = &cache;
   options.max_dirty_patterns = 4;
   Session session(std::move(db), options);
   Query q = MustParseQuery("R(x | y), S(y | z), P(x | v)");
   std::vector<SymbolId> fv = {InternSymbol("x")};
-  ASSERT_TRUE(session.CertainAnswers(q, fv).ok());
+  ASSERT_TRUE(testutil::SessionCertainAnswers(session, q, fv).ok());
 
   for (int flip = 0; flip < 10; ++flip) {
     std::vector<Fact> facts = {F("P", {"a0", "p"}, 1)};
@@ -1063,7 +1051,7 @@ TEST(SessionTest, ReachBoundCountsDistinctPatterns) {
   unpinned.ReplaceBlock(InternSymbol("S"), {InternSymbol("b1")}, {});
   ASSERT_TRUE(session.ApplyDelta(unpinned).ok());
   Session::Stats before = session.stats();
-  Result<Rows> served = Materialize(session.CertainAnswers(q, fv));
+  Result<Rows> served = Serve(session, q, fv);
   ASSERT_TRUE(served.ok()) << served.status();
   EXPECT_EQ(*served, *testutil::CertainAnswers(session.db(), q, fv));
   EXPECT_EQ(served->size(), 5u);
@@ -1084,14 +1072,13 @@ TEST(SessionTest, DeltaReachingNoPatternKeepsTheSnapshot) {
     ASSERT_TRUE(db.AddFact(F("S", {b, "c"}, 1)).ok());
   }
   ASSERT_TRUE(db.AddFact(F("Z", {"z", "z"}, 1)).ok());
-  PlanCache cache;
   Session::Options options;
   options.num_threads = 2;
-  options.plan_cache = &cache;
   Session session(std::move(db), options);
   Query q = MustParseQuery("R(x | y), S(y | z)");
   std::vector<SymbolId> fv = {InternSymbol("x")};
-  Result<std::shared_ptr<const RowBlock>> first = session.CertainAnswers(q, fv);
+  Result<std::shared_ptr<const RowBlock>> first =
+      testutil::SessionCertainAnswers(session, q, fv);
   ASSERT_TRUE(first.ok());
   ASSERT_EQ((*first)->size(), 6u);
 
@@ -1110,7 +1097,7 @@ TEST(SessionTest, DeltaReachingNoPatternKeepsTheSnapshot) {
     Session::Stats before = session.stats();
     ASSERT_TRUE(session.ApplyDelta(*delta).ok());
     Result<std::shared_ptr<const RowBlock>> served =
-        session.CertainAnswers(q, fv);
+        testutil::SessionCertainAnswers(session, q, fv);
     ASSERT_TRUE(served.ok());
     EXPECT_EQ(served->get(), first->get());
     Session::Stats after = session.stats();
@@ -1239,12 +1226,10 @@ TEST(SessionTest, ConcurrentReadersSeeConsistentSnapshots) {
 
   Session::Options options;
   options.num_threads = 4;
-  PlanCache cache;
-  options.plan_cache = &cache;
   Session session(db, options);
 
   // State A: R(a0 | b0) (row a0 certain). State B: R(a0 | nowhere).
-  Result<Rows> rows_a = Materialize(session.CertainAnswers(q, fv));
+  Result<Rows> rows_a = Serve(session, q, fv);
   ASSERT_TRUE(rows_a.ok());
   ASSERT_EQ(rows_a->size(), 6u);
   Rows rows_b = *rows_a;
@@ -1260,7 +1245,7 @@ TEST(SessionTest, ConcurrentReadersSeeConsistentSnapshots) {
       // Bounded (and yielding) so tight reader loops can never starve
       // the writer's exclusive lock on a single-core host.
       for (int it = 0; it < 200 && !stop.load(); ++it) {
-        Result<Rows> got = Materialize(session.CertainAnswers(q, fv));
+        Result<Rows> got = Serve(session, q, fv);
         if (!got.ok() || (*got != *rows_a && *got != rows_b)) {
           mismatches.fetch_add(1);
         }
@@ -1284,7 +1269,7 @@ TEST(SessionTest, ConcurrentReadersSeeConsistentSnapshots) {
   EXPECT_EQ(session.epoch(), 40u);
 
   // Settled state: back to A.
-  Result<Rows> settled = Materialize(session.CertainAnswers(q, fv));
+  Result<Rows> settled = Serve(session, q, fv);
   ASSERT_TRUE(settled.ok());
   EXPECT_EQ(*settled, *rows_a);
 }
@@ -1298,19 +1283,17 @@ TEST(SessionTest, AnswerSnapshotsAreSharedCopyOnWrite) {
   ASSERT_TRUE(db.AddFact(F("S", {"b", "c"}, 1)).ok());
   Session::Options options;
   options.num_threads = 2;
-  PlanCache cache;
-  options.plan_cache = &cache;
   Session session(std::move(db), options);
   Query q = MustParseQuery("R(x | y), S(y | z)");
   std::vector<SymbolId> fv = {InternSymbol("x")};
 
-  auto first = session.CertainAnswers(q, fv);
+  auto first = testutil::SessionCertainAnswers(session, q, fv);
   ASSERT_TRUE(first.ok());
   ASSERT_EQ((*first)->size(), 6u);
 
   // Same epoch: the cache hit returns the SAME snapshot object — no
   // per-serve row copy.
-  auto hit = session.CertainAnswers(q, fv);
+  auto hit = testutil::SessionCertainAnswers(session, q, fv);
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(first->get(), hit->get());
 
@@ -1321,7 +1304,7 @@ TEST(SessionTest, AnswerSnapshotsAreSharedCopyOnWrite) {
   drop.ReplaceBlock(InternSymbol("R"), {InternSymbol("a0")},
                     {F("R", {"a0", "nowhere"}, 1)});
   ASSERT_TRUE(session.ApplyDelta(drop).ok());
-  auto after = session.CertainAnswers(q, fv);
+  auto after = testutil::SessionCertainAnswers(session, q, fv);
   ASSERT_TRUE(after.ok());
   EXPECT_NE(first->get(), after->get());
   EXPECT_EQ((*after)->size(), 5u);
@@ -1337,8 +1320,6 @@ TEST(SessionTest, PersistentPoolReusesWorkerIndexesAcrossCalls) {
   }
   Session::Options options;
   options.num_threads = 1;  // deterministic single worker
-  PlanCache cache;
-  options.plan_cache = &cache;
   Session session(db, options);
   Query q = MustParseQuery("R(x | y), S(y | z)");
 
@@ -1347,7 +1328,7 @@ TEST(SessionTest, PersistentPoolReusesWorkerIndexesAcrossCalls) {
   // against the engine; the reuse itself is observable through the
   // stable result and the epoch bookkeeping.
   for (int i = 0; i < 5; ++i) {
-    Result<SolveOutcome> solved = session.Solve(q);
+    Result<SolveOutcome> solved = testutil::SessionSolve(session, q);
     ASSERT_TRUE(solved.ok());
     Result<SolveOutcome> expected = testutil::Solve(session.db(), q);
     ASSERT_TRUE(expected.ok());
@@ -1431,8 +1412,6 @@ TEST(SessionTest, ApplyDeltaProgressesUnderSaturatedReadLoad) {
   }
   Session::Options options;
   options.num_threads = 2;
-  PlanCache cache;
-  options.plan_cache = &cache;
   Session session(std::move(db), options);
   Query q = MustParseQuery("R(x | y), S(y | z)");
 
@@ -1441,7 +1420,7 @@ TEST(SessionTest, ApplyDeltaProgressesUnderSaturatedReadLoad) {
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        ASSERT_TRUE(session.Solve(q).ok());
+        ASSERT_TRUE(testutil::SessionSolve(session, q).ok());
       }
     });
   }
