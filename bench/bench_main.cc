@@ -10,8 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "cq/matcher.h"
-
 namespace cqa_bench {
 
 bool SmokeMode() {
@@ -51,12 +49,10 @@ std::string JsonPath() {
   return cqa_bench::SmokeMode() ? "BENCH_smoke.json" : "BENCH_results.json";
 }
 
-std::string MatcherMode() {
-  // Ask the library, so the label can never diverge from the mode the
-  // matcher actually runs in.
-  return cqa::DefaultMatcherMode() == cqa::MatcherMode::kNaive ? "naive"
-                                                               : "indexed";
-}
+/// The matcher label of every record a binary writes. Every run uses
+/// the indexed matcher; the "naive" records already in the ledger come
+/// from runs of an older build and are kept, never replaced.
+constexpr char kMatcherLabel[] = "indexed";
 
 std::string BaseName(const std::string& path) {
   size_t slash = path.find_last_of('/');
@@ -85,7 +81,7 @@ class JsonAppendReporter : public benchmark::ConsoleReporter {
       std::ostringstream line;
       line.precision(6);
       line << "{\"bench\":\"" << bench_ << "\",\"name\":\""
-           << run.run_name.str() << "\",\"matcher\":\"" << MatcherMode()
+           << run.run_name.str() << "\",\"matcher\":\"" << kMatcherLabel
            << "\",\"wall_ms\":" << wall_s * 1e3 << ",\"facts\":" << facts
            << ",\"facts_per_sec\":"
            << (wall_s > 0 ? facts / wall_s : 0);
@@ -108,12 +104,13 @@ class JsonAppendReporter : public benchmark::ConsoleReporter {
 
   void set_bench(std::string bench) { bench_ = std::move(bench); }
 
-  /// Rewrites the JSON array: keeps records from other binaries / the
-  /// other matcher mode, replaces this binary's records for this mode.
+  /// Rewrites the JSON array: keeps records from other binaries and
+  /// this binary's "naive" records, replaces its "indexed" ones.
   void WriteJson() const {
     std::string self_key =
         "\"bench\":\"" + bench_ + "\",";
-    std::string mode_key = "\"matcher\":\"" + MatcherMode() + "\"";
+    std::string mode_key =
+        std::string("\"matcher\":\"") + kMatcherLabel + "\"";
     std::vector<std::string> kept;
     std::ifstream in(JsonPath());
     std::string line;

@@ -13,11 +13,12 @@
 /// record per benchmark to BENCH_results.json (override the path with
 /// CQA_BENCH_JSON). Each record carries:
 ///
-///   {"bench": <binary>, "name": <benchmark/arg>, "matcher":
-///    "indexed"|"naive", "wall_ms": <per-iteration wall clock>,
+///   {"bench": <binary>, "name": <benchmark/arg>, "matcher": "indexed",
+///    "wall_ms": <per-iteration wall clock>,
 ///    "facts": <facts counter if set>, "facts_per_sec": <derived>,
 ///    "plan_hits"/"plan_misses"/"hit_rate"/"qps"/"threads": <serving and
 ///    plan-cache counters, present when the benchmark sets them>,
+///    "parallel_chunks": <pool chunks per request, likewise>,
 ///    "bytes_per_fact": <allocator bytes per stored fact, likewise>}
 ///
 /// Under --benchmark_repetitions=N (N > 1) the record holds the median
@@ -34,14 +35,13 @@
 ///
 /// The "facts" counter is the convention already used by the suite
 /// (state.counters["facts"] = db.size()); facts_per_sec is derived from it
-/// so future PRs can track throughput, not just latency. The "matcher"
-/// field reflects CQA_NAIVE_MATCHER, which flips the query matcher to the
-/// naive scan-based oracle — run the suite once with and once without it
-/// to get before/after numbers for matcher changes.
+/// so throughput is tracked, not just latency. The "matcher" field is
+/// always "indexed"; the ledger's "naive" records come from older runs
+/// of the naive matcher and are kept as they are.
 ///
 /// Records are one JSON object per line inside a top-level array; a rerun
-/// of the same binary under the same matcher mode replaces its previous
-/// records in place, so BENCH_results.json accumulates the whole suite.
+/// of a binary replaces its previous "indexed" records in place, so
+/// BENCH_results.json accumulates the whole suite.
 
 namespace cqa_bench {
 

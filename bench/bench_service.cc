@@ -276,7 +276,8 @@ void BM_Service_CertainAnswersThreads(benchmark::State& state) {
   state.counters["threads"] = threads;
   Service::StatsResponse stats = service.Stats({}).value();
   state.counters["parallel_chunks"] =
-      static_cast<double>(stats.session.parallel_chunks);
+      static_cast<double>(stats.session.parallel_chunks) /
+      static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_Service_CertainAnswersThreads)
     ->ArgsProduct({{cqa_bench::RangeLimit(4096, 256)},

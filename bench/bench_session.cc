@@ -360,7 +360,8 @@ void BM_Session_FullRecomputeThreads(benchmark::State& state) {
   state.counters["threads"] = threads;
   Service::StatsResponse stats = service.Stats({}).value();
   state.counters["parallel_chunks"] =
-      static_cast<double>(stats.session.parallel_chunks);
+      static_cast<double>(stats.session.parallel_chunks) /
+      static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_Session_FullRecomputeThreads)
     ->ArgsProduct({{cqa_bench::RangeLimit(4096, 64)},

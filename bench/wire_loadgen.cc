@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "cq/matcher.h"
 #include "cq/query.h"
 #include "db/database.h"
 #include "net/chaos.h"
@@ -220,22 +219,22 @@ std::string JsonPath() {
   return "BENCH_results.json";
 }
 
-std::string MatcherMode() {
-  return cqa::DefaultMatcherMode() == cqa::MatcherMode::kNaive ? "naive"
-                                                               : "indexed";
-}
-
 /// Same merge discipline as bench/bench_main.cc: keep other binaries'
-/// line records, replace ours, write-then-rename.
+/// line records and our "naive" ones, replace our "indexed" ones,
+/// write-then-rename.
 void WriteJson(const std::vector<std::string>& records) {
   const std::string self_key = "\"bench\":\"wire_loadgen\",";
+  const std::string mode_key = "\"matcher\":\"indexed\"";
   std::vector<std::string> kept;
   {
     std::ifstream in(JsonPath());
     std::string line;
     while (std::getline(in, line)) {
       if (line.empty() || line[0] != '{') continue;
-      if (line.find(self_key) != std::string::npos) continue;
+      if (line.find(self_key) != std::string::npos &&
+          line.find(mode_key) != std::string::npos) {
+        continue;
+      }
       if (line.back() == ',') line.pop_back();
       kept.push_back(line);
     }
@@ -435,10 +434,10 @@ int main(int argc, char** argv) {
     char line[512];
     std::snprintf(line, sizeof(line),
                   "{\"bench\":\"wire_loadgen\",\"name\":\"wire/%s\","
-                  "\"matcher\":\"%s\",\"count\":%zu,\"p50_us\":%lld,"
+                  "\"matcher\":\"indexed\",\"count\":%zu,\"p50_us\":%lld,"
                   "\"p95_us\":%lld,\"p99_us\":%lld,\"qps\":%.1f,"
                   "\"clients\":%d}",
-                  ClassName(c), MatcherMode().c_str(), merged[c].size(),
+                  ClassName(c), merged[c].size(),
                   static_cast<long long>(p50), static_cast<long long>(p95),
                   static_cast<long long>(p99), qps, clients);
     records.push_back(line);

@@ -102,7 +102,9 @@ class Backend {
     uint64_t loads = 0;                   // full mirror rebuilds
     uint64_t mutations_mirrored = 0;      // facts written by deltas
     uint64_t transactions_committed = 0;  // delta transactions
-    /// Prepared-statement cache (keyed by plan canonical key).
+    /// Prepared-statement cache (keyed by plan canonical key). A hit is
+    /// one call that runs statements an earlier call prepared; a lookup
+    /// that runs none (SupportsNatively) counts none.
     uint64_t statements_prepared = 0;
     uint64_t statement_cache_hits = 0;
     /// True once an execution error degraded the backend to

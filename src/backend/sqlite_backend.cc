@@ -183,8 +183,10 @@ class SqliteBackend : public Backend {
                                        const Deadline& deadline) override {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      PlanSql* sql = PlanSqlLocked(plan);
+      bool cached = false;
+      PlanSql* sql = PlanSqlLocked(plan, &cached);
       if (!degraded_ && sql->native && sql->row_stmt != nullptr) {
+        if (cached) ++stats_.statement_cache_hits;
         std::vector<char> out(rows.size(), 0);
         Status st = DecideRowsLocked(sql, rows, &out, deadline);
         if (st.ok()) {
@@ -202,10 +204,12 @@ class SqliteBackend : public Backend {
 
   Result<std::optional<bool>> SolveCertain(const QueryPlan& plan) override {
     std::lock_guard<std::mutex> lock(mu_);
-    PlanSql* sql = PlanSqlLocked(plan);
+    bool cached = false;
+    PlanSql* sql = PlanSqlLocked(plan, &cached);
     if (degraded_ || !sql->native || sql->bool_solve_stmt == nullptr) {
       return std::optional<bool>();  // decline
     }
+    if (cached) ++stats_.statement_cache_hits;
     Result<bool> value = StepBoolLocked(sql->bool_solve_stmt);
     if (!value.ok()) {
       DegradeLocked();
@@ -218,8 +222,10 @@ class SqliteBackend : public Backend {
   Result<std::optional<RowSet>> CertainAnswerSet(
       const QueryPlan& plan, const Deadline& deadline) override {
     std::lock_guard<std::mutex> lock(mu_);
-    PlanSql* sql = PlanSqlLocked(plan);
+    bool cached = false;
+    PlanSql* sql = PlanSqlLocked(plan, &cached);
     if (degraded_ || !sql->native) return std::optional<RowSet>();
+    if (cached) ++stats_.statement_cache_hits;
     if (sql->width == 0) {
       // Boolean serving: possible AND certain, one row, one column.
       Result<bool> value = StepBoolLocked(sql->bool_certain_stmt);
@@ -495,17 +501,18 @@ class SqliteBackend : public Backend {
 
   /// Compiles (or fetches) the plan's SQL under mu_. Never fails: a
   /// plan whose program is missing or does not lower simply compiles to
-  /// native == false and is served in memory.
-  PlanSql* PlanSqlLocked(const QueryPlan& plan) {
+  /// native == false and is served in memory. `*cached` (when given)
+  /// says whether an earlier call compiled it: the caller counts a
+  /// `statement_cache_hits` only when it then executes one of its
+  /// statements, so a lookup alone (SupportsNatively) counts nothing.
+  PlanSql* PlanSqlLocked(const QueryPlan& plan, bool* cached = nullptr) {
     auto it = plans_.find(plan.cache_key());
-    if (it != plans_.end()) {
-      ++stats_.statement_cache_hits;
-      return &it->second;
-    }
+    if (cached != nullptr) *cached = it != plans_.end();
+    if (it != plans_.end()) return &it->second;
     PlanSql sql;
     sql.width = plan.canonical().params.size();
     const std::shared_ptr<const FoProgram>& program = plan.fo_program();
-    if (conn_ != nullptr && program != nullptr && !program->needs_adom()) {
+    if (conn_ != nullptr && program != nullptr) {
       Status st = CompilePlanLocked(plan, *program, &sql);
       if (!st.ok()) {
         // Not SQL-servable (or a prepare failed): serve in memory.

@@ -2,39 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 
 namespace cqa {
-
-// --------------------------------------------------------------- mode
-
-namespace {
-
-MatcherMode InitialMode() {
-  const char* naive = std::getenv("CQA_NAIVE_MATCHER");
-  return naive != nullptr && *naive != '\0' && *naive != '0'
-             ? MatcherMode::kNaive
-             : MatcherMode::kIndexed;
-}
-
-// Atomic so concurrent serving workers can read the mode while a test
-// harness flips it between phases.
-std::atomic<MatcherMode>& ModeSingleton() {
-  static std::atomic<MatcherMode> mode{InitialMode()};
-  return mode;
-}
-
-}  // namespace
-
-MatcherMode DefaultMatcherMode() {
-  return ModeSingleton().load(std::memory_order_relaxed);
-}
-void SetDefaultMatcherMode(MatcherMode mode) {
-  ModeSingleton().store(mode, std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------- FactIndex
 
@@ -430,16 +401,10 @@ bool ForEachEmbedding(const FactIndex& index, const Query& q,
   return RunSearch(index, q, initial, wrapped, mode);
 }
 
-bool ForEachEmbedding(const FactIndex& index, const Query& q,
-                      const Valuation& initial,
-                      const std::function<bool(const Valuation&)>& fn) {
-  return ForEachEmbedding(index, q, initial, fn, DefaultMatcherMode());
-}
-
 bool ForEachEmbeddingFacts(const FactIndex& index, const Query& q,
                            const Valuation& initial,
                            const EmbeddingFactsFn& fn) {
-  return RunSearch(index, q, initial, fn, DefaultMatcherMode());
+  return RunSearch(index, q, initial, fn, MatcherMode::kIndexed);
 }
 
 bool SatisfiesWith(const FactIndex& index, const Query& q,
@@ -541,7 +506,7 @@ EnumerateProjectionsAtMost(const FactIndex& index, const Query& q,
     return !over;
   };
   for (const Valuation& seed : seeds) {
-    RunSearch(index, q, seed, collect, DefaultMatcherMode(), &poll);
+    RunSearch(index, q, seed, collect, MatcherMode::kIndexed, &poll);
     if (poll.expired) {
       return Status::DeadlineExceeded(
           "deadline expired during candidate enumeration");

@@ -55,18 +55,14 @@
 ///
 /// The pre-index matcher is retained as `MatcherMode::kNaive` (static
 /// atom order, full relation scans) and serves as the differential-
-/// testing oracle; set CQA_NAIVE_MATCHER=1 to flip the process default.
+/// testing oracle: a test names it at its ForEachEmbedding call site.
+/// Every other entry point runs the indexed matcher.
 
 namespace cqa {
 
 /// Candidate selection policy of ForEachEmbedding. kIndexed is the
 /// production path; kNaive is the retained scan-based oracle.
 enum class MatcherMode { kIndexed, kNaive };
-
-/// Process-wide default mode. Initialised once from the CQA_NAIVE_MATCHER
-/// environment variable (unset/"0" -> kIndexed).
-MatcherMode DefaultMatcherMode();
-void SetDefaultMatcherMode(MatcherMode mode);
 
 /// A hash-indexed per-relation view over a set of facts. Used both for
 /// whole databases and for individual repairs (which are just fact
@@ -152,15 +148,11 @@ bool Satisfies(const Repair& repair, const Query& q);
 
 /// Enumerates embeddings θ with θ(q) ⊆ index. The callback returns false
 /// to stop; `initial` seeds the search with pre-bound variables.
-/// Returns true when the enumeration ran to completion. The default mode
-/// overload dispatches on DefaultMatcherMode().
-bool ForEachEmbedding(const FactIndex& index, const Query& q,
-                      const Valuation& initial,
-                      const std::function<bool(const Valuation&)>& fn);
+/// Returns true when the enumeration ran to completion.
 bool ForEachEmbedding(const FactIndex& index, const Query& q,
                       const Valuation& initial,
                       const std::function<bool(const Valuation&)>& fn,
-                      MatcherMode mode);
+                      MatcherMode mode = MatcherMode::kIndexed);
 
 /// Like ForEachEmbedding, but also hands the callback the matched facts,
 /// aligned with q.atoms(): facts_by_atom[i] == θ(q.atom(i)). Consumers

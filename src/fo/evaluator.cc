@@ -54,11 +54,9 @@ bool UnifyGuard(const Atom& guard, const Fact& fact, Valuation* binding,
 }  // namespace
 
 FormulaEvaluator::FormulaEvaluator(const Database& db)
-    : owned_index_(db), index_(&*owned_index_), adom_(db.ActiveDomain()) {}
+    : owned_index_(db), index_(&*owned_index_) {}
 
-FormulaEvaluator::FormulaEvaluator(const FactIndex* index,
-                                   std::vector<SymbolId> adom)
-    : index_(index), adom_(std::move(adom)) {}
+FormulaEvaluator::FormulaEvaluator(const FactIndex& index) : index_(&index) {}
 
 bool FormulaEvaluator::Eval(const FormulaPtr& formula) const {
   return Eval(formula, Valuation());
@@ -112,34 +110,6 @@ bool FormulaEvaluator::EvalRec(const Formula& f, Valuation* binding) const {
         for (SymbolId v : bound) binding->Unbind(v);
         if (!ok) return false;
       }
-      return true;
-    }
-    case Formula::Kind::kExistsDom: {
-      bool had = binding->Get(f.var()).has_value();
-      SymbolId old = had ? *binding->Get(f.var()) : 0;
-      for (SymbolId value : adom_) {
-        binding->Unbind(f.var());
-        binding->Bind(f.var(), value);
-        bool ok = EvalRec(*f.children()[0], binding);
-        binding->Unbind(f.var());
-        if (had) binding->Bind(f.var(), old);
-        if (ok) return true;
-      }
-      if (had) binding->Bind(f.var(), old);
-      return false;
-    }
-    case Formula::Kind::kForallDom: {
-      bool had = binding->Get(f.var()).has_value();
-      SymbolId old = had ? *binding->Get(f.var()) : 0;
-      for (SymbolId value : adom_) {
-        binding->Unbind(f.var());
-        binding->Bind(f.var(), value);
-        bool ok = EvalRec(*f.children()[0], binding);
-        binding->Unbind(f.var());
-        if (had) binding->Bind(f.var(), old);
-        if (!ok) return false;
-      }
-      if (had) binding->Bind(f.var(), old);
       return true;
     }
   }

@@ -2,7 +2,6 @@
 #define CQA_FO_EVALUATOR_H_
 
 #include <optional>
-#include <vector>
 
 #include "cq/matcher.h"
 #include "cq/valuation.h"
@@ -10,34 +9,25 @@
 #include "fo/formula.h"
 
 /// \file
-/// Evaluation of FO formulas over an uncertain database, with active-
-/// domain semantics for the unguarded quantifiers. Guarded quantifiers
-/// iterate only over facts of the guard's relation, which keeps the
-/// certain rewritings produced by `CertainRewriting` polynomial to
-/// evaluate.
+/// The tree interpreter of FO formulas over an uncertain database: one
+/// AST descent per binding, each guarded quantifier scanning the facts
+/// of its guard's relation. Production execution is the compiled
+/// `FoProgram` (fo/program.h); this interpreter is kept as the oracle
+/// the program is tested against, and a test or bench names it at its
+/// call site (directly, through `FoSolver::IsCertainRow` or through
+/// `QueryPlan::IsCertainRow`).
 
 namespace cqa {
 
 class FormulaEvaluator {
  public:
-  /// Owning constructor: builds a private index and the active domain
-  /// from `db`.
+  /// Owning constructor: builds a private index over `db`.
   explicit FormulaEvaluator(const Database& db);
 
-  /// Borrowing constructor for long-lived serving contexts: evaluates
-  /// over an externally owned index (which the owner keeps current
-  /// across database deltas) with an explicit active domain. `index`
-  /// must outlive the evaluator. The domain is a snapshot: the
-  /// unguarded quantifiers range over it, and rewritings contain
-  /// negation, so a stale superset is not sound — the owner drops the
-  /// evaluator when a delta may have changed it
-  /// (`EvalContext::ResetEvaluator`).
-  FormulaEvaluator(const FactIndex* index, std::vector<SymbolId> adom);
-
-  /// The active domain the unguarded quantifiers range over. The
-  /// set-at-a-time program executor reads it from here so both execution
-  /// modes always see the same domain.
-  const std::vector<SymbolId>& adom() const { return adom_; }
+  /// Borrowing constructor: evaluates over an externally owned index,
+  /// which must outlive the evaluator. The evaluator holds no other
+  /// state, so building one per call costs nothing.
+  explicit FormulaEvaluator(const FactIndex& index);
 
   /// Evaluates a sentence (no free variables outside `binding`).
   bool Eval(const FormulaPtr& formula) const;
@@ -53,7 +43,6 @@ class FormulaEvaluator {
   /// the borrowed external index.
   std::optional<FactIndex> owned_index_;
   const FactIndex* index_;
-  std::vector<SymbolId> adom_;
 };
 
 }  // namespace cqa

@@ -68,20 +68,6 @@ FormulaPtr Formula::ForallGuard(Atom guard, FormulaPtr child) {
   return f;
 }
 
-FormulaPtr Formula::ExistsDom(SymbolId var, FormulaPtr child) {
-  auto f = std::make_shared<FormulaFactory>(Kind::kExistsDom);
-  f->var_ = var;
-  f->children_.push_back(std::move(child));
-  return f;
-}
-
-FormulaPtr Formula::ForallDom(SymbolId var, FormulaPtr child) {
-  auto f = std::make_shared<FormulaFactory>(Kind::kForallDom);
-  f->var_ = var;
-  f->children_.push_back(std::move(child));
-  return f;
-}
-
 int Formula::NodeCount() const {
   int count = 1;
   for (const FormulaPtr& c : children_) count += c->NodeCount();
@@ -93,9 +79,8 @@ int Formula::QuantifierDepth() const {
   for (const FormulaPtr& c : children_) {
     child_max = std::max(child_max, c->QuantifierDepth());
   }
-  bool quantifier = kind_ == Kind::kExistsGuard ||
-                    kind_ == Kind::kForallGuard ||
-                    kind_ == Kind::kExistsDom || kind_ == Kind::kForallDom;
+  bool quantifier =
+      kind_ == Kind::kExistsGuard || kind_ == Kind::kForallGuard;
   return child_max + (quantifier ? 1 : 0);
 }
 
@@ -141,14 +126,6 @@ std::string Formula::ToString() const {
       break;
     case Kind::kForallGuard:
       os << "FORALL[" << atom_.ToString() << "](" << children_[0]->ToString()
-         << ")";
-      break;
-    case Kind::kExistsDom:
-      os << "EXISTS " << SymbolName(var_) << "(" << children_[0]->ToString()
-         << ")";
-      break;
-    case Kind::kForallDom:
-      os << "FORALL " << SymbolName(var_) << "(" << children_[0]->ToString()
          << ")";
       break;
   }

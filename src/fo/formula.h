@@ -17,8 +17,8 @@
 ///   ForallGuard(A, φ)  ==  ∀ free(A) . (A → φ)
 /// which bind exactly the variables of A that are unbound in the current
 /// environment, iterating facts of A's relation instead of the whole
-/// active domain. Domain quantifiers over the active domain are also
-/// available so the AST is FO-complete.
+/// active domain. These are the only quantifiers the rewriter emits, so
+/// they are the only ones the AST offers.
 
 namespace cqa {
 
@@ -37,8 +37,6 @@ class Formula {
     kOr,
     kExistsGuard,  // ∃ unbound vars of `atom`: atom holds ∧ child.
     kForallGuard,  // ∀ matches of `atom`: child holds.
-    kExistsDom,    // ∃ var ∈ active domain: child.
-    kForallDom,    // ∀ var ∈ active domain: child.
   };
 
   static FormulaPtr True();
@@ -50,14 +48,11 @@ class Formula {
   static FormulaPtr Or(std::vector<FormulaPtr> children);
   static FormulaPtr ExistsGuard(Atom guard, FormulaPtr child);
   static FormulaPtr ForallGuard(Atom guard, FormulaPtr child);
-  static FormulaPtr ExistsDom(SymbolId var, FormulaPtr child);
-  static FormulaPtr ForallDom(SymbolId var, FormulaPtr child);
 
   Kind kind() const { return kind_; }
   const Atom& atom() const { return atom_; }
   const Term& lhs() const { return lhs_; }
   const Term& rhs() const { return rhs_; }
-  SymbolId var() const { return var_; }
   const std::vector<FormulaPtr>& children() const { return children_; }
 
   /// Number of AST nodes.
@@ -68,13 +63,12 @@ class Formula {
   std::string ToString() const;
 
  protected:
-  explicit Formula(Kind kind) : kind_(kind), var_(0) {}
+  explicit Formula(Kind kind) : kind_(kind) {}
 
  private:
   Kind kind_;
   Atom atom_;                        // kAtom, k*Guard.
   Term lhs_, rhs_;                   // kEquals.
-  SymbolId var_;                     // k*Dom.
   std::vector<FormulaPtr> children_; // kNot, kAnd, kOr, quantifiers.
 };
 

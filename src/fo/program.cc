@@ -1,41 +1,12 @@
 #include "fo/program.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <unordered_map>
 
 namespace cqa {
-
-// --------------------------------------------------------------- mode
-
-namespace {
-
-FoExecMode InitialExecMode() {
-  const char* interp = std::getenv("CQA_FO_INTERPRETER");
-  return interp != nullptr && *interp != '\0' && *interp != '0'
-             ? FoExecMode::kInterpreter
-             : FoExecMode::kProgram;
-}
-
-// Atomic so concurrent serving workers can read the mode while a test
-// harness flips it between phases (mirrors DefaultMatcherMode).
-std::atomic<FoExecMode>& ExecModeSingleton() {
-  static std::atomic<FoExecMode> mode{InitialExecMode()};
-  return mode;
-}
-
-}  // namespace
-
-FoExecMode DefaultFoExecMode() {
-  return ExecModeSingleton().load(std::memory_order_relaxed);
-}
-void SetDefaultFoExecMode(FoExecMode mode) {
-  ExecModeSingleton().store(mode, std::memory_order_relaxed);
-}
 
 // ----------------------------------------------------------- lowering
 
@@ -56,7 +27,6 @@ class Lowerer {
 
   std::unordered_map<SymbolId, int>& env() { return env_; }
   int width() const { return next_reg_; }
-  bool needs_adom() const { return needs_adom_; }
 
   Result<int> Lower(const Formula& f);
 
@@ -79,7 +49,6 @@ class Lowerer {
   }
 
   Result<int> LowerGuard(const Formula& f, Op::Kind kind);
-  Result<int> LowerDom(const Formula& f, Op::Kind kind);
 
   int Emit(Op op) {
     ops_->push_back(std::move(op));
@@ -115,7 +84,6 @@ class Lowerer {
   std::vector<Op>* ops_;
   std::unordered_map<SymbolId, int> env_;
   int next_reg_;
-  bool needs_adom_ = false;
 };
 
 Result<int> Lowerer::LowerGuard(const Formula& f, Op::Kind kind) {
@@ -184,32 +152,6 @@ Result<int> Lowerer::LowerGuard(const Formula& f, Op::Kind kind) {
     conj.children = {Emit(std::move(op)), *child};
     return Emit(std::move(conj));
   }
-  op.child = *child;
-  return Emit(std::move(op));
-}
-
-Result<int> Lowerer::LowerDom(const Formula& f, Op::Kind kind) {
-  needs_adom_ = true;
-  Op op;
-  op.kind = kind;
-  op.reg = next_reg_++;
-  // Domain quantifiers shadow an existing binding (the interpreter
-  // rebinds the variable), unlike guards which treat it as a check.
-  auto it = env_.find(f.var());
-  std::optional<int> shadowed;
-  if (it != env_.end()) {
-    shadowed = it->second;
-    it->second = op.reg;
-  } else {
-    env_.emplace(f.var(), op.reg);
-  }
-  Result<int> child = Lower(*f.children()[0]);
-  if (shadowed.has_value()) {
-    env_[f.var()] = *shadowed;
-  } else {
-    env_.erase(f.var());
-  }
-  if (!child.ok()) return child.status();
   op.child = *child;
   return Emit(std::move(op));
 }
@@ -283,10 +225,6 @@ Result<int> Lowerer::Lower(const Formula& f) {
       return LowerGuard(f, Op::Kind::kSemiJoin);
     case Formula::Kind::kForallGuard:
       return LowerGuard(f, Op::Kind::kAntiJoin);
-    case Formula::Kind::kExistsDom:
-      return LowerDom(f, Op::Kind::kExistsDom);
-    case Formula::Kind::kForallDom:
-      return LowerDom(f, Op::Kind::kForallDom);
   }
   return Status::Internal("unreachable formula kind");
 }
@@ -308,7 +246,6 @@ Result<FoProgram> FoProgram::Lower(const FormulaPtr& formula,
   if (!root.ok()) return root.status();
   prog.root_ = *root;
   prog.width_ = std::max(lowerer.width(), 1);
-  prog.needs_adom_ = lowerer.needs_adom();
   return prog;
 }
 
@@ -344,9 +281,8 @@ struct Table {
 class Executor {
  public:
   Executor(const FoProgram& prog, const FactIndex& index,
-           const std::vector<SymbolId>& adom,
-           const Deadline* deadline = nullptr)
-      : prog_(prog), index_(index), adom_(adom), deadline_(deadline) {}
+           const Deadline* deadline)
+      : prog_(prog), index_(index), deadline_(deadline) {}
 
   /// True once an armed deadline fired mid-evaluation; the surviving
   /// mask is then partial garbage and the caller must discard it.
@@ -436,82 +372,14 @@ class Executor {
     return true;
   }
 
+  /// Guarded ∃ (anti == false): a row survives iff some extension by
+  /// a guard fact passes the child. Guarded ∀ (anti == true): a row
+  /// survives iff no extension fails it.
   void FilterJoin(const Op& op, bool anti, int depth, Table& t,
                   std::vector<char>& mask);
-  void FilterDom(const Op& op, bool anti, int depth, Table& t,
-                 std::vector<char>& mask);
-
-  /// The shared ∃/∀ scaffold: chunked extension materialization with
-  /// adaptive budgets and chunk-granularity short-circuit.
-  /// `enumerate(i, r, append)` is called once per undecided source row
-  /// and must invoke `append(fill)` once per candidate extension, where
-  /// `fill(ext)` writes the extension's new registers (returning false
-  /// to discard the candidate); it should stop early once
-  /// At(depth).decided[i] is set. Semijoin (anti == false): a row
-  /// survives iff some extension passes the child. Antijoin
-  /// (anti == true): a row survives iff no extension fails it.
-  template <typename EnumerateFn>
-  void FilterQuantifier(const Op& op, bool anti, int depth, Table& t,
-                        std::vector<char>& mask,
-                        const EnumerateFn& enumerate) {
-    Scratch& s = At(depth);
-    s.decided.assign(t.n, 0);
-    const size_t W = prog_.width();
-    s.chunk.width = W;
-    s.chunk.data.clear();
-    s.src.clear();
-
-    auto flush = [&] {
-      if (s.src.empty()) return;
-      s.chunk.n = s.src.size();
-      s.chunk_mask.assign(s.chunk.n, 1);
-      Filter(op.child, depth + 1, s.chunk, s.chunk_mask);
-      for (size_t k = 0; k < s.chunk.n; ++k) {
-        // Semijoin: one surviving extension decides the source row.
-        // Antijoin: one failing extension decides (kills) it.
-        if (anti ? !s.chunk_mask[k] : s.chunk_mask[k] != 0) {
-          s.decided[s.src[k]] = 1;
-        }
-      }
-      s.chunk.data.clear();
-      s.src.clear();
-    };
-
-    size_t budget = kChunkInitial;
-    for (size_t i = 0; i < t.n; ++i) {
-      if (CheckDeadline()) break;
-      if (!mask[i]) continue;
-      const SymbolId* r = t.row(i);
-      auto append = [&](auto&& fill) {
-        size_t pos = s.chunk.data.size();
-        s.chunk.data.resize(pos + W);
-        SymbolId* ext = s.chunk.data.data() + pos;
-        std::copy(r, r + W, ext);
-        if (!fill(ext)) {
-          s.chunk.data.resize(pos);
-          return;
-        }
-        s.src.push_back(static_cast<int>(i));
-        if (s.src.size() >= budget) {
-          // A flush may decide row i (first witness / first
-          // counterexample — the interpreter's short-circuit at chunk
-          // granularity); `enumerate` observes decided[i] and stops.
-          flush();
-          budget = std::min(budget * 2, kChunkRows);
-        }
-      };
-      enumerate(i, r, append);
-    }
-    flush();
-    for (size_t i = 0; i < t.n; ++i) {
-      if (!mask[i]) continue;
-      mask[i] = anti ? !s.decided[i] : s.decided[i];
-    }
-  }
 
   const FoProgram& prog_;
   const FactIndex& index_;
-  const std::vector<SymbolId>& adom_;
   const Deadline* deadline_;
   int deadline_countdown_ = kDeadlineCheckRows;
   bool expired_ = false;
@@ -521,9 +389,9 @@ class Executor {
 void Executor::FilterJoin(const Op& op, bool anti, int depth, Table& t,
                           std::vector<char>& mask) {
   Scratch& s = At(depth);
+  const size_t W = prog_.width();
   if (!anti && prog_.ops()[op.child].kind == Op::Kind::kTrue) {
     // ∃ȳ G: the first matching fact of the probe bucket decides the row.
-    const size_t W = prog_.width();
     s.values.resize(W);
     for (size_t i = 0; i < t.n; ++i) {
       if (CheckDeadline()) return;
@@ -537,30 +405,59 @@ void Executor::FilterJoin(const Op& op, bool anti, int depth, Table& t,
     }
     return;
   }
-  FilterQuantifier(
-      op, anti, depth, t, mask,
-      [&](size_t i, const SymbolId* r, auto&& append) {
-        for (const Fact* fact : ProbeBucket(op, r, s)) {
-          if (s.decided[i]) break;
-          append([&](SymbolId* ext) { return MatchBind(op, *fact, ext); });
-        }
-      });
-}
+  // Extensions are materialized in chunks with an adaptive budget, and
+  // the child filters a whole chunk at a time.
+  s.decided.assign(t.n, 0);
+  s.chunk.width = W;
+  s.chunk.data.clear();
+  s.src.clear();
 
-void Executor::FilterDom(const Op& op, bool anti, int depth, Table& t,
-                         std::vector<char>& mask) {
-  Scratch& s = At(depth);
-  FilterQuantifier(op, anti, depth, t, mask,
-                   [&](size_t i, const SymbolId* r, auto&& append) {
-                     (void)r;
-                     for (SymbolId value : adom_) {
-                       if (s.decided[i]) break;
-                       append([&](SymbolId* ext) {
-                         ext[op.reg] = value;
-                         return true;
-                       });
-                     }
-                   });
+  auto flush = [&] {
+    if (s.src.empty()) return;
+    s.chunk.n = s.src.size();
+    s.chunk_mask.assign(s.chunk.n, 1);
+    Filter(op.child, depth + 1, s.chunk, s.chunk_mask);
+    for (size_t k = 0; k < s.chunk.n; ++k) {
+      // Semijoin: one surviving extension decides the source row.
+      // Antijoin: one failing extension decides (kills) it.
+      if (anti ? !s.chunk_mask[k] : s.chunk_mask[k] != 0) {
+        s.decided[s.src[k]] = 1;
+      }
+    }
+    s.chunk.data.clear();
+    s.src.clear();
+  };
+
+  size_t budget = kChunkInitial;
+  for (size_t i = 0; i < t.n; ++i) {
+    if (CheckDeadline()) break;
+    if (!mask[i]) continue;
+    const SymbolId* r = t.row(i);
+    for (const Fact* fact : ProbeBucket(op, r, s)) {
+      // A flush may have decided row i (first witness / first
+      // counterexample — the interpreter's short-circuit at chunk
+      // granularity).
+      if (s.decided[i]) break;
+      size_t pos = s.chunk.data.size();
+      s.chunk.data.resize(pos + W);
+      SymbolId* ext = s.chunk.data.data() + pos;
+      std::copy(r, r + W, ext);
+      if (!MatchBind(op, *fact, ext)) {
+        s.chunk.data.resize(pos);
+        continue;
+      }
+      s.src.push_back(static_cast<int>(i));
+      if (s.src.size() >= budget) {
+        flush();
+        budget = std::min(budget * 2, kChunkRows);
+      }
+    }
+  }
+  flush();
+  for (size_t i = 0; i < t.n; ++i) {
+    if (!mask[i]) continue;
+    mask[i] = anti ? !s.decided[i] : s.decided[i];
+  }
 }
 
 void Executor::Filter(int op_idx, int depth, Table& t,
@@ -640,42 +537,21 @@ void Executor::Filter(int op_idx, int depth, Table& t,
     case Op::Kind::kAntiJoin:
       FilterJoin(op, /*anti=*/true, depth, t, mask);
       return;
-    case Op::Kind::kExistsDom:
-      FilterDom(op, /*anti=*/false, depth, t, mask);
-      return;
-    case Op::Kind::kForallDom:
-      FilterDom(op, /*anti=*/true, depth, t, mask);
-      return;
   }
 }
 
 }  // namespace
 
-bool FoProgram::EvaluateBool(const FactIndex& index,
-                             const std::vector<SymbolId>& adom) const {
+bool FoProgram::EvaluateBool(const FactIndex& index) const {
   assert(params_.empty() && "Boolean evaluation of a parameterized program");
   std::vector<std::vector<SymbolId>> one_row(1);
-  return EvaluateRows(index, adom, one_row)[0] != 0;
-}
-
-std::vector<char> FoProgram::EvaluateRows(
-    const FactIndex& index, const std::vector<SymbolId>& adom,
-    const std::vector<std::vector<SymbolId>>& rows) const {
-  return EvaluateRows(index, adom, rows, 0, rows.size());
-}
-
-std::vector<char> FoProgram::EvaluateRows(
-    const FactIndex& index, const std::vector<SymbolId>& adom,
-    const std::vector<std::vector<SymbolId>>& rows, size_t begin,
-    size_t end) const {
   // Unlimited deadlines never fail, so the Result unwrap is safe.
-  return *EvaluateRows(index, adom, rows, begin, end, Deadline());
+  return (*EvaluateRows(index, one_row, 0, 1))[0] != 0;
 }
 
 Result<std::vector<char>> FoProgram::EvaluateRows(
-    const FactIndex& index, const std::vector<SymbolId>& adom,
-    const std::vector<std::vector<SymbolId>>& rows, size_t begin,
-    size_t end, const Deadline& deadline) const {
+    const FactIndex& index, const std::vector<std::vector<SymbolId>>& rows,
+    size_t begin, size_t end, const Deadline& deadline) const {
   assert(begin <= end && end <= rows.size());
   size_t n = end - begin;
   std::vector<char> mask(n, 1);
@@ -692,8 +568,7 @@ Result<std::vector<char>> FoProgram::EvaluateRows(
     assert(rows[begin + i].size() == params_.size() && "row arity != params()");
     std::copy(rows[begin + i].begin(), rows[begin + i].end(), t.row(i));
   }
-  Executor exec(*this, index, adom,
-                deadline.unlimited() ? nullptr : &deadline);
+  Executor exec(*this, index, deadline.unlimited() ? nullptr : &deadline);
   exec.Filter(root_, 0, t, mask);
   if (exec.expired()) {
     return Status::DeadlineExceeded(
@@ -756,11 +631,6 @@ std::string FoProgram::ToString() const {
         for (int c : op.children) os << " " << c;
         break;
       }
-      case Op::Kind::kExistsDom:
-      case Op::Kind::kForallDom:
-        os << (op.kind == Op::Kind::kExistsDom ? "exists-dom" : "forall-dom")
-           << " >r" << op.reg << " child=" << op.child;
-        break;
     }
     os << "\n";
   }

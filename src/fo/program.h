@@ -29,10 +29,7 @@
 ///   * a guarded ∀ becomes an **antijoin**: same probe, but a row dies as
 ///     soon as one of its extensions fails the child filter;
 ///   * ¬ is an antijoin against the child's surviving set, ∧/∨ sequence
-///     and union filters, = and atom-membership are per-row probes;
-///   * the unguarded domain quantifiers loop over the active domain —
-///     they exist for FO completeness but never occur in the rewritings
-///     the rewriter emits.
+///     and union filters, = and atom-membership are per-row probes.
 ///
 /// Lowering drops work nobody reads, by three equivalences:
 ///
@@ -58,20 +55,11 @@
 /// granularity, so Boolean sentences keep the interpreter's
 /// short-circuit behaviour.
 ///
-/// The tree interpreter stays behind `FoExecMode::kInterpreter` as the
-/// differential-testing oracle, exactly like `MatcherMode::kNaive` for
-/// the matcher.
+/// The program is the only way production code executes a rewriting.
+/// The tree interpreter (fo/evaluator.h) is the oracle it is tested
+/// against, exactly like `MatcherMode::kNaive` for the matcher.
 
 namespace cqa {
-
-/// Execution policy of compiled FO plans. kProgram is the production
-/// set-at-a-time path; kInterpreter is the retained tree-walking oracle.
-enum class FoExecMode { kProgram, kInterpreter };
-
-/// Process-wide default mode. Initialised once from the
-/// CQA_FO_INTERPRETER environment variable (unset/"0" -> kProgram).
-FoExecMode DefaultFoExecMode();
-void SetDefaultFoExecMode(FoExecMode mode);
 
 class FoProgram {
  public:
@@ -99,8 +87,6 @@ class FoProgram {
                    // extension passes child.
       kAntiJoin,   // guarded ∀: row survives iff no guard fact
                    // extension fails child.
-      kExistsDom,  // ∃ reg ∈ adom: child.
-      kForallDom,  // ∀ reg ∈ adom: child.
     };
     Kind kind = Kind::kTrue;
     Slot lhs, rhs;            // kEquals.
@@ -114,8 +100,7 @@ class FoProgram {
     /// Statically bound positions outside the prefix probe, candidates
     /// for single-position buckets.
     std::vector<int> probe_positions;
-    int reg = -1;     // kExistsDom / kForallDom binding register.
-    int child = -1;   // kNot, joins, dom loops.
+    int child = -1;   // kNot, joins.
     std::vector<int> children;  // kAnd / kOr.
   };
 
@@ -126,39 +111,22 @@ class FoProgram {
   static Result<FoProgram> Lower(const FormulaPtr& formula,
                                  const std::vector<SymbolId>& params);
 
-  /// Decides the sentence (params() must be empty). `adom` is only read
-  /// by domain-quantifier ops (see needs_adom()).
-  bool EvaluateBool(const FactIndex& index,
-                    const std::vector<SymbolId>& adom) const;
+  /// Decides the sentence (params() must be empty), without a deadline.
+  bool EvaluateBool(const FactIndex& index) const;
 
-  /// Set-at-a-time batch evaluation: out[i] != 0 iff the formula holds
-  /// under rows[i] bound positionally to params(). All rows are decided
-  /// in one pass over the index.
-  std::vector<char> EvaluateRows(
-      const FactIndex& index, const std::vector<SymbolId>& adom,
-      const std::vector<std::vector<SymbolId>>& rows) const;
-
-  /// Contiguous-span variant for data-parallel execution: decides
-  /// rows[begin, end) and returns a mask of size end - begin (entry i
-  /// answers rows[begin + i]). Rows are per-row-independent, so
-  /// evaluating a span is exactly the batch evaluation of its rows —
-  /// workers splitting one batch into disjoint spans reproduce the
-  /// whole-batch result bit for bit. Thread-safe against concurrent
-  /// spans on the same program and index (both are read-only here).
-  std::vector<char> EvaluateRows(
-      const FactIndex& index, const std::vector<SymbolId>& adom,
-      const std::vector<std::vector<SymbolId>>& rows, size_t begin,
-      size_t end) const;
-
-  /// Deadline-aware span evaluation: the executor polls `deadline` at
-  /// its batch checkpoints (every few hundred rows / extension
-  /// flushes) and abandons the evaluation with kDeadlineExceeded once
-  /// it fires. An unlimited deadline adds one branch per checkpoint and
-  /// produces exactly the plain EvaluateRows mask.
+  /// Set-at-a-time batch evaluation of rows[begin, end): entry i of the
+  /// returned mask (of size end - begin) is nonzero iff the formula
+  /// holds under rows[begin + i] bound positionally to params(). All
+  /// rows of the span are decided in one pass over the index. Rows are
+  /// independent, so workers splitting one batch into disjoint spans
+  /// reproduce the whole-batch result bit for bit; concurrent spans on
+  /// the same program and index are safe (both are read-only here).
+  /// The executor polls `deadline` at its batch checkpoints (every few
+  /// hundred rows / extension flushes) and answers kDeadlineExceeded
+  /// once it fires; an unlimited deadline never fails.
   Result<std::vector<char>> EvaluateRows(
-      const FactIndex& index, const std::vector<SymbolId>& adom,
-      const std::vector<std::vector<SymbolId>>& rows, size_t begin,
-      size_t end, const Deadline& deadline) const;
+      const FactIndex& index, const std::vector<std::vector<SymbolId>>& rows,
+      size_t begin, size_t end, const Deadline& deadline = Deadline()) const;
 
   const std::vector<SymbolId>& params() const { return params_; }
   /// Register count == row width of the execution matrix.
@@ -166,9 +134,6 @@ class FoProgram {
   size_t size() const { return ops_.size(); }
   int root() const { return root_; }
   const std::vector<Op>& ops() const { return ops_; }
-  /// True when the program contains a domain-quantifier op (callers may
-  /// skip computing the active domain otherwise).
-  bool needs_adom() const { return needs_adom_; }
 
   /// Human-readable disassembly (one op per line), for tests and debug.
   std::string ToString() const;
@@ -180,7 +145,6 @@ class FoProgram {
   int root_ = -1;
   int width_ = 0;
   std::vector<SymbolId> params_;
-  bool needs_adom_ = false;
 };
 
 }  // namespace cqa

@@ -118,11 +118,6 @@ struct SqlGen {
                " AS " + alias + " WHERE " + conds + " AND NOT (" + child +
                "))";
       }
-      case Formula::Kind::kExistsDom:
-      case Formula::Kind::kForallDom:
-        error = Status::Unsupported(
-            "active-domain quantifiers have no direct SQL form");
-        return "FALSE";
     }
     return "FALSE";
   }

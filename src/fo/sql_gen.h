@@ -29,9 +29,8 @@ namespace cqa {
 /// emitted SQL as data, never as syntax. Shared with fo/sql_lower.h.
 std::string QuoteSqlIdentifier(const std::string& name);
 
-/// Renders a formula as a SQL boolean expression. Formulas containing
-/// unguarded domain quantifiers are rejected (certain rewritings never
-/// produce them).
+/// Renders a formula as a SQL boolean expression. Fails on a formula
+/// that reads a variable no quantifier binds.
 Result<std::string> FormulaToSql(const FormulaPtr& formula);
 
 /// Convenience: certain rewriting of `q` compiled to a complete

@@ -95,10 +95,6 @@ class CondLowerer {
                " AS " + alias + " WHERE " + JoinAnd(*conds) + " AND NOT (" +
                *child + "))";
       }
-      case Op::Kind::kExistsDom:
-      case Op::Kind::kForallDom:
-        return Status::Unsupported(
-            "active-domain quantifiers have no direct SQL form");
     }
     return Status::Internal("unknown FoProgram op kind");
   }

@@ -29,9 +29,7 @@
 ///     per-row decision statement, outer candidate columns for the
 ///     one-shot certain-answers query.
 ///
-/// Programs containing domain-quantifier ops (kExistsDom / kForallDom)
-/// have no direct SQL form and fail Unsupported; certain rewritings
-/// never produce them, so every FO-rewritable plan lowers.
+/// Every op has a SQL form, so every FO-rewritable plan lowers.
 
 namespace cqa {
 

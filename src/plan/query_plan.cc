@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "cq/matcher.h"
+#include "fo/evaluator.h"
 
 namespace cqa {
 
@@ -93,8 +94,6 @@ Status ValidateFreeVars(const Query& q,
   return Status::OK();
 }
 
-const FoSolver* QueryPlan::fo_solver() const { return fo_; }
-
 Result<std::shared_ptr<const QueryPlan>> QueryPlan::Compile(const Query& q) {
   return CompileCanonical(Canonicalize(q));
 }
@@ -107,6 +106,25 @@ Result<std::shared_ptr<const QueryPlan>> QueryPlan::Compile(
 
 Result<std::shared_ptr<const QueryPlan>> QueryPlan::CompileCanonical(
     CanonicalQuery canonical) {
+  return CompileWith(std::move(canonical), std::nullopt);
+}
+
+Result<std::shared_ptr<const QueryPlan>> QueryPlan::CompileForcedSolver(
+    const Query& q, SolverKind kind) {
+  CanonicalQuery canonical = Canonicalize(q);
+  if (!canonical.params.empty()) {
+    return Status::InvalidArgument(
+        "solver override requires a Boolean query");
+  }
+  // Tag the key: everything keyed by cache_key() — the Service's
+  // prepared-handle dedup AND the session answer cache — must keep a
+  // forced plan's results apart from the classifier-chosen plan's.
+  canonical.key += std::string(";solver=") + ToString(kind);
+  return CompileWith(std::move(canonical), kind);
+}
+
+Result<std::shared_ptr<const QueryPlan>> QueryPlan::CompileWith(
+    CanonicalQuery canonical, std::optional<SolverKind> forced) {
   std::shared_ptr<QueryPlan> plan(new QueryPlan());
   plan->canonical_ = std::move(canonical);
   const CanonicalQuery& c = plan->canonical_;
@@ -119,109 +137,47 @@ Result<std::shared_ptr<const QueryPlan>> QueryPlan::CompileCanonical(
 
   Result<Classification> cls = ClassifyQuery(
       c.params.empty() ? c.query : FreezeParams(c.query, c.params));
-  if (!cls.ok()) {
-    // Unsupported fragment (self-join, non-C(k) cyclic query): compile
-    // to the sound-and-complete SAT search, but report the failure cause
-    // for genuinely malformed queries.
-    if (cls.status().code() != StatusCode::kUnsupported) {
-      return cls.status();
-    }
-    plan->complexity_ = ComplexityClass::kOpenConjecturedPtime;
-    plan->kind_ = SolverKind::kSat;
-    if (c.params.empty()) {
-      Result<std::unique_ptr<Solver>> solver =
-          SolverRegistry::Global().Create(SolverKind::kSat, c.query);
-      if (!solver.ok()) return solver.status();
-      plan->solver_ = std::move(solver).value();
-    } else {
-      plan->row_factory_ = SolverRegistry::Global().Factory(SolverKind::kSat);
-    }
-    return std::shared_ptr<const QueryPlan>(std::move(plan));
-  }
-
-  plan->classification_ = *cls;
-  plan->complexity_ = cls->complexity;
-  plan->kind_ = KindForComplexity(cls->complexity);
-
-  if (plan->kind_ == SolverKind::kFoRewriting) {
-    // The rewriting is compiled over the *unfrozen* canonical query with
-    // the parameters kept free, so one formula serves every binding.
-    VarSet params(c.params.begin(), c.params.end());
-    Result<std::unique_ptr<Solver>> solver = SolverRegistry::Global().Create(
-        SolverKind::kFoRewriting, c.query, params);
-    if (!solver.ok()) return solver.status();
-    plan->solver_ = std::move(solver).value();
-    // dynamic_cast, resolved once: the registry allows substituting the
-    // kFoRewriting factory with a non-FoSolver implementation; such
-    // plans take the generic row path instead of invoking
-    // FoSolver::IsCertainRow on a stranger.
-    plan->fo_ = dynamic_cast<const FoSolver*>(plan->solver_.get());
-    if (plan->fo_ != nullptr) {
-      if (c.params.empty()) {
-        plan->fo_program_ = plan->fo_->program();
-      } else {
-        // The solver's own program orders parameters by SymbolId; the
-        // plan's rows arrive in canonical positional order, so lower a
-        // second program over the same (shared) rewriting with the
-        // positional parameter list. Lowering a rewriting cannot fail.
-        Result<FoProgram> program =
-            FoProgram::Lower(plan->fo_->rewriting(), c.params);
-        if (!program.ok()) return program.status();
-        plan->fo_program_ =
-            std::make_shared<const FoProgram>(std::move(*program));
-      }
-    }
-    if (!c.params.empty()) {
-      // Row fallback for substituted (non-FoSolver) implementations.
-      plan->row_factory_ =
-          SolverRegistry::Global().Factory(SolverKind::kFoRewriting);
-    }
-  } else if (c.params.empty()) {
-    Result<std::unique_ptr<Solver>> solver =
-        SolverRegistry::Global().Create(plan->kind_, c.query);
-    if (!solver.ok()) return solver.status();
-    plan->solver_ = std::move(solver).value();
-  } else {
-    // Parameterized non-FO plans keep solver_ null: rows are decided by
-    // grounding the canonical query (IsCertainRow) through the factory
-    // captured here, off the registry lock.
-    plan->row_factory_ = SolverRegistry::Global().Factory(plan->kind_);
-  }
-  return std::shared_ptr<const QueryPlan>(std::move(plan));
-}
-
-Result<std::shared_ptr<const QueryPlan>> QueryPlan::CompileForcedSolver(
-    const Query& q, SolverKind kind) {
-  CanonicalQuery canonical = Canonicalize(q);
-  if (!canonical.params.empty()) {
-    return Status::InvalidArgument(
-        "solver override requires a Boolean query");
-  }
-  std::shared_ptr<QueryPlan> plan(new QueryPlan());
-  plan->canonical_ = std::move(canonical);
-  // Tag the key: everything keyed by cache_key() — the Service's
-  // prepared-handle dedup AND the session answer cache — must keep a
-  // forced plan's results apart from the classifier-chosen plan's.
-  plan->canonical_.key += std::string(";solver=") + ToString(kind);
-  const CanonicalQuery& c = plan->canonical_;
-  plan->key_patterns_ = ComputeKeyPatterns(c.query, c.params);
-  plan->relations_ = RelationsOf(plan->key_patterns_);
-  Result<Classification> cls = ClassifyQuery(c.query);
   if (cls.ok()) {
     plan->classification_ = *cls;
     plan->complexity_ = cls->complexity;
-  } else if (cls.status().code() != StatusCode::kUnsupported) {
-    return cls.status();
-  } else {
+  } else if (cls.status().code() == StatusCode::kUnsupported) {
+    // Unsupported fragment (self-join, non-C(k) cyclic query): the
+    // sound-and-complete SAT search decides it.
     plan->complexity_ = ComplexityClass::kOpenConjecturedPtime;
+  } else {
+    return cls.status();  // A malformed query.
   }
-  plan->kind_ = kind;
-  Result<std::unique_ptr<Solver>> solver =
-      SolverRegistry::Global().Create(kind, c.query);
+  plan->kind_ = forced.value_or(KindForComplexity(plan->complexity_));
+
+  const bool fo = plan->kind_ == SolverKind::kFoRewriting;
+  if (!c.params.empty() && !fo) {
+    // Parameterized non-FO plans keep solver_ null: rows are decided by
+    // grounding the canonical query (IsCertainRow).
+    return std::shared_ptr<const QueryPlan>(std::move(plan));
+  }
+  // The rewriting is compiled over the *unfrozen* canonical query with
+  // the parameters kept free, so one formula serves every binding.
+  Result<std::unique_ptr<Solver>> solver = MakeSolver(
+      plan->kind_, c.query, VarSet(c.params.begin(), c.params.end()));
   if (!solver.ok()) return solver.status();
   plan->solver_ = std::move(solver).value();
-  plan->fo_ = dynamic_cast<const FoSolver*>(plan->solver_.get());
-  if (plan->fo_ != nullptr) plan->fo_program_ = plan->fo_->program();
+  if (fo) {
+    // MakeSolver builds every kFoRewriting solver as an FoSolver.
+    plan->fo_ = static_cast<const FoSolver*>(plan->solver_.get());
+    if (c.params.empty()) {
+      plan->fo_program_ = plan->fo_->program();
+    } else {
+      // The solver's own program orders parameters by SymbolId; the
+      // plan's rows arrive in canonical positional order, so lower a
+      // second program over the same (shared) rewriting with the
+      // positional parameter list. Lowering a rewriting cannot fail.
+      Result<FoProgram> program =
+          FoProgram::Lower(plan->fo_->rewriting(), c.params);
+      if (!program.ok()) return program.status();
+      plan->fo_program_ =
+          std::make_shared<const FoProgram>(std::move(*program));
+    }
+  }
   return std::shared_ptr<const QueryPlan>(std::move(plan));
 }
 
@@ -238,10 +194,7 @@ Result<SolveOutcome> QueryPlan::Solve(EvalContext& ctx,
         "IsCertainRow");
   }
   Result<SolverCall> call = [&]() -> Result<SolverCall> {
-    if (kind_ == SolverKind::kFoRewriting) {
-      return fo_ != nullptr ? fo_->Decide(ctx, deadline)
-                            : solver_->Decide(ctx);
-    }
+    if (fo_ != nullptr) return fo_->Decide(ctx, deadline);
     if (kind_ == SolverKind::kOracle) {
       // The reference the scoped solvers are checked against: every
       // repair of the whole database.
@@ -273,11 +226,6 @@ Result<std::optional<std::vector<Fact>>> QueryPlan::FindFalsifyingRepair(
   return solver_->FindFalsifyingRepair(db);
 }
 
-bool QueryPlan::DecidesRowsByProgram() const {
-  return fo_program_ != nullptr &&
-         DefaultFoExecMode() == FoExecMode::kProgram;
-}
-
 Result<std::vector<char>> QueryPlan::IsCertainRows(
     EvalContext& ctx, const std::vector<std::vector<SymbolId>>& rows,
     const Deadline& deadline) const {
@@ -300,33 +248,24 @@ Status QueryPlan::IsCertainRowSpan(
       return Status::InvalidArgument("row arity does not match plan params");
     }
   }
-  if (DecidesRowsByProgram()) {
-    static const std::vector<SymbolId> kNoAdom;
-    const std::vector<SymbolId>& adom =
-        fo_program_->needs_adom() ? ctx.evaluator().adom() : kNoAdom;
+  if (fo_program_ != nullptr) {
     Result<std::vector<char>> mask = fo_program_->EvaluateRows(
-        ctx.fact_index(), adom, rows, begin, end, deadline);
+        ctx.fact_index(), rows, begin, end, deadline);
     if (!mask.ok()) return mask.status();
     std::copy(mask->begin(), mask->end(), out->begin() + begin);
     return Status::OK();
   }
-  // Row-at-a-time fallback: non-FO plans, substituted FO
-  // implementations, and the interpreter oracle mode. Rows here can be
-  // arbitrarily expensive (grounded SAT calls), so the deadline is
-  // polled before every row, and a non-FO row's solver gets it too.
+  // Row-at-a-time for non-FO plans. Rows here can be arbitrarily
+  // expensive (grounded SAT calls), so the deadline is polled before
+  // every row, and each row's solver gets it too.
   for (size_t i = begin; i < end; ++i) {
     if (deadline.Expired()) {
       return Status::DeadlineExceeded("deadline expired deciding rows");
     }
-    Result<bool> certain = false;
-    if (kind_ == SolverKind::kFoRewriting) {
-      certain = IsCertainRow(ctx, rows[i]);
-    } else {
-      Result<Database> scoped = ScopeRow(ctx, rows[i], deadline);
-      if (!scoped.ok()) return scoped.status();
-      EvalContext row_ctx(*scoped, deadline);
-      certain = IsCertainRow(row_ctx, rows[i]);
-    }
+    Result<Database> scoped = ScopeRow(ctx, rows[i], deadline);
+    if (!scoped.ok()) return scoped.status();
+    EvalContext row_ctx(*scoped, deadline);
+    Result<bool> certain = IsCertainRow(row_ctx, rows[i]);
     if (!certain.ok()) return certain.status();
     (*out)[i] = *certain ? 1 : 0;
   }
@@ -377,30 +316,27 @@ Result<bool> QueryPlan::IsCertainRow(
   if (row.size() != canonical_.params.size()) {
     return Status::InvalidArgument("row arity does not match plan params");
   }
-  if (const FoSolver* fo = fo_solver()) {
+  if (fo_ != nullptr) {
     Valuation binding;
     for (size_t i = 0; i < row.size(); ++i) {
       binding.Bind(canonical_.params[i], row[i]);
     }
-    return fo->IsCertainRow(ctx.evaluator(), binding);
+    return fo_->IsCertainRow(FormulaEvaluator(ctx.fact_index()), binding);
   }
   Query ground = canonical_.query;
   for (size_t i = 0; i < row.size(); ++i) {
     ground = ground.Substitute(canonical_.params[i], row[i]);
   }
-  if (row_factory_) {
-    // The compiled kind, built through the factory captured at compile
-    // time (no registry lock per row); for kSat this is exact and
-    // never fails — which also covers the unsupported fragments.
-    Result<std::unique_ptr<Solver>> solver = row_factory_(ground, {});
-    if (solver.ok()) {
-      Result<bool> r = (*solver)->IsCertain(ctx);
-      if (r.ok() || r.status().code() == StatusCode::kDeadlineExceeded) {
-        return r;
-      }
-      // Precondition drifted under grounding (substitution can merge
-      // atoms); fall through to the full dispatch.
+  // The plan's kind on the ground row query; for kSat this is exact and
+  // never fails — which also covers the unsupported fragments.
+  Result<std::unique_ptr<Solver>> solver = MakeSolver(kind_, ground);
+  if (solver.ok()) {
+    Result<bool> r = (*solver)->IsCertain(ctx);
+    if (r.ok() || r.status().code() == StatusCode::kDeadlineExceeded) {
+      return r;
     }
+    // Precondition drifted under grounding (substitution can merge
+    // atoms); fall through to the full dispatch.
   }
   // Full re-compile of the ground row query — reproduces the complete
   // dispatch, including the SAT fallback for unsupported fragments.

@@ -105,7 +105,7 @@ class QueryPlan {
   /// `kind` instead of the classifier's choice. Classification still
   /// runs (the plan keeps its diagnostics and true complexity); only
   /// the solver is overridden. This is how `Service` prepared handles
-  /// reach every registered solver — e.g. pinning `SolverKind::kOracle`
+  /// reach every solver — e.g. pinning `SolverKind::kOracle`
   /// to cross-check production answers against repair enumeration, or
   /// `kSat` to exercise the fallback on a tractable query. Fails when
   /// `kind` cannot decide the query (e.g. forcing `kFoRewriting` onto a
@@ -131,22 +131,20 @@ class QueryPlan {
   /// The compiled solver instance. Null only for parameterized non-FO
   /// plans (their rows are decided by grounding, see IsCertainRow).
   const Solver* solver() const { return solver_.get(); }
-  /// The parameterized FO rewriting, when this is an FO plan built from
-  /// the stock FoSolver (null when a substituted registry factory
-  /// produced something else — those plans use the generic row path).
-  const FoSolver* fo_solver() const;
+  /// The FO solver with the plan's rewriting; null for non-FO plans.
+  const FoSolver* fo_solver() const { return fo_; }
 
   /// The compiled set-at-a-time FO program (parameters positionally
-  /// aligned with canonical().params). Null for non-FO / substituted
-  /// plans. This is what execution backends lower to SQL (fo/sql_lower.h)
-  /// — a null program means the plan cannot be pushed down natively.
+  /// aligned with canonical().params). Null for non-FO plans. This is
+  /// what execution backends lower to SQL (fo/sql_lower.h) — a null
+  /// program means the plan cannot be pushed down natively.
   const std::shared_ptr<const FoProgram>& fo_program() const {
     return fo_program_;
   }
-  /// True when IsCertainRows decides rows with fo_program() (an FO plan
-  /// under FoExecMode::kProgram), at a few index probes per row; false
-  /// when each row costs an interpreter descent or a scoped solver call.
-  bool DecidesRowsByProgram() const;
+  /// True when IsCertainRows decides rows with fo_program() (an FO
+  /// plan), at a few index probes per row; false when each row costs a
+  /// scoped solver call.
+  bool DecidesRowsByProgram() const { return fo_program_ != nullptr; }
 
   /// Per-atom key-position patterns of the canonical query (parameter
   /// indexes positionally aligned with the plan's parameters / the
@@ -167,9 +165,8 @@ class QueryPlan {
   /// dropping its block preserves certainty (Lemma 1). Forced-oracle
   /// plans enumerate the repairs of the whole database. The FO program
   /// (at its batch checkpoints), the SAT search and the oracle poll
-  /// `deadline` and answer kDeadlineExceeded once it expires; the FO
-  /// interpreter oracle checks it before it starts, and the polynomial
-  /// solvers run to completion.
+  /// `deadline` and answer kDeadlineExceeded once it expires; the
+  /// polynomial solvers run to completion.
   Result<SolveOutcome> Solve(const Database& db) const;
   Result<SolveOutcome> Solve(EvalContext& ctx,
                              const Deadline& deadline = Deadline()) const;
@@ -182,21 +179,21 @@ class QueryPlan {
 
   /// Decides one row of a parameterized plan: `row` binds the canonical
   /// parameters positionally. FO plans evaluate the shared rewriting
-  /// under the binding via the tree interpreter — this is the
-  /// row-at-a-time oracle; production row traffic goes through
-  /// IsCertainRows. Non-FO plans ground the canonical query and run the
-  /// compiled dispatch (falling back to a fresh compile when grounding
-  /// drifts out of the specialized solver's precondition).
+  /// under the binding with the tree interpreter over ctx.fact_index()
+  /// — this is the row-at-a-time oracle; production row traffic goes
+  /// through IsCertainRows. Non-FO plans ground the canonical query and
+  /// run the plan's solver kind on it (falling back to a fresh compile
+  /// when grounding drifts out of the specialized solver's
+  /// precondition).
   Result<bool> IsCertainRow(EvalContext& ctx,
                             const std::vector<SymbolId>& row) const;
 
   /// Batch row decision, positionally aligned with `rows`. FO plans run
   /// the compiled set-at-a-time program (fo/program.h): every row is
   /// decided in ONE pass over the context's FactIndex, with indexed
-  /// probes instead of per-row relation scans. Non-FO plans (and FO
-  /// plans under FoExecMode::kInterpreter) fall back to IsCertainRow
-  /// per row. A non-FO row r is decided on the blocks that some
-  /// embedding of q[r] touches, found by a seeded search of the
+  /// probes instead of per-row relation scans. Non-FO plans fall back
+  /// to IsCertainRow per row. A non-FO row r is decided on the blocks
+  /// that some embedding of q[r] touches, found by a seeded search of the
   /// context's FactIndex; every other block holds only facts in no
   /// embedding, and dropping it preserves CERTAINTY(q[r]) (Lemma 1).
   Result<std::vector<char>> IsCertainRows(
@@ -222,6 +219,11 @@ class QueryPlan {
  private:
   QueryPlan() = default;
 
+  /// The shared compile path: classification, key patterns, and the
+  /// solver of kind `forced`, or the classifier's choice when unset.
+  static Result<std::shared_ptr<const QueryPlan>> CompileWith(
+      CanonicalQuery canonical, std::optional<SolverKind> forced);
+
   /// The blocks of ctx.db() that some embedding of q[row] touches, as a
   /// database of their facts in their order in ctx.db(). Polls
   /// `deadline` every 256 embeddings.
@@ -238,17 +240,13 @@ class QueryPlan {
   ComplexityClass complexity_ = ComplexityClass::kOpenConjecturedPtime;
   SolverKind kind_ = SolverKind::kSat;
   std::unique_ptr<const Solver> solver_;
-  /// The FoSolver view of solver_, resolved once at compile time (null
-  /// for non-FO plans and for substituted FO implementations).
+  /// The FoSolver view of solver_ (null for non-FO plans).
   const FoSolver* fo_ = nullptr;
   /// The set-at-a-time program, cached alongside the rewriting: for
   /// Boolean FO plans the solver's own program, for parameterized FO
   /// plans a lowering whose parameters follow the plan's positional
-  /// order (canonical_.params). Null for non-FO / substituted plans.
+  /// order (canonical_.params). Null for non-FO plans.
   std::shared_ptr<const FoProgram> fo_program_;
-  /// Captured at compile time for parameterized non-FO plans: builds
-  /// the per-row solver without touching the registry mutex per row.
-  SolverFactory row_factory_;
 };
 
 }  // namespace cqa

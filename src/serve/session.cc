@@ -261,12 +261,6 @@ Result<uint64_t> Session::ApplyDelta(const Delta& delta) {
     bool& odd = flipped[action.fact];
     odd = !odd;
   }
-  // The evaluators' domain snapshots may be stale now; the next use
-  // snapshots the post-delta database.
-  for (const std::unique_ptr<EvalContext>& worker : workers_) {
-    worker->ResetEvaluator();
-  }
-
   // Log only the blocks whose contents moved: a block that one op
   // changes and a later op restores reaches no row.
   std::vector<std::pair<SymbolId, std::vector<SymbolId>>> blocks;

@@ -39,11 +39,8 @@
 ///   * each pool worker keeps one `EvalContext` whose `FactIndex`
 ///     survives across calls — `ApplyDelta` patches the already-built
 ///     indexes in place through the incremental `FactIndex::Add/Remove`
-///     paths instead of letting the next call reindex the world. The
-///     session keeps no active-domain counts: a delta drops each
-///     worker's FO evaluator (`EvalContext::ResetEvaluator`), whose next
-///     use snapshots the domain from the database; only the interpreter
-///     oracle builds one;
+///     paths instead of letting the next call reindex the world; the
+///     index is all the per-worker state a delta has to patch;
 ///   * deltas are transactional (`Insert` / `Remove` / `ReplaceBlock`
 ///     ops validate as a unit against the pre-delta state; an invalid
 ///     op rejects the whole delta and mutates nothing) and bump the
@@ -232,8 +229,7 @@ class Session {
   /// dispatched when it fires answer kDeadlineExceeded individually. A
   /// running FO program, SAT or oracle solve polls it too and stops
   /// with kDeadlineExceeded; the polynomial solvers (terminal cycles,
-  /// AC(k), C(k)) and the FO interpreter oracle run to completion once
-  /// started.
+  /// AC(k), C(k)) run to completion once started.
   std::vector<Result<SolveOutcome>> SolveBatch(
       const std::vector<std::shared_ptr<const QueryPlan>>& plans,
       uint64_t* epoch_out = nullptr, const Deadline& deadline = Deadline());

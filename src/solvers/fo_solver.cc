@@ -28,22 +28,17 @@ Result<SolverCall> FoSolver::Decide(EvalContext& ctx) const {
 
 Result<SolverCall> FoSolver::Decide(EvalContext& ctx,
                                     const Deadline& deadline) const {
-  SolverCall call;
-  if (DefaultFoExecMode() == FoExecMode::kProgram && program_->params().empty()) {
-    static const std::vector<SymbolId> kNoAdom;
-    const std::vector<SymbolId>& adom =
-        program_->needs_adom() ? ctx.evaluator().adom() : kNoAdom;
-    std::vector<std::vector<SymbolId>> one_row(1);
-    Result<std::vector<char>> mask = program_->EvaluateRows(
-        ctx.fact_index(), adom, one_row, 0, 1, deadline);
-    if (!mask.ok()) return mask.status();
-    call.certain = (*mask)[0] != 0;
-  } else {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded("deadline expired before evaluation");
-    }
-    call.certain = ctx.evaluator().Eval(rewriting_);
+  if (!program_->params().empty()) {
+    return Status::InvalidArgument(
+        "parameterized rewriting has no Boolean answer; bind its "
+        "parameters per row");
   }
+  std::vector<std::vector<SymbolId>> one_row(1);
+  Result<std::vector<char>> mask =
+      program_->EvaluateRows(ctx.fact_index(), one_row, 0, 1, deadline);
+  if (!mask.ok()) return mask.status();
+  SolverCall call;
+  call.certain = (*mask)[0] != 0;
   return call;
 }
 

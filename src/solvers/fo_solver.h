@@ -22,10 +22,10 @@
 /// QueryPlan compile path for non-Boolean queries).
 ///
 /// Create also lowers the rewriting into a set-at-a-time `FoProgram`
-/// (fo/program.h). `Decide` runs the program by default and the tree
-/// interpreter under `FoExecMode::kInterpreter`; `IsCertainRow` is
-/// always the tree interpreter — it is the per-row differential oracle
-/// the program executor is tested against.
+/// (fo/program.h), and `Decide` always runs it. `IsCertainRow` runs the
+/// tree interpreter instead: it is the per-row differential oracle the
+/// program executor is tested against, and only tests and benches call
+/// it.
 
 namespace cqa {
 
@@ -41,17 +41,16 @@ class FoSolver final : public Solver {
 
   SolverKind kind() const override { return SolverKind::kFoRewriting; }
 
-  /// db ∈ CERTAINTY(q), by compiled-program execution (or formula
-  /// interpretation under FoExecMode::kInterpreter) — polynomial time.
-  /// Reuses the context's shared index (one FactIndex per database, not
-  /// per call). Polls ctx.deadline().
+  /// db ∈ CERTAINTY(q), by compiled-program execution — polynomial
+  /// time. Reuses the context's shared index (one FactIndex per
+  /// database, not per call). Polls ctx.deadline(). A parameterized
+  /// rewriting has no Boolean answer: InvalidArgument.
   Result<SolverCall> Decide(EvalContext& ctx) const override;
 
   /// Decide under `deadline` instead of the context's: the program
   /// polls it at its batch checkpoints and answers kDeadlineExceeded
-  /// once it fires; the interpreter checks it once, before it starts.
-  /// An unlimited deadline reads no clock. This lets a long-lived
-  /// worker context serve requests with different budgets.
+  /// once it fires. An unlimited deadline reads no clock. This lets a
+  /// long-lived worker context serve requests with different budgets.
   Result<SolverCall> Decide(EvalContext& ctx, const Deadline& deadline) const;
 
   /// db ∈ CERTAINTY(θ(q)) for the parameter binding θ, by tree

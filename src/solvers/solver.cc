@@ -88,17 +88,6 @@ FactIndex& EvalContext::fact_index() {
   return *index_;
 }
 
-const FormulaEvaluator& EvalContext::evaluator() {
-  // Borrow the context's fact index (building it if needed): the
-  // evaluator's guarded quantifiers and atom checks then profit from
-  // buckets warmed by the matcher, and a serving session has only one
-  // structure to patch per delta.
-  if (!evaluator_.has_value()) {
-    evaluator_.emplace(&fact_index(), db_.ActiveDomain());
-  }
-  return *evaluator_;
-}
-
 Result<std::optional<std::vector<Fact>>> Solver::FindFalsifyingRepair(
     EvalContext& ctx) const {
   // Sound and complete for every query; solvers with a native witness
@@ -130,74 +119,26 @@ Result<std::optional<std::vector<Fact>>> Solver::FindFalsifyingRepair(
   return FindFalsifyingRepair(ctx);
 }
 
-SolverRegistry& SolverRegistry::Global() {
-  static SolverRegistry* registry = new SolverRegistry();
-  return *registry;
-}
-
-SolverRegistry::SolverRegistry() {
-  Register(SolverKind::kFoRewriting,
-           [](const Query& q, const VarSet& params)
-               -> Result<std::unique_ptr<Solver>> {
-             Result<FoSolver> fo = FoSolver::Create(q, params);
-             if (!fo.ok()) return fo.status();
-             return std::unique_ptr<Solver>(
-                 new FoSolver(std::move(fo).value()));
-           });
-  Register(SolverKind::kTerminalCycles,
-           [](const Query& q, const VarSet&)
-               -> Result<std::unique_ptr<Solver>> {
-             return std::unique_ptr<Solver>(new TerminalCycleSolver(q));
-           });
-  Register(SolverKind::kAck,
-           [](const Query& q, const VarSet&)
-               -> Result<std::unique_ptr<Solver>> {
-             return std::unique_ptr<Solver>(new AckSolver(q));
-           });
-  Register(SolverKind::kCk,
-           [](const Query& q, const VarSet&)
-               -> Result<std::unique_ptr<Solver>> {
-             return std::unique_ptr<Solver>(new CkSolver(q));
-           });
-  Register(SolverKind::kSat,
-           [](const Query& q, const VarSet&)
-               -> Result<std::unique_ptr<Solver>> {
-             return std::unique_ptr<Solver>(new SatSolver(q));
-           });
-  Register(SolverKind::kOracle,
-           [](const Query& q, const VarSet&)
-               -> Result<std::unique_ptr<Solver>> {
-             return std::unique_ptr<Solver>(new OracleSolver(q));
-           });
-}
-
-void SolverRegistry::Register(SolverKind kind, SolverFactory factory) {
-  std::lock_guard<std::mutex> lock(mu_);
-  factories_[kind] = std::move(factory);
-}
-
-Result<std::unique_ptr<Solver>> SolverRegistry::Create(
-    SolverKind kind, const Query& q, const VarSet& params) const {
-  SolverFactory factory = Factory(kind);
-  if (!factory) {
-    return Status::NotFound(std::string("no solver registered for '") +
-                            ToString(kind) + "'");
+Result<std::unique_ptr<Solver>> MakeSolver(SolverKind kind, const Query& q,
+                                           const VarSet& params) {
+  switch (kind) {
+    case SolverKind::kFoRewriting: {
+      Result<FoSolver> fo = FoSolver::Create(q, params);
+      if (!fo.ok()) return fo.status();
+      return std::unique_ptr<Solver>(new FoSolver(std::move(fo).value()));
+    }
+    case SolverKind::kTerminalCycles:
+      return std::unique_ptr<Solver>(new TerminalCycleSolver(q));
+    case SolverKind::kAck:
+      return std::unique_ptr<Solver>(new AckSolver(q));
+    case SolverKind::kCk:
+      return std::unique_ptr<Solver>(new CkSolver(q));
+    case SolverKind::kSat:
+      return std::unique_ptr<Solver>(new SatSolver(q));
+    case SolverKind::kOracle:
+      return std::unique_ptr<Solver>(new OracleSolver(q));
   }
-  return factory(q, params);
-}
-
-SolverFactory SolverRegistry::Factory(SolverKind kind) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = factories_.find(kind);
-  return it == factories_.end() ? SolverFactory() : it->second;
-}
-
-std::vector<SolverKind> SolverRegistry::kinds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SolverKind> out;
-  out.reserve(factories_.size());
-  for (const auto& [kind, _] : factories_) out.push_back(kind);
-  return out;
+  return Status::InvalidArgument("unknown solver kind");
 }
 
 }  // namespace cqa

@@ -3,18 +3,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <string_view>
 #include <vector>
 
+#include "cq/matcher.h"
 #include "cq/query.h"
 #include "db/database.h"
-#include "fo/evaluator.h"
 #include "util/deadline.h"
 #include "util/status.h"
 
@@ -26,15 +23,14 @@
 /// are immutable after construction and safe to share across threads —
 /// this is what lets a compiled `QueryPlan` serve concurrent traffic.
 ///
-/// Solvers are created through the `SolverRegistry`, keyed by
-/// `SolverKind`; the registry is how the plan compiler maps a complexity
-/// class to an implementation, and how tests substitute instrumented
-/// solvers without touching the dispatch.
+/// Solvers are created by `MakeSolver`, one switch over `SolverKind`:
+/// that is how the plan compiler maps a complexity class to an
+/// implementation.
 ///
 /// `EvalContext` bundles the per-thread evaluation state (a lazily built
-/// `FactIndex` and `FormulaEvaluator` for one database) so a batch worker
-/// reuses one set of indexes across every query it serves instead of
-/// rebuilding them per call.
+/// `FactIndex` for one database) so a batch worker reuses one set of
+/// indexes across every query it serves instead of rebuilding them per
+/// call.
 
 namespace cqa {
 
@@ -115,36 +111,19 @@ class EvalContext {
   /// Lazily built hash index over db's facts, shared across calls.
   FactIndex& fact_index();
 
-  /// Lazily built FO evaluator. Borrows fact_index() (one set of
-  /// buckets per context, not two) and snapshots the active domain.
-  const FormulaEvaluator& evaluator();
-
-  // ----------------------------------------------- serving-session hooks
-  // A long-lived serving `Session` keeps one EvalContext per worker and
-  // patches the lazily built state in place after each database delta
-  // instead of rebuilding it (see serve/session.cc). State that was
-  // never built needs no patching: its first use reads the post-delta
-  // database.
-
-  /// The fact index, when already built (null otherwise).
+  /// The fact index, when already built (null otherwise). A long-lived
+  /// serving `Session` keeps one EvalContext per worker and patches a
+  /// built index in place after each database delta instead of
+  /// rebuilding it (see serve/session.cc); an index never built needs
+  /// no patching, since its first use reads the post-delta database.
   FactIndex* fact_index_if_built() {
     return index_.has_value() ? &*index_ : nullptr;
   }
-
-  /// Drops the built FO evaluator, if any. A delta may change the
-  /// active domain the evaluator snapshotted, so the session calls this
-  /// after every delta; the next `evaluator()` takes a fresh snapshot.
-  /// Only the interpreter oracle builds an evaluator (a compiled
-  /// program asks for one only for its domain quantifiers, which the
-  /// rewritings never contain), so the production path never pays for
-  /// the snapshot.
-  void ResetEvaluator() { evaluator_.reset(); }
 
  private:
   const Database& db_;
   Deadline deadline_;
   std::optional<FactIndex> index_;
-  std::optional<FormulaEvaluator> evaluator_;
 };
 
 /// The unified interface all decision procedures implement. A solver is
@@ -188,44 +167,13 @@ class Solver {
   mutable SolverStats stats_;
 };
 
-/// Factory: builds a solver of some kind for `q`. `params` is only
-/// meaningful for compile-time-parameterized solvers (the FO rewriting);
-/// the rest ignore it. Construction is cheap for the P-time solvers
-/// (validation happens at Decide time); the FO factory runs the rewriter
-/// and fails on cyclic attack graphs.
-using SolverFactory = std::function<Result<std::unique_ptr<Solver>>(
-    const Query& q, const VarSet& params)>;
-
-/// Registry of solver implementations, keyed by SolverKind. The global
-/// registry comes pre-populated with the library's six solvers; tests and
-/// extensions may re-register a kind to substitute an implementation.
-class SolverRegistry {
- public:
-  /// The process-wide registry with the built-ins registered.
-  static SolverRegistry& Global();
-
-  /// Registers (or replaces) the factory for `kind`.
-  void Register(SolverKind kind, SolverFactory factory);
-
-  /// Builds a solver for `q`. Fails when no factory is registered or the
-  /// factory rejects the query.
-  Result<std::unique_ptr<Solver>> Create(SolverKind kind, const Query& q,
-                                         const VarSet& params = {}) const;
-
-  /// The registered factory for `kind` (empty when none). Lets a plan
-  /// capture the factory once at compile time instead of taking the
-  /// registry lock on every per-row Create.
-  SolverFactory Factory(SolverKind kind) const;
-
-  /// Registered kinds, in enum order.
-  std::vector<SolverKind> kinds() const;
-
- private:
-  SolverRegistry();
-
-  mutable std::mutex mu_;
-  std::map<SolverKind, SolverFactory> factories_;
-};
+/// Builds the solver of `kind` for `q`; a kFoRewriting solver is always
+/// an `FoSolver`. `params` is only meaningful for the FO rewriting,
+/// which keeps them free; the rest ignore it. Construction is cheap for
+/// the P-time solvers (validation happens at Decide time); the FO
+/// rewriting runs the rewriter and fails on cyclic attack graphs.
+Result<std::unique_ptr<Solver>> MakeSolver(SolverKind kind, const Query& q,
+                                           const VarSet& params = {});
 
 }  // namespace cqa
 

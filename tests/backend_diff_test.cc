@@ -448,7 +448,33 @@ TEST(BackendDiffTest, SqliteRefreshDecidesDirtyRowsInOneBackendCall) {
             r.before.backend.pushed_row_spans + 1);
   EXPECT_EQ(r.after.backend.pushed_rows - r.before.backend.pushed_rows,
             r.after.session.rows_decided - r.before.session.rows_decided);
+  // The one row statement ran from the statement cache.
+  EXPECT_EQ(r.after.backend.statement_cache_hits,
+            r.before.backend.statement_cache_hits + 1);
   EXPECT_EQ(r.after.degraded_backends, 0u);
+}
+
+/// A statement-cache hit counts a call that runs a cached statement: a
+/// page the session's answer cache serves runs no SQL and counts none,
+/// however often serving asks the backend whether it runs the plan.
+TEST(BackendDiffTest, CachedPageCountsNoStatementCacheHit) {
+  if (!SqliteBackendAvailable()) {
+    GTEST_SKIP() << "built without CQA_WITH_SQLITE";
+  }
+  Service sq(SqliteOptions());
+  ASSERT_TRUE(sq.CreateDatabase("t", JoinDb(8)).ok());
+  ASSERT_TRUE(sq.CertainAnswers(JoinRequest("t")).ok());
+  Service::StatsResponse before = sq.Stats({}).value();
+  Result<Service::CertainAnswersResponse> page =
+      sq.CertainAnswers(JoinRequest("t"));
+  ASSERT_TRUE(page.ok()) << page.status();
+  EXPECT_EQ(page->total_rows, 8u);
+  Service::StatsResponse after = sq.Stats({}).value();
+  EXPECT_EQ(after.session.answers_cached, before.session.answers_cached + 1);
+  EXPECT_EQ(after.backend.statement_cache_hits,
+            before.backend.statement_cache_hits);
+  EXPECT_EQ(after.backend.statements_prepared,
+            before.backend.statements_prepared);
 }
 
 /// A refresh whose dirty row is no longer possible decides no row, and

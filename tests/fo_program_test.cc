@@ -21,23 +21,11 @@
 /// (FormulaEvaluator) on every formula and every database — the same
 /// oracle pattern as the indexed-vs-naive matcher suite. Plus unit
 /// coverage for the edges the rewriting shape makes easy to miss:
-/// antijoins over empty relations, constant-only queries, repeated
-/// variables, and the unguarded domain quantifiers.
+/// antijoins over empty relations, constant-only queries and repeated
+/// variables.
 
 namespace cqa {
 namespace {
-
-/// Restores the process default execution mode on scope exit.
-class ScopedExecMode {
- public:
-  explicit ScopedExecMode(FoExecMode mode) : saved_(DefaultFoExecMode()) {
-    SetDefaultFoExecMode(mode);
-  }
-  ~ScopedExecMode() { SetDefaultFoExecMode(saved_); }
-
- private:
-  FoExecMode saved_;
-};
 
 /// Program-vs-interpreter check of a (formula, params) pair over `db`:
 /// Boolean when rows is empty-of-columns, else one batched EvaluateRows
@@ -49,9 +37,11 @@ void ExpectAgreement(const FormulaPtr& formula,
   Result<FoProgram> program = FoProgram::Lower(formula, params);
   ASSERT_TRUE(program.ok()) << context << ": " << program.status();
   FactIndex index(db);
-  std::vector<SymbolId> adom = db.ActiveDomain();
   FormulaEvaluator interpreter(db);
-  std::vector<char> batched = program->EvaluateRows(index, adom, rows);
+  Result<std::vector<char>> mask =
+      program->EvaluateRows(index, rows, 0, rows.size());
+  ASSERT_TRUE(mask.ok()) << context << ": " << mask.status();
+  const std::vector<char>& batched = *mask;
   ASSERT_EQ(batched.size(), rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
     Valuation binding;
@@ -137,8 +127,8 @@ TEST_P(ProgramDifferential, ParameterizedRewritingsDecideRowBatches) {
 
 TEST_P(ProgramDifferential, CorpusFoQueriesEndToEnd) {
   // The FO-rewritable subset of the named corpus, end to end through
-  // the plan layer: testutil::CertainAnswers under the program must equal
-  // testutil::CertainAnswers under the interpreter oracle.
+  // the plan layer: IsCertainRows (the program) must agree with
+  // IsCertainRow (the tree interpreter) on every possible answer.
   for (const auto& [name, q] : corpus::AllNamedQueries()) {
     if (!CertainRewriting(q).ok()) continue;  // not FO-rewritable
     BlockDbGenOptions bopts;
@@ -151,22 +141,20 @@ TEST_P(ProgramDifferential, CorpusFoQueriesEndToEnd) {
     std::vector<SymbolId> free_vars;
     if (!vars.empty()) free_vars.push_back(*vars.begin());
 
-    std::vector<std::vector<SymbolId>> with_program;
-    std::vector<std::vector<SymbolId>> with_interpreter;
-    {
-      ScopedExecMode mode(FoExecMode::kProgram);
-      auto rows = testutil::CertainAnswers(db, q, free_vars);
-      ASSERT_TRUE(rows.ok()) << name << ": " << rows.status();
-      with_program = *rows;
+    auto plan = testutil::GlobalPlan(q, free_vars);
+    ASSERT_TRUE(plan.ok()) << name << ": " << plan.status();
+    ASSERT_TRUE((*plan)->DecidesRowsByProgram()) << name;
+    auto rows = testutil::PossibleAnswers(db, q, free_vars);
+    ASSERT_TRUE(rows.ok()) << name << ": " << rows.status();
+    EvalContext ctx(db);
+    Result<std::vector<char>> batched = (*plan)->IsCertainRows(ctx, *rows);
+    ASSERT_TRUE(batched.ok()) << name << ": " << batched.status();
+    for (size_t i = 0; i < rows->size(); ++i) {
+      Result<bool> oracle = (*plan)->IsCertainRow(ctx, (*rows)[i]);
+      ASSERT_TRUE(oracle.ok()) << name << ": " << oracle.status();
+      EXPECT_EQ((*batched)[i] != 0, *oracle) << name << " row " << i << "\n"
+                                            << db.ToString();
     }
-    {
-      ScopedExecMode mode(FoExecMode::kInterpreter);
-      auto rows = testutil::CertainAnswers(db, q, free_vars);
-      ASSERT_TRUE(rows.ok()) << name << ": " << rows.status();
-      with_interpreter = *rows;
-    }
-    EXPECT_EQ(with_program, with_interpreter) << name << "\n"
-                                              << db.ToString();
   }
 }
 
@@ -285,7 +273,7 @@ TEST_P(ProgramDifferential, LoweringRulesOnGuardedFormulas) {
 
 // 120 seeds x (2 boolean + 1 parameterized batch + corpus sweep + 12
 // guarded formulas), on top of every FO decision the rest of the suite
-// now routes through the program by default.
+// routes through the program.
 INSTANTIATE_TEST_SUITE_P(Seeds, ProgramDifferential,
                          ::testing::Range(uint64_t{1}, uint64_t{121}));
 
@@ -300,7 +288,7 @@ TEST(FoProgramTest, SemijoinOverEmptyRelationIsFalse) {
   Result<FoProgram> program = FoProgram::Lower(f, {});
   ASSERT_TRUE(program.ok());
   FactIndex index((Database()));
-  EXPECT_FALSE(program->EvaluateBool(index, {}));
+  EXPECT_FALSE(program->EvaluateBool(index));
 }
 
 TEST(FoProgramTest, AntijoinOverEmptyRelationIsVacuouslyTrue) {
@@ -311,12 +299,12 @@ TEST(FoProgramTest, AntijoinOverEmptyRelationIsVacuouslyTrue) {
   Result<FoProgram> program = FoProgram::Lower(f, {});
   ASSERT_TRUE(program.ok());
   FactIndex index((Database()));
-  EXPECT_TRUE(program->EvaluateBool(index, {}));
+  EXPECT_TRUE(program->EvaluateBool(index));
 
   Database with_fact;
   ASSERT_TRUE(with_fact.AddFact(Fact::Make("R", {"a", "b"}, 1)).ok());
   FactIndex full(with_fact);
-  EXPECT_FALSE(program->EvaluateBool(full, with_fact.ActiveDomain()));
+  EXPECT_FALSE(program->EvaluateBool(full));
   ExpectAgreement(f, {}, {{}}, with_fact, "forall-nonempty");
 }
 
@@ -338,9 +326,9 @@ TEST(FoProgramTest, ConstantOnlyQueryDecidesByBlockMembership) {
   }
   Result<FoProgram> program = FoProgram::Lower(*rewriting, {});
   ASSERT_TRUE(program.ok());
-  EXPECT_TRUE(program->EvaluateBool(FactIndex(certain), {}));
-  EXPECT_FALSE(program->EvaluateBool(FactIndex(uncertain), {}));
-  EXPECT_FALSE(program->EvaluateBool(FactIndex(absent), {}));
+  EXPECT_TRUE(program->EvaluateBool(FactIndex(certain)));
+  EXPECT_FALSE(program->EvaluateBool(FactIndex(uncertain)));
+  EXPECT_FALSE(program->EvaluateBool(FactIndex(absent)));
 }
 
 TEST(FoProgramTest, RepeatedVariableGuardsCannotProbeTheirOwnBinding) {
@@ -355,38 +343,7 @@ TEST(FoProgramTest, RepeatedVariableGuardsCannotProbeTheirOwnBinding) {
   ExpectAgreement(*rewriting, {}, {{}}, db, "repeated-var");
   Result<FoProgram> program = FoProgram::Lower(*rewriting, {});
   ASSERT_TRUE(program.ok());
-  EXPECT_TRUE(program->EvaluateBool(FactIndex(db), {}));
-}
-
-TEST(FoProgramTest, DomainQuantifiersMatchInterpreter) {
-  // Handwritten (non-rewriter) formulas exercising the unguarded loops:
-  // ∀x∈adom ∃[R(x | y)] — every constant keys an R block.
-  Atom r = Atom::Make("R", {"x", "y"}, 1);
-  SymbolId x = InternSymbol("x");
-  FormulaPtr f = Formula::ForallDom(
-      x, Formula::ExistsGuard(r, Formula::True()));
-
-  Database covered;
-  ASSERT_TRUE(covered.AddFact(Fact::Make("R", {"a", "a"}, 1)).ok());
-  Database uncovered = covered;
-  ASSERT_TRUE(uncovered.AddFact(Fact::Make("R", {"a", "b"}, 1)).ok());
-
-  Result<FoProgram> program = FoProgram::Lower(f, {});
-  ASSERT_TRUE(program.ok());
-  EXPECT_TRUE(program->needs_adom());
-  ExpectAgreement(f, {}, {{}}, covered, "forall-dom covered");
-  ExpectAgreement(f, {}, {{}}, uncovered, "forall-dom uncovered");
-  EXPECT_TRUE(
-      program->EvaluateBool(FactIndex(covered), covered.ActiveDomain()));
-  // 'b' occurs in the domain but keys no R block.
-  EXPECT_FALSE(
-      program->EvaluateBool(FactIndex(uncovered), uncovered.ActiveDomain()));
-
-  // ∃x∈adom ¬∃[R(x | y)] — the dual, with negation over a semijoin.
-  FormulaPtr g = Formula::ExistsDom(
-      x, Formula::Not(Formula::ExistsGuard(r, Formula::True())));
-  ExpectAgreement(g, {}, {{}}, covered, "exists-dom covered");
-  ExpectAgreement(g, {}, {{}}, uncovered, "exists-dom uncovered");
+  EXPECT_TRUE(program->EvaluateBool(FactIndex(db)));
 }
 
 TEST(FoProgramTest, LoweringRejectsUnboundVariables) {
@@ -406,9 +363,11 @@ TEST(FoProgramTest, LoweringRejectsUnboundVariables) {
   std::vector<std::vector<SymbolId>> rows = {
       {InternSymbol("a"), InternSymbol("b")},
       {InternSymbol("a"), InternSymbol("a")}};
-  std::vector<char> out = good->EvaluateRows(index, {}, rows);
-  EXPECT_NE(out[0], 0);
-  EXPECT_EQ(out[1], 0);
+  Result<std::vector<char>> out =
+      good->EvaluateRows(index, rows, 0, rows.size());
+  ASSERT_TRUE(out.ok());
+  EXPECT_NE((*out)[0], 0);
+  EXPECT_EQ((*out)[1], 0);
 }
 
 /// Joins the executor materializes extensions for: every antijoin, and

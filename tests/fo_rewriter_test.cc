@@ -39,47 +39,6 @@ TEST(FormulaTest, GuardedQuantifiers) {
   EXPECT_FALSE(eval.Eval(Formula::ForallGuard(guard, y_is_b)));
 }
 
-TEST(FormulaTest, DomainQuantifiers) {
-  Database db;
-  ASSERT_TRUE(db.AddFact(Fact::Make("R", {"a", "b"}, 1)).ok());
-  FormulaEvaluator eval(db);
-  Query q = MustParseQuery("R(x | x)");
-  // ∃x R(x,x) over the active domain: false here.
-  EXPECT_FALSE(eval.Eval(
-      Formula::ExistsDom(InternSymbol("x"), Formula::MakeAtom(q.atom(0)))));
-  ASSERT_TRUE(db.AddFact(Fact::Make("R", {"c", "c"}, 1)).ok());
-  FormulaEvaluator eval2(db);
-  EXPECT_TRUE(eval2.Eval(
-      Formula::ExistsDom(InternSymbol("x"), Formula::MakeAtom(q.atom(0)))));
-}
-
-TEST(FormulaTest, DomainQuantifierShadowing) {
-  // ∃x (R(x) ∧ ∃x S(x)): the inner x shadows the outer one and the
-  // outer binding must be restored after the inner quantifier finishes.
-  Database db;
-  ASSERT_TRUE(db.AddFact(Fact::Make("R", {"a"}, 1)).ok());
-  ASSERT_TRUE(db.AddFact(Fact::Make("S", {"b"}, 1)).ok());
-  FormulaEvaluator eval(db);
-  SymbolId x = InternSymbol("x");
-  Query qr = MustParseQuery("R(x |)");
-  Query qs = MustParseQuery("S(x |)");
-  FormulaPtr inner = Formula::ExistsDom(x, Formula::MakeAtom(qs.atom(0)));
-  FormulaPtr outer = Formula::ExistsDom(
-      x, Formula::And({Formula::MakeAtom(qr.atom(0)), inner,
-                       // After the inner ∃x, the outer binding of x must
-                       // still satisfy R(x).
-                       Formula::MakeAtom(qr.atom(0))}));
-  EXPECT_TRUE(eval.Eval(outer));
-  // ∀x (R(x) ∨ S(x)) over adom {a, b}: true; adding T(c) makes it false.
-  FormulaPtr all = Formula::ForallDom(
-      x, Formula::Or({Formula::MakeAtom(qr.atom(0)),
-                      Formula::MakeAtom(qs.atom(0))}));
-  EXPECT_TRUE(eval.Eval(all));
-  ASSERT_TRUE(db.AddFact(Fact::Make("T", {"c"}, 1)).ok());
-  FormulaEvaluator eval2(db);
-  EXPECT_FALSE(eval2.Eval(all));
-}
-
 TEST(RewriterTest, RefusesCyclicAttackGraphs) {
   EXPECT_FALSE(CertainRewriting(corpus::Q0()).ok());
   EXPECT_FALSE(CertainRewriting(corpus::Ck(2)).ok());

@@ -328,24 +328,28 @@ TEST(PlanCacheTest, NegativeEntriesAreEvictedBeforePlans) {
   EXPECT_EQ(cache.Snapshot().negative_entries, 1u);
 }
 
-TEST(SolverRegistryTest, BuildsEveryKindAndRoundTripsNames) {
-  for (SolverKind kind : SolverRegistry::Global().kinds()) {
+TEST(MakeSolverTest, BuildsEveryKindAndRoundTripsNames) {
+  for (SolverKind kind :
+       {SolverKind::kFoRewriting, SolverKind::kTerminalCycles,
+        SolverKind::kAck, SolverKind::kCk, SolverKind::kSat,
+        SolverKind::kOracle}) {
     EXPECT_EQ(SolverKindFromString(ToString(kind)), kind);
+    // Only the FO rewriting validates at build time; the rest accept
+    // any query and check their preconditions when they decide.
+    Result<std::unique_ptr<Solver>> solver =
+        MakeSolver(kind, kind == SolverKind::kFoRewriting
+                             ? corpus::ConferenceQuery()
+                             : corpus::Q0());
+    ASSERT_TRUE(solver.ok()) << ToString(kind) << ": " << solver.status();
+    EXPECT_EQ((*solver)->kind(), kind);
+    EXPECT_EQ((*solver)->name(), ToString(kind));
   }
-  Result<std::unique_ptr<Solver>> sat =
-      SolverRegistry::Global().Create(SolverKind::kSat, corpus::Q0());
-  ASSERT_TRUE(sat.ok());
-  EXPECT_EQ((*sat)->kind(), SolverKind::kSat);
-  EXPECT_EQ((*sat)->name(), "sat");
-  // The FO factory validates at compile time: cyclic attack graph fails.
-  EXPECT_FALSE(SolverRegistry::Global()
-                   .Create(SolverKind::kFoRewriting, corpus::Q1())
-                   .ok());
-  Result<std::unique_ptr<Solver>> fo = SolverRegistry::Global().Create(
-      SolverKind::kFoRewriting, corpus::ConferenceQuery());
+  // The FO rewriting refuses a cyclic attack graph.
+  EXPECT_FALSE(MakeSolver(SolverKind::kFoRewriting, corpus::Q1()).ok());
+  Result<std::unique_ptr<Solver>> fo =
+      MakeSolver(SolverKind::kFoRewriting, corpus::ConferenceQuery());
   ASSERT_TRUE(fo.ok());
-  EXPECT_FALSE(
-      *(*fo)->IsCertain(corpus::ConferenceDatabase()));
+  EXPECT_FALSE(*(*fo)->IsCertain(corpus::ConferenceDatabase()));
 }
 
 TEST(QueryPlanTest, ParameterizedPlanMatchesGroundSolve) {
@@ -613,18 +617,13 @@ TEST(QueryPlanTest, FoSolveHonoursTheDeadline) {
   ASSERT_EQ(plan->solver_kind(), SolverKind::kFoRewriting);
   Result<SolveOutcome> expected = testutil::Solve(db, q);
   ASSERT_TRUE(expected.ok()) << expected.status();
-  const FoExecMode saved = DefaultFoExecMode();
-  for (FoExecMode mode : {FoExecMode::kProgram, FoExecMode::kInterpreter}) {
-    SetDefaultFoExecMode(mode);
-    EvalContext ctx(db);
-    Result<SolveOutcome> expired = plan->Solve(ctx, Deadline::AfterMillis(0));
-    ASSERT_FALSE(expired.ok());
-    EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
-    Result<SolveOutcome> unlimited = plan->Solve(ctx, Deadline());
-    ASSERT_TRUE(unlimited.ok()) << unlimited.status();
-    EXPECT_EQ(unlimited->certain, expected->certain);
-  }
-  SetDefaultFoExecMode(saved);
+  EvalContext ctx(db);
+  Result<SolveOutcome> expired = plan->Solve(ctx, Deadline::AfterMillis(0));
+  ASSERT_FALSE(expired.ok());
+  EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
+  Result<SolveOutcome> unlimited = plan->Solve(ctx, Deadline());
+  ASSERT_TRUE(unlimited.ok()) << unlimited.status();
+  EXPECT_EQ(unlimited->certain, expected->certain);
 }
 
 }  // namespace

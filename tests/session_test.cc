@@ -573,80 +573,6 @@ TEST(SessionTest, CoveringAtomCandidatesMatchFreshEngine) {
   EXPECT_GT(one_atom, 0u);
 }
 
-/// Sets the process-wide FO execution mode for one scope.
-class ScopedExecMode {
- public:
-  explicit ScopedExecMode(FoExecMode mode) : saved_(DefaultFoExecMode()) {
-    SetDefaultFoExecMode(mode);
-  }
-  ~ScopedExecMode() { SetDefaultFoExecMode(saved_); }
-
- private:
-  FoExecMode saved_;
-};
-
-/// Under the interpreter oracle each worker builds an FO evaluator over
-/// a snapshot of the active domain, and every delta drops it. The delta
-/// fodder draws from a wider domain than the databases, so deltas bring
-/// constants in and retire them; verdicts and rows must still equal a
-/// fresh engine's.
-TEST(SessionTest, InterpreterTracksTheDomainAcrossDeltas) {
-  ScopedExecMode mode(FoExecMode::kInterpreter);
-  int checks = 0;
-  int domain_changes = 0;
-  for (int seed = 1; seed <= 40; ++seed) {
-    QueryGenOptions qopt;
-    qopt.seed = seed * 13 + 1;
-    qopt.num_atoms = 1 + seed % 3;
-    qopt.max_arity = 3;
-    Query q = RandomAcyclicQuery(qopt);
-    VarSet vars = q.Vars();
-    std::vector<SymbolId> fv(vars.begin(), vars.end());
-    Rng rng(seed * 613);
-    rng.Shuffle(&fv);
-    fv.resize(std::min<size_t>(fv.size(), seed % 3));
-
-    BlockDbGenOptions dopt;
-    dopt.seed = seed * 37;
-    dopt.blocks_per_relation = 3;
-    dopt.max_block_size = 2;
-    dopt.domain_size = 4;
-    BlockDbGenOptions popt = dopt;
-    popt.seed = seed * 131;
-    popt.domain_size = 8;
-    Database fodder = RandomBlockDatabase(q, popt);
-    std::vector<Fact> pool(fodder.facts().begin(), fodder.facts().end());
-
-    Session::Options sopt;
-    sopt.num_threads = 2;
-    Session session(RandomBlockDatabase(q, dopt), sopt);
-    for (int d = 0; d < 6; ++d) {
-      std::vector<SymbolId> domain = session.db().ActiveDomain();
-      Result<uint64_t> applied =
-          session.ApplyDelta(RandomDelta(session.db(), pool, &rng));
-      ASSERT_TRUE(applied.ok()) << applied.status();
-      if (session.db().ActiveDomain() != domain) ++domain_changes;
-
-      Result<SolveOutcome> verdict = testutil::SessionSolve(session, q);
-      ASSERT_TRUE(verdict.ok()) << verdict.status();
-      Result<SolveOutcome> fresh_verdict = testutil::Solve(session.db(), q);
-      ASSERT_TRUE(fresh_verdict.ok()) << fresh_verdict.status();
-      EXPECT_EQ(verdict->certain, fresh_verdict->certain)
-          << "seed " << seed << " delta " << d << " query " << q.ToString();
-
-      Result<Rows> served = Serve(session, q, fv);
-      ASSERT_TRUE(served.ok()) << served.status();
-      Result<Rows> fresh = testutil::CertainAnswers(session.db(), q, fv);
-      ASSERT_TRUE(fresh.ok()) << fresh.status();
-      EXPECT_EQ(*served, *fresh)
-          << "seed " << seed << " delta " << d << " query " << q.ToString();
-      ++checks;
-    }
-  }
-  EXPECT_EQ(checks, 240);
-  EXPECT_GT(domain_changes, 60);
-}
-
 // ------------------------------------------------------ the reach rule
 
 using Block = std::pair<SymbolId, std::vector<SymbolId>>;

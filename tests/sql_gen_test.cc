@@ -90,11 +90,6 @@ TEST(SqlGenTest, RefusesNonFoQueries) {
   EXPECT_FALSE(CertainSqlRewriting(corpus::Ck(2)).ok());
 }
 
-TEST(SqlGenTest, RefusesDomainQuantifiers) {
-  FormulaPtr f = Formula::ExistsDom(InternSymbol("x"), Formula::True());
-  EXPECT_FALSE(FormulaToSql(f).ok());
-}
-
 TEST(SqlGenTest, AliasesAreUnique) {
   Result<std::string> sql = CertainSqlRewriting(corpus::PathQuery(4));
   ASSERT_TRUE(sql.ok());

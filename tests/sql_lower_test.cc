@@ -117,21 +117,6 @@ TEST(SqlLowerTest, LowerProgramConditionValidatesParamExprs) {
   EXPECT_FALSE(Contains(*cond, "?1")) << *cond;
 }
 
-TEST(SqlLowerTest, DomainQuantifiersAreUnsupported) {
-  // ∀x∈adom ∃[R(x | y)] has no guarded SQL form; certain rewritings
-  // never produce it, and the lowering must refuse rather than emit
-  // wrong SQL.
-  Atom r = Atom::Make("R", {"x", "y"}, 1);
-  SymbolId x = InternSymbol("x");
-  FormulaPtr f =
-      Formula::ForallDom(x, Formula::ExistsGuard(r, Formula::True()));
-  Result<FoProgram> program = FoProgram::Lower(f, {});
-  ASSERT_TRUE(program.ok()) << program.status();
-  Result<std::string> sql = BooleanSolveSql(*program);
-  ASSERT_FALSE(sql.ok());
-  EXPECT_EQ(sql.status().code(), StatusCode::kUnsupported);
-}
-
 TEST(SqlLowerTest, ProgramIndexDdlIsCreateIfNotExists) {
   // 'Rome' and 'A' are statically bound non-key probe positions in the
   // conference rewriting — each suggests a single-column index.
