@@ -28,13 +28,16 @@
 /// whose working set should not live in the session's RAM indexes.
 ///
 /// The contract is *decline-based*: every pushdown entry point may
-/// answer "not me" (nullopt / null cursor / SupportsNatively == false),
-/// and the session then serves through its in-memory path, which is
-/// always correct. A backend failure degrades the backend (it starts
-/// declining), never the session. The one policy exception is
-/// `AdmitFallback`: a SQLite-only tenant with a resident fact budget
-/// refuses (kFailedPrecondition) to serve a plan it cannot push down
-/// when the database exceeds that budget — the explicit contract for
+/// answer "not me" (nullopt / null cursor), and the session then serves
+/// through its in-memory path, which is always correct. A backend
+/// failure degrades the backend (it starts declining), never the
+/// session; a deadline that passes inside a pushed statement answers
+/// kDeadlineExceeded and degrades nothing. The one per-request gate is
+/// `AdmitFallback`, asked once before any entry point: it admits a plan
+/// the backend runs itself, and otherwise applies the fallback policy —
+/// a SQLite-only tenant with a resident fact budget refuses
+/// (kFailedPrecondition) to serve a plan it cannot push down when the
+/// database exceeds that budget, the explicit contract for
 /// larger-than-RAM tenants instead of a silent full-memory evaluation.
 ///
 /// Thread-safety: the session calls Load and ApplyMutations under its
@@ -84,14 +87,17 @@ class Backend {
     virtual ~AnswerCursor() = default;
     /// Rows in the pinned answer set.
     virtual size_t total_rows() const = 0;
-    /// Rows [offset, offset + limit) of the set, in set order.
-    virtual Result<RowSet> Fetch(size_t offset, size_t limit) = 0;
+    /// Rows [offset, offset + limit) of the set, in set order. A
+    /// `deadline` that passes first answers kDeadlineExceeded.
+    virtual Result<RowSet> Fetch(size_t offset, size_t limit,
+                                 const Deadline& deadline) = 0;
   };
 
   struct Stats {
     /// Pushdown traffic actually served by the backend.
-    uint64_t pushed_solves = 0;       // Boolean certainty via SQL
-    uint64_t pushed_answer_sets = 0;  // full answer sets via SQL
+    uint64_t pushed_solves = 0;       // Boolean certainty via SQL: Solve
+                                      // requests and Boolean answer pages
+    uint64_t pushed_answer_sets = 0;  // full parameterized answer sets
     uint64_t pushed_row_spans = 0;    // row-decision batches via SQL
     uint64_t pushed_rows = 0;         // rows decided across those batches
     uint64_t cursors_opened = 0;      // snapshot answer cursors
@@ -104,7 +110,7 @@ class Backend {
     uint64_t transactions_committed = 0;  // delta transactions
     /// Prepared-statement cache (keyed by plan canonical key). A hit is
     /// one call that runs statements an earlier call prepared; a lookup
-    /// that runs none (SupportsNatively) counts none.
+    /// that runs none (AdmitFallback) counts none.
     uint64_t statements_prepared = 0;
     uint64_t statement_cache_hits = 0;
     /// True once an execution error degraded the backend to
@@ -114,61 +120,55 @@ class Backend {
 
   virtual ~Backend() = default;
 
-  /// Rebuilds the backend's mirror from `db` at `epoch` (session
-  /// construction / store recovery). Called before any serving.
-  /// Failure degrades the backend and is otherwise harmless.
-  virtual Status Load(const Database& db, uint64_t epoch) = 0;
+  /// Rebuilds the backend's mirror from `db` (session construction /
+  /// store recovery). Called before any serving. Failure degrades the
+  /// backend and is otherwise harmless.
+  virtual Status Load(const Database& db) = 0;
 
   /// Mirrors one committed delta, already applied to the in-memory
-  /// database: `mutations` in apply order, `post` the post-delta
-  /// database, `epoch` the committed epoch. Runs under the session's
+  /// database: `mutations` in apply order. Runs under the session's
   /// exclusive gate, after the WAL commit hook and the in-memory
   /// mutation. Failure degrades the backend, never the delta.
-  virtual Status ApplyMutations(const std::vector<Mutation>& mutations,
-                                const Database& post, uint64_t epoch) = 0;
+  virtual Status ApplyMutations(const std::vector<Mutation>& mutations) = 0;
 
-  /// True when the backend can execute this plan itself (for SQLite: an
-  /// FO plan whose program lowers to SQL, and the backend not
-  /// degraded). Plans outside this set go through AdmitFallback.
-  virtual bool SupportsNatively(const QueryPlan& plan) = 0;
-
-  /// Policy gate for serving `plan` through the in-memory engine
-  /// instead of this backend. OK admits the fallback;
-  /// kFailedPrecondition refuses (SQLite-only tenant over its resident
-  /// budget). `db_facts` is the current fact count.
+  /// The per-request gate, asked once before the entry points below.
+  /// OK for a plan the backend runs itself (for SQLite: an FO plan whose
+  /// program lowers to SQL, and the backend not degraded). Any other
+  /// plan is served by the in-memory engine if the policy admits it:
+  /// OK admits, kFailedPrecondition refuses (SQLite-only tenant over its
+  /// resident budget). `db_facts` is the current fact count.
   virtual Status AdmitFallback(const QueryPlan& plan, size_t db_facts) = 0;
 
   /// Decides every row of a parameterized plan — the backend-routed
   /// twin of `QueryPlan::IsCertainRows`, REQUIRED to produce identical
-  /// verdicts. The session hands a natively supported plan's whole
-  /// batch over in one call, since the backend's row decisions
-  /// serialize on its connection. Implementations may execute natively
-  /// or delegate to the plan; `ctx` is the calling worker's context for
-  /// the delegated path.
-  virtual Result<std::vector<char>> DecideRows(EvalContext& ctx,
-                                               const QueryPlan& plan,
-                                               const RowSet& rows,
-                                               const Deadline& deadline) = 0;
+  /// verdicts. The session hands the whole batch over in one call,
+  /// since the backend's row decisions serialize on its connection.
+  /// nullopt declines (the session decides the rows in memory).
+  virtual Result<std::optional<std::vector<char>>> DecideRows(
+      const QueryPlan& plan, const RowSet& rows,
+      const Deadline& deadline) = 0;
 
   /// Boolean certainty of a parameterless plan, pushed down. nullopt
   /// declines (the session runs plan.Solve); a value must equal what
-  /// plan.Solve would answer.
-  virtual Result<std::optional<bool>> SolveCertain(const QueryPlan& plan) = 0;
+  /// plan.Solve would answer. The session decides Boolean answer pages
+  /// here too: a certain query is always possible.
+  virtual Result<std::optional<bool>> SolveCertain(
+      const QueryPlan& plan, const Deadline& deadline) = 0;
 
-  /// The full certain-answer set of (plan, its canonical params),
-  /// pushed down in one statement: candidates filtered by the
-  /// rewriting, sorted — the session's ComputeCertainFull contract
-  /// (for Boolean plans: empty set, or the single empty row). nullopt
-  /// declines.
+  /// The full certain-answer set of a parameterized plan (over its
+  /// canonical params), pushed down in one statement: candidates
+  /// filtered by the rewriting, sorted — the session's
+  /// ComputeCertainFull contract. nullopt declines.
   virtual Result<std::optional<RowSet>> CertainAnswerSet(
       const QueryPlan& plan, const Deadline& deadline) = 0;
 
   /// Opens a snapshot answer cursor for a parameterized plan, or null
   /// to decline (non-native plan, no stable-snapshot support — e.g.
   /// `:memory:` SQLite, where a second connection cannot see the same
-  /// data). Caller (the session) serializes the open against deltas.
+  /// data). Counting the pinned set runs under `deadline`. Caller (the
+  /// session) serializes the open against deltas.
   virtual Result<std::shared_ptr<AnswerCursor>> OpenAnswerCursor(
-      const QueryPlan& plan) = 0;
+      const QueryPlan& plan, const Deadline& deadline) = 0;
 
   virtual Stats stats() const = 0;
 

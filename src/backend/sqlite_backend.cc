@@ -12,9 +12,11 @@
 /// connection holding a read transaction, so WAL mode gives them a
 /// stable snapshot while deltas keep committing on the main connection
 /// (`:memory:` databases have no second connection to the same data, so
-/// they decline cursors). Any unexpected SQLite error *degrades* the
-/// backend — it starts declining every pushdown and the session serves
-/// from its authoritative in-memory state.
+/// they decline cursors). Every plan statement steps under the request
+/// deadline (`StepStatement`). Any unexpected SQLite error *degrades*
+/// the backend — it starts declining every pushdown and the session
+/// serves from its authoritative in-memory state; a deadline that
+/// passes answers kDeadlineExceeded and degrades nothing.
 
 #if defined(CQA_WITH_SQLITE)
 
@@ -33,8 +35,6 @@ namespace cqa {
 
 namespace {
 
-/// Rows between deadline checks on the per-row decision loop.
-constexpr int kDecideDeadlineStride = 256;
 /// SQLite VM instructions between progress-handler deadline polls.
 constexpr int kProgressOpStride = 4096;
 
@@ -45,6 +45,45 @@ Status SqliteError(sqlite3* conn, const std::string& what) {
 
 int DeadlineProgress(void* arg) {
   return static_cast<const Deadline*>(arg)->Expired() ? 1 : 0;
+}
+
+/// Steps `stmt` to its end under `deadline`, handing each result row to
+/// `on_row`, then resets it and clears its bindings. A deadline that
+/// has passed runs nothing; the progress handler polls it every
+/// kProgressOpStride VM instructions, so a statement that runs long
+/// before or between its rows stops too. Either way the answer is
+/// kDeadlineExceeded, which no caller degrades on; any other failure is
+/// Internal.
+template <typename OnRow>
+Status StepStatement(sqlite3* conn, sqlite3_stmt* stmt,
+                     const Deadline& deadline, OnRow&& on_row) {
+  if (deadline.Expired()) {
+    return Status::DeadlineExceeded("deadline expired before a SQL statement");
+  }
+  sqlite3_progress_handler(conn, kProgressOpStride, DeadlineProgress,
+                           const_cast<Deadline*>(&deadline));
+  int rc;
+  while ((rc = sqlite3_step(stmt)) == SQLITE_ROW) on_row(stmt);
+  Status st = Status::OK();
+  if (rc == SQLITE_INTERRUPT) {
+    st = Status::DeadlineExceeded("deadline expired in a SQL statement");
+  } else if (rc != SQLITE_DONE) {
+    st = SqliteError(conn, "statement step");
+  }
+  sqlite3_reset(stmt);
+  sqlite3_clear_bindings(stmt);
+  sqlite3_progress_handler(conn, 0, nullptr, nullptr);
+  return st;
+}
+
+/// Appends `stmt`'s current row, `width` INTEGER columns, to `rows`.
+void AppendRow(sqlite3_stmt* stmt, size_t width, Backend::RowSet* rows) {
+  std::vector<SymbolId> row(width);
+  for (size_t j = 0; j < width; ++j) {
+    row[j] = static_cast<SymbolId>(
+        sqlite3_column_int64(stmt, static_cast<int>(j)));
+  }
+  rows->push_back(std::move(row));
 }
 
 /// Finalize-and-null; safe on null.
@@ -71,23 +110,16 @@ class SqliteCursor : public Backend::AnswerCursor {
 
   size_t total_rows() const override { return total_; }
 
-  Result<Backend::RowSet> Fetch(size_t offset, size_t limit) override {
+  Result<Backend::RowSet> Fetch(size_t offset, size_t limit,
+                                const Deadline& deadline) override {
     std::lock_guard<std::mutex> lock(mu_);
     sqlite3_bind_int64(page_stmt_, 1, static_cast<sqlite3_int64>(limit));
     sqlite3_bind_int64(page_stmt_, 2, static_cast<sqlite3_int64>(offset));
     Backend::RowSet rows;
-    int rc;
-    while ((rc = sqlite3_step(page_stmt_)) == SQLITE_ROW) {
-      std::vector<SymbolId> row(width_);
-      for (size_t j = 0; j < width_; ++j) {
-        row[j] = static_cast<SymbolId>(
-            sqlite3_column_int64(page_stmt_, static_cast<int>(j)));
-      }
-      rows.push_back(std::move(row));
-    }
-    sqlite3_reset(page_stmt_);
-    sqlite3_clear_bindings(page_stmt_);
-    if (rc != SQLITE_DONE) return SqliteError(conn_, "cursor page fetch");
+    CQA_RETURN_NOT_OK(
+        StepStatement(conn_, page_stmt_, deadline, [&](sqlite3_stmt* stmt) {
+          AppendRow(stmt, width_, &rows);
+        }));
     return rows;
   }
 
@@ -132,8 +164,7 @@ class SqliteBackend : public Backend {
     return Status::OK();
   }
 
-  Status Load(const Database& db, uint64_t epoch) override {
-    (void)epoch;
+  Status Load(const Database& db) override {
     std::lock_guard<std::mutex> lock(mu_);
     Status st = LoadLocked(db);
     if (!st.ok()) {
@@ -143,12 +174,10 @@ class SqliteBackend : public Backend {
     return st;
   }
 
-  Status ApplyMutations(const std::vector<Mutation>& mutations,
-                        const Database& post, uint64_t epoch) override {
-    (void)epoch;
+  Status ApplyMutations(const std::vector<Mutation>& mutations) override {
     std::lock_guard<std::mutex> lock(mu_);
     if (degraded_) return Status::FailedPrecondition("sqlite backend degraded");
-    Status st = ApplyMutationsLocked(mutations, post);
+    Status st = ApplyMutationsLocked(mutations);
     if (!st.ok()) {
       sqlite3_exec(conn_, "ROLLBACK", nullptr, nullptr, nullptr);
       DegradeLocked();
@@ -156,15 +185,9 @@ class SqliteBackend : public Backend {
     return st;
   }
 
-  bool SupportsNatively(const QueryPlan& plan) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (degraded_) return false;
-    return PlanSqlLocked(plan)->native;
-  }
-
   Status AdmitFallback(const QueryPlan& plan, size_t db_facts) override {
-    (void)plan;
     std::lock_guard<std::mutex> lock(mu_);
+    if (!degraded_ && PlanSqlLocked(plan)->native) return Status::OK();
     if (budget_ > 0 && db_facts > budget_) {
       ++stats_.fallback_refused;
       return Status::FailedPrecondition(
@@ -177,105 +200,74 @@ class SqliteBackend : public Backend {
     return Status::OK();
   }
 
-  Result<std::vector<char>> DecideRows(EvalContext& ctx,
-                                       const QueryPlan& plan,
-                                       const RowSet& rows,
-                                       const Deadline& deadline) override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      bool cached = false;
-      PlanSql* sql = PlanSqlLocked(plan, &cached);
-      if (!degraded_ && sql->native && sql->row_stmt != nullptr) {
-        if (cached) ++stats_.statement_cache_hits;
-        std::vector<char> out(rows.size(), 0);
-        Status st = DecideRowsLocked(sql, rows, &out, deadline);
-        if (st.ok()) {
-          ++stats_.pushed_row_spans;
-          stats_.pushed_rows += rows.size();
-          return out;
-        }
-        if (st.code() == StatusCode::kDeadlineExceeded) return st;
-        // Execution error: degrade and decide the rows in memory below.
-        DegradeLocked();
+  Result<std::optional<std::vector<char>>> DecideRows(
+      const QueryPlan& plan, const RowSet& rows,
+      const Deadline& deadline) override {
+    using Verdicts = std::optional<std::vector<char>>;
+    std::lock_guard<std::mutex> lock(mu_);
+    PlanSql* sql = NativeSqlLocked(plan, &PlanSql::row_stmt);
+    if (sql == nullptr) return Verdicts();
+    std::vector<char> out(rows.size(), 0);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const std::vector<SymbolId>& row = rows[i];
+      for (size_t j = 0; j < row.size(); ++j) {
+        sqlite3_bind_int64(sql->row_stmt, static_cast<int>(j) + 1,
+                           static_cast<sqlite3_int64>(row[j]));
       }
+      Status st = StepStatement(conn_, sql->row_stmt, deadline,
+                                [&](sqlite3_stmt* stmt) {
+                                  out[i] = sqlite3_column_int(stmt, 0) != 0;
+                                });
+      if (!st.ok()) return DeclineOrFailLocked<Verdicts>(st);
     }
-    return plan.IsCertainRows(ctx, rows, deadline);
+    ++stats_.pushed_row_spans;
+    stats_.pushed_rows += rows.size();
+    return Verdicts(std::move(out));
   }
 
-  Result<std::optional<bool>> SolveCertain(const QueryPlan& plan) override {
+  Result<std::optional<bool>> SolveCertain(const QueryPlan& plan,
+                                           const Deadline& deadline) override {
     std::lock_guard<std::mutex> lock(mu_);
-    bool cached = false;
-    PlanSql* sql = PlanSqlLocked(plan, &cached);
-    if (degraded_ || !sql->native || sql->bool_solve_stmt == nullptr) {
-      return std::optional<bool>();  // decline
-    }
-    if (cached) ++stats_.statement_cache_hits;
-    Result<bool> value = StepBoolLocked(sql->bool_solve_stmt);
-    if (!value.ok()) {
-      DegradeLocked();
-      return std::optional<bool>();  // decline; in-memory solve answers
-    }
+    PlanSql* sql = NativeSqlLocked(plan, &PlanSql::bool_solve_stmt);
+    if (sql == nullptr) return std::optional<bool>();
+    bool certain = false;
+    Status st = StepStatement(conn_, sql->bool_solve_stmt, deadline,
+                              [&](sqlite3_stmt* stmt) {
+                                certain = sqlite3_column_int(stmt, 0) != 0;
+                              });
+    if (!st.ok()) return DeclineOrFailLocked<std::optional<bool>>(st);
     ++stats_.pushed_solves;
-    return std::optional<bool>(*value);
+    return std::optional<bool>(certain);
   }
 
   Result<std::optional<RowSet>> CertainAnswerSet(
       const QueryPlan& plan, const Deadline& deadline) override {
     std::lock_guard<std::mutex> lock(mu_);
-    bool cached = false;
-    PlanSql* sql = PlanSqlLocked(plan, &cached);
-    if (degraded_ || !sql->native) return std::optional<RowSet>();
-    if (cached) ++stats_.statement_cache_hits;
-    if (sql->width == 0) {
-      // Boolean serving: possible AND certain, one row, one column.
-      Result<bool> value = StepBoolLocked(sql->bool_certain_stmt);
-      if (!value.ok()) {
-        DegradeLocked();
-        return std::optional<RowSet>();
-      }
-      RowSet rows;
-      if (*value) rows.push_back({});
-      ++stats_.pushed_answer_sets;
-      return std::optional<RowSet>(std::move(rows));
-    }
-    sqlite3_progress_handler(conn_, kProgressOpStride, DeadlineProgress,
-                             const_cast<Deadline*>(&deadline));
+    PlanSql* sql = NativeSqlLocked(plan, &PlanSql::answers_stmt);
+    if (sql == nullptr) return std::optional<RowSet>();
     RowSet rows;
-    int rc;
-    while ((rc = sqlite3_step(sql->answers_stmt)) == SQLITE_ROW) {
-      std::vector<SymbolId> row(sql->width);
-      for (size_t j = 0; j < sql->width; ++j) {
-        row[j] = static_cast<SymbolId>(
-            sqlite3_column_int64(sql->answers_stmt, static_cast<int>(j)));
-      }
-      rows.push_back(std::move(row));
-    }
-    sqlite3_reset(sql->answers_stmt);
-    sqlite3_progress_handler(conn_, 0, nullptr, nullptr);
-    if (rc != SQLITE_DONE) {
-      if (rc == SQLITE_INTERRUPT || deadline.Expired()) {
-        return Status::DeadlineExceeded(
-            "deadline expired in SQL answer enumeration");
-      }
-      DegradeLocked();
-      return std::optional<RowSet>();  // decline; session recomputes
-    }
+    Status st = StepStatement(conn_, sql->answers_stmt, deadline,
+                              [&](sqlite3_stmt* stmt) {
+                                AppendRow(stmt, sql->width, &rows);
+                              });
+    if (!st.ok()) return DeclineOrFailLocked<std::optional<RowSet>>(st);
     ++stats_.pushed_answer_sets;
     return std::optional<RowSet>(std::move(rows));
   }
 
   Result<std::shared_ptr<AnswerCursor>> OpenAnswerCursor(
-      const QueryPlan& plan) override {
+      const QueryPlan& plan, const Deadline& deadline) override {
+    using Cursor = std::shared_ptr<AnswerCursor>;
     std::lock_guard<std::mutex> lock(mu_);
     PlanSql* sql = PlanSqlLocked(plan);
     if (degraded_ || !sql->native || sql->width == 0 || !file_backed_) {
-      return std::shared_ptr<AnswerCursor>();  // decline
+      return Cursor();  // decline
     }
     sqlite3* conn = nullptr;
     if (sqlite3_open_v2(path_.c_str(), &conn, SQLITE_OPEN_READONLY, nullptr) !=
         SQLITE_OK) {
       sqlite3_close(conn);
-      return std::shared_ptr<AnswerCursor>();
+      return Cursor();
     }
     // BEGIN + the COUNT materialize the read snapshot: every later page
     // fetch on this connection sees exactly the rows counted here, no
@@ -283,24 +275,27 @@ class SqliteBackend : public Backend {
     sqlite3_stmt* count_stmt = nullptr;
     sqlite3_stmt* page_stmt = nullptr;
     size_t total = 0;
-    bool ok = sqlite3_exec(conn, "BEGIN", nullptr, nullptr, nullptr) ==
-                  SQLITE_OK &&
-              sqlite3_prepare_v2(conn, sql->count_sql.c_str(), -1, &count_stmt,
-                                 nullptr) == SQLITE_OK &&
-              sqlite3_step(count_stmt) == SQLITE_ROW;
-    if (ok) {
-      total = static_cast<size_t>(sqlite3_column_int64(count_stmt, 0));
-      ok = sqlite3_prepare_v2(conn, sql->page_sql.c_str(), -1, &page_stmt,
-                              nullptr) == SQLITE_OK;
+    Status st = Status::Internal("sqlite cursor open failed");
+    if (sqlite3_exec(conn, "BEGIN", nullptr, nullptr, nullptr) == SQLITE_OK &&
+        sqlite3_prepare_v2(conn, sql->count_sql.c_str(), -1, &count_stmt,
+                           nullptr) == SQLITE_OK) {
+      st = StepStatement(conn, count_stmt, deadline, [&](sqlite3_stmt* stmt) {
+        total = static_cast<size_t>(sqlite3_column_int64(stmt, 0));
+      });
     }
     Finalize(&count_stmt);
-    if (!ok) {
+    if (st.ok() && sqlite3_prepare_v2(conn, sql->page_sql.c_str(), -1,
+                                      &page_stmt, nullptr) != SQLITE_OK) {
+      st = SqliteError(conn, "prepare cursor page");
+    }
+    if (!st.ok()) {
       Finalize(&page_stmt);
       sqlite3_close(conn);
-      return std::shared_ptr<AnswerCursor>();  // decline
+      if (st.code() == StatusCode::kDeadlineExceeded) return st;
+      return Cursor();  // decline
     }
     ++stats_.cursors_opened;
-    return std::shared_ptr<AnswerCursor>(
+    return Cursor(
         std::make_shared<SqliteCursor>(conn, page_stmt, total, sql->width));
   }
 
@@ -322,21 +317,51 @@ class SqliteBackend : public Backend {
   }
 
  private:
-  /// Per-plan compiled SQL, keyed by the plan's canonical cache key.
+  /// Per-plan compiled SQL, keyed by the plan's canonical cache key. A
+  /// Boolean plan has only `bool_solve_stmt`; a parameterized one the
+  /// rest.
   struct PlanSql {
     bool native = false;
-    size_t width = 0;                       // parameter count
-    sqlite3_stmt* row_stmt = nullptr;       // RowDecisionSql
-    sqlite3_stmt* answers_stmt = nullptr;   // CertainAnswersSql
-    sqlite3_stmt* bool_certain_stmt = nullptr;  // BooleanCertainSql
-    sqlite3_stmt* bool_solve_stmt = nullptr;    // BooleanSolveSql
+    size_t width = 0;                      // parameter count
+    sqlite3_stmt* row_stmt = nullptr;      // RowDecisionSql
+    sqlite3_stmt* answers_stmt = nullptr;  // CertainAnswersSql
+    sqlite3_stmt* bool_solve_stmt = nullptr;  // BooleanSolveSql
     std::string count_sql;  // prepared per cursor connection
     std::string page_sql;
+
+    void FinalizeStatements() {
+      Finalize(&row_stmt);
+      Finalize(&answers_stmt);
+      Finalize(&bool_solve_stmt);
+    }
   };
 
   void DegradeLocked() {
     degraded_ = true;
     stats_.degraded = true;
+  }
+
+  /// The plan's SQL when the backend runs its statement `stmt` itself,
+  /// counting a statement-cache hit when an earlier call prepared it;
+  /// null to decline (degraded, a plan that does not lower, or no such
+  /// statement for the plan's width).
+  PlanSql* NativeSqlLocked(const QueryPlan& plan,
+                           sqlite3_stmt* PlanSql::*stmt) {
+    bool cached = false;
+    PlanSql* sql = PlanSqlLocked(plan, &cached);
+    if (degraded_ || !sql->native || sql->*stmt == nullptr) return nullptr;
+    if (cached) ++stats_.statement_cache_hits;
+    return sql;
+  }
+
+  /// A failed pushed statement: a deadline answers kDeadlineExceeded;
+  /// anything else degrades the backend and declines, so the session
+  /// serves the request in memory.
+  template <typename Declined>
+  Result<Declined> DeclineOrFailLocked(const Status& st) {
+    if (st.code() == StatusCode::kDeadlineExceeded) return st;
+    DegradeLocked();
+    return Declined();
   }
 
   Status ExecLocked(const std::string& sql) {
@@ -350,14 +375,15 @@ class SqliteBackend : public Backend {
     return Status::OK();
   }
 
-  Result<sqlite3_stmt*> PrepareLocked(const std::string& sql) {
-    sqlite3_stmt* stmt = nullptr;
-    if (sqlite3_prepare_v2(conn_, sql.c_str(), -1, &stmt, nullptr) !=
+  /// Prepares `sql`, when it lowered, into `*stmt`.
+  Status PrepareLocked(const Result<std::string>& sql, sqlite3_stmt** stmt) {
+    if (!sql.ok()) return sql.status();
+    if (sqlite3_prepare_v2(conn_, sql->c_str(), -1, stmt, nullptr) !=
         SQLITE_OK) {
-      return SqliteError(conn_, "prepare (" + sql + ")");
+      return SqliteError(conn_, "prepare (" + *sql + ")");
     }
     ++stats_.statements_prepared;
-    return stmt;
+    return Status::OK();
   }
 
   /// Drops every cached statement (table drops invalidate them all).
@@ -366,12 +392,7 @@ class SqliteBackend : public Backend {
     for (auto& [rel, stmt] : delete_stmts_) Finalize(&stmt);
     insert_stmts_.clear();
     delete_stmts_.clear();
-    for (auto& [key, sql] : plans_) {
-      Finalize(&sql.row_stmt);
-      Finalize(&sql.answers_stmt);
-      Finalize(&sql.bool_certain_stmt);
-      Finalize(&sql.bool_solve_stmt);
-    }
+    for (auto& [key, sql] : plans_) sql.FinalizeStatements();
     plans_.clear();
   }
 
@@ -413,10 +434,12 @@ class SqliteBackend : public Backend {
       if (i > 0) marks += ", ";
       marks += "?" + std::to_string(i + 1);
     }
-    Result<sqlite3_stmt*> stmt = PrepareLocked(
-        "INSERT OR IGNORE INTO " + SqlTableName(relation) + " VALUES (" +
-        marks + ")");
-    if (stmt.ok()) insert_stmts_.emplace(relation, *stmt);
+    sqlite3_stmt* stmt = nullptr;
+    CQA_RETURN_NOT_OK(PrepareLocked("INSERT OR IGNORE INTO " +
+                                        SqlTableName(relation) + " VALUES (" +
+                                        marks + ")",
+                                    &stmt));
+    insert_stmts_.emplace(relation, stmt);
     return stmt;
   }
 
@@ -428,9 +451,10 @@ class SqliteBackend : public Backend {
       if (i > 0) conds += " AND ";
       conds += SqlColumnName(i) + " = ?" + std::to_string(i + 1);
     }
-    Result<sqlite3_stmt*> stmt = PrepareLocked(
-        "DELETE FROM " + SqlTableName(relation) + " WHERE " + conds);
-    if (stmt.ok()) delete_stmts_.emplace(relation, *stmt);
+    sqlite3_stmt* stmt = nullptr;
+    CQA_RETURN_NOT_OK(PrepareLocked(
+        "DELETE FROM " + SqlTableName(relation) + " WHERE " + conds, &stmt));
+    delete_stmts_.emplace(relation, stmt);
     return stmt;
   }
 
@@ -475,17 +499,15 @@ class SqliteBackend : public Backend {
     return Status::OK();
   }
 
-  Status ApplyMutationsLocked(const std::vector<Mutation>& mutations,
-                              const Database& post) {
+  Status ApplyMutationsLocked(const std::vector<Mutation>& mutations) {
     if (conn_ == nullptr) return Status::Internal("sqlite backend not open");
     CQA_RETURN_NOT_OK(ExecLocked("BEGIN IMMEDIATE"));
     for (const Mutation& m : mutations) {
       if (tables_.count(m.fact.relation()) == 0) {
-        // A delta introduced a new relation; its signature is now in
-        // the post-delta schema.
-        auto sig = post.schema().Find(m.fact.relation());
-        int arity = sig.has_value() ? sig->arity : m.fact.arity();
-        CQA_RETURN_NOT_OK(CreateTableLocked(m.fact.relation(), arity));
+        // A delta introduced a new relation: validation checked the
+        // fact against its signature, so the fact's arity is the table's.
+        CQA_RETURN_NOT_OK(
+            CreateTableLocked(m.fact.relation(), m.fact.arity()));
       }
       Result<sqlite3_stmt*> stmt =
           m.add ? InsertStmtLocked(m.fact.relation(), m.fact.arity())
@@ -504,7 +526,7 @@ class SqliteBackend : public Backend {
   /// native == false and is served in memory. `*cached` (when given)
   /// says whether an earlier call compiled it: the caller counts a
   /// `statement_cache_hits` only when it then executes one of its
-  /// statements, so a lookup alone (SupportsNatively) counts nothing.
+  /// statements, so a lookup alone (AdmitFallback) counts nothing.
   PlanSql* PlanSqlLocked(const QueryPlan& plan, bool* cached = nullptr) {
     auto it = plans_.find(plan.cache_key());
     if (cached != nullptr) *cached = it != plans_.end();
@@ -516,10 +538,7 @@ class SqliteBackend : public Backend {
       Status st = CompilePlanLocked(plan, *program, &sql);
       if (!st.ok()) {
         // Not SQL-servable (or a prepare failed): serve in memory.
-        Finalize(&sql.row_stmt);
-        Finalize(&sql.answers_stmt);
-        Finalize(&sql.bool_certain_stmt);
-        Finalize(&sql.bool_solve_stmt);
+        sql.FinalizeStatements();
         sql.native = false;
       }
     }
@@ -548,72 +567,22 @@ class SqliteBackend : public Backend {
     for (const std::string& ddl : *index_ddl) CQA_RETURN_NOT_OK(ExecLocked(ddl));
 
     if (sql->width == 0) {
-      Result<std::string> certain =
-          BooleanCertainSql(plan.canonical(), program);
-      if (!certain.ok()) return certain.status();
-      Result<std::string> solve = BooleanSolveSql(program);
-      if (!solve.ok()) return solve.status();
-      Result<sqlite3_stmt*> certain_stmt = PrepareLocked(*certain);
-      if (!certain_stmt.ok()) return certain_stmt.status();
-      sql->bool_certain_stmt = *certain_stmt;
-      Result<sqlite3_stmt*> solve_stmt = PrepareLocked(*solve);
-      if (!solve_stmt.ok()) return solve_stmt.status();
-      sql->bool_solve_stmt = *solve_stmt;
+      CQA_RETURN_NOT_OK(
+          PrepareLocked(BooleanSolveSql(program), &sql->bool_solve_stmt));
     } else {
-      Result<std::string> row = RowDecisionSql(program);
-      if (!row.ok()) return row.status();
-      Result<std::string> answers = CertainAnswersSql(plan.canonical(), program);
-      if (!answers.ok()) return answers.status();
       Result<std::string> page =
           CertainAnswersPageSql(plan.canonical(), program);
       if (!page.ok()) return page.status();
       Result<std::string> count =
           CertainAnswersCountSql(plan.canonical(), program);
       if (!count.ok()) return count.status();
-      Result<sqlite3_stmt*> row_stmt = PrepareLocked(*row);
-      if (!row_stmt.ok()) return row_stmt.status();
-      sql->row_stmt = *row_stmt;
-      Result<sqlite3_stmt*> answers_stmt = PrepareLocked(*answers);
-      if (!answers_stmt.ok()) return answers_stmt.status();
-      sql->answers_stmt = *answers_stmt;
+      CQA_RETURN_NOT_OK(PrepareLocked(RowDecisionSql(program), &sql->row_stmt));
+      CQA_RETURN_NOT_OK(PrepareLocked(
+          CertainAnswersSql(plan.canonical(), program), &sql->answers_stmt));
       sql->page_sql = *page;
       sql->count_sql = *count;
     }
     sql->native = true;
-    return Status::OK();
-  }
-
-  Result<bool> StepBoolLocked(sqlite3_stmt* stmt) {
-    int rc = sqlite3_step(stmt);
-    if (rc != SQLITE_ROW) {
-      sqlite3_reset(stmt);
-      return SqliteError(conn_, "boolean statement step");
-    }
-    bool value = sqlite3_column_int(stmt, 0) != 0;
-    sqlite3_reset(stmt);
-    return value;
-  }
-
-  Status DecideRowsLocked(PlanSql* sql, const RowSet& rows,
-                          std::vector<char>* out, const Deadline& deadline) {
-    sqlite3_stmt* stmt = sql->row_stmt;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (i % kDecideDeadlineStride == 0 && deadline.Expired()) {
-        return Status::DeadlineExceeded("deadline expired deciding rows");
-      }
-      const std::vector<SymbolId>& row = rows[i];
-      for (size_t j = 0; j < row.size(); ++j) {
-        sqlite3_bind_int64(stmt, static_cast<int>(j) + 1,
-                           static_cast<sqlite3_int64>(row[j]));
-      }
-      int rc = sqlite3_step(stmt);
-      char verdict =
-          rc == SQLITE_ROW && sqlite3_column_int(stmt, 0) != 0 ? 1 : 0;
-      sqlite3_reset(stmt);
-      sqlite3_clear_bindings(stmt);
-      if (rc != SQLITE_ROW) return SqliteError(conn_, "row decision step");
-      (*out)[i] = verdict;
-    }
     return Status::OK();
   }
 

@@ -61,7 +61,6 @@
 #include "fo/evaluator.h"
 #include "fo/program.h"
 #include "fo/rewriter.h"
-#include "fo/sql_gen.h"
 #include "fo/sql_lower.h"
 #include "gen/db_gen.h"
 #include "gen/instance_gen.h"

@@ -1,10 +1,11 @@
 #include "fo/sql_lower.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <utility>
 
-#include "fo/sql_gen.h"
+#include "fo/rewriter.h"
 
 namespace cqa {
 
@@ -13,10 +14,24 @@ namespace {
 using Op = FoProgram::Op;
 using Slot = FoProgram::Slot;
 
-/// Interned symbols are stored as INTEGER columns, so a constant slot
-/// renders as its id — never as a string literal that would need
-/// escaping.
+/// How a constant renders: the mirror stores interned symbols as
+/// INTEGER columns, so there a constant is its id — never a string
+/// literal that would need escaping.
+using LiteralFn = std::string (*)(SymbolId);
+
 std::string IdLiteral(SymbolId id) { return std::to_string(id); }
+
+/// A standard SQL string literal of the constant's name, single quotes
+/// doubled: the rendering of `CertainSqlRewriting`, whose tables hold
+/// the names themselves.
+std::string NameLiteral(SymbolId id) {
+  std::string out = "'";
+  for (char c : SymbolName(id)) {
+    if (c == '\'') out += "''";
+    else out += c;
+  }
+  return out + "'";
+}
 
 std::string JoinAnd(const std::vector<std::string>& conds) {
   if (conds.empty()) return "1";
@@ -29,11 +44,13 @@ std::string JoinAnd(const std::vector<std::string>& conds) {
 /// scope: reg_exprs[r] is the SQL expression currently holding register
 /// r (a parameter rendering at 0..k-1, a guard alias column inside join
 /// subqueries), empty when r is out of scope — mirroring the Lowerer's
-/// binding environment.
+/// binding environment. `literal` renders constant slots.
 class CondLowerer {
  public:
-  CondLowerer(const FoProgram& program, std::vector<std::string> reg_exprs)
-      : program_(program), reg_exprs_(std::move(reg_exprs)) {}
+  CondLowerer(const FoProgram& program, std::vector<std::string> reg_exprs,
+              LiteralFn literal)
+      : program_(program), reg_exprs_(std::move(reg_exprs)),
+        literal_(literal) {}
 
   Result<std::string> Render(int op_index) {
     const Op& op = program_.ops()[op_index];
@@ -103,7 +120,7 @@ class CondLowerer {
   std::string NextAlias() { return "t" + std::to_string(next_alias_++); }
 
   Result<std::string> SlotExpr(const Slot& s) {
-    if (s.is_const) return IdLiteral(s.value);
+    if (s.is_const) return literal_(s.value);
     if (s.reg < 0 || s.reg >= static_cast<int>(reg_exprs_.size()) ||
         reg_exprs_[s.reg].empty()) {
       return Status::Internal("SQL lowering read register r" +
@@ -143,42 +160,27 @@ class CondLowerer {
 
   const FoProgram& program_;
   std::vector<std::string> reg_exprs_;
+  const LiteralFn literal_;
   int next_alias_ = 0;
 };
 
-/// Join rendering of the canonical query's atoms: FROM aliases q0..qm-1
-/// plus the WHERE conditions equating repeated variables and pinning
-/// constants. On return, `var_exprs` maps each query variable to its
-/// first-occurrence column.
-struct CanonicalJoin {
-  std::string from;
-  std::vector<std::string> conds;
-  std::map<SymbolId, std::string> var_exprs;
-};
-
-Result<CanonicalJoin> RenderCanonicalJoin(const CanonicalQuery& canonical) {
-  if (canonical.query.empty())
-    return Status::Unsupported("empty query has no SQL candidate form");
-  CanonicalJoin join;
-  const std::vector<Atom>& atoms = canonical.query.atoms();
-  for (size_t a = 0; a < atoms.size(); ++a) {
-    std::string alias = "q" + std::to_string(a);
-    if (a > 0) join.from += ", ";
-    join.from += SqlTableName(atoms[a].relation()) + " AS " + alias;
-    for (int i = 0; i < atoms[a].arity(); ++i) {
-      const Term& t = atoms[a].terms()[i];
-      std::string column = alias + "." + SqlColumnName(i);
-      if (t.is_const()) {
-        join.conds.push_back(column + " = " + IdLiteral(t.id()));
-      } else if (auto it = join.var_exprs.find(t.id());
-                 it != join.var_exprs.end()) {
-        join.conds.push_back(column + " = " + it->second);
-      } else {
-        join.var_exprs.emplace(t.id(), column);
-      }
-    }
+/// The program's root condition with register i (i < k) rendered as
+/// `param_exprs[i]` and constants rendered by `literal`.
+Result<std::string> LowerCondition(const FoProgram& program,
+                                   const std::vector<std::string>& param_exprs,
+                                   LiteralFn literal) {
+  if (param_exprs.size() != program.params().size()) {
+    return Status::Internal(
+        "SQL lowering got " + std::to_string(param_exprs.size()) +
+        " parameter renderings for " +
+        std::to_string(program.params().size()) + " program parameters");
   }
-  return join;
+  // Parameters occupy registers 0..k-1 positionally.
+  std::vector<std::string> reg_exprs(
+      std::max(static_cast<size_t>(program.width()), param_exprs.size()));
+  for (size_t i = 0; i < param_exprs.size(); ++i) reg_exprs[i] = param_exprs[i];
+  CondLowerer lowerer(program, std::move(reg_exprs), literal);
+  return lowerer.Render(program.root());
 }
 
 /// Output column name of 0-based parameter `i`: p1..pk.
@@ -216,6 +218,25 @@ std::string AnswersSelectList(const FoProgram& program) {
 
 }  // namespace
 
+std::string QuoteSqlIdentifier(const std::string& name) {
+  std::string out = "\"";
+  for (char c : name) {
+    if (c == '"') out += "\"\"";
+    else out += c;
+  }
+  return out + "\"";
+}
+
+Result<std::string> CertainSqlRewriting(const Query& q) {
+  Result<FormulaPtr> rewriting = CertainRewriting(q);
+  if (!rewriting.ok()) return rewriting.status();
+  Result<FoProgram> program = FoProgram::Lower(*rewriting, {});
+  if (!program.ok()) return program.status();
+  Result<std::string> condition = LowerCondition(*program, {}, NameLiteral);
+  if (!condition.ok()) return condition.status();
+  return "SELECT " + *condition + ";";
+}
+
 std::string SqlTableName(SymbolId relation) {
   return QuoteSqlIdentifier(SymbolName(relation));
 }
@@ -224,20 +245,7 @@ std::string SqlColumnName(int pos) { return "c" + std::to_string(pos + 1); }
 
 Result<std::string> LowerProgramCondition(
     const FoProgram& program, const std::vector<std::string>& param_exprs) {
-  if (param_exprs.size() != program.params().size()) {
-    return Status::Internal(
-        "SQL lowering got " + std::to_string(param_exprs.size()) +
-        " parameter renderings for " +
-        std::to_string(program.params().size()) + " program parameters");
-  }
-  // Parameters occupy registers 0..k-1 positionally.
-  std::vector<std::string> reg_exprs(
-      static_cast<size_t>(program.width()) > param_exprs.size()
-          ? static_cast<size_t>(program.width())
-          : param_exprs.size());
-  for (size_t i = 0; i < param_exprs.size(); ++i) reg_exprs[i] = param_exprs[i];
-  CondLowerer lowerer(program, std::move(reg_exprs));
-  return lowerer.Render(program.root());
+  return LowerCondition(program, param_exprs, IdLiteral);
 }
 
 Result<std::string> RowDecisionSql(const FoProgram& program) {
@@ -254,14 +262,35 @@ Result<std::string> CandidateSelectSql(const CanonicalQuery& canonical) {
   if (canonical.params.empty()) {
     return Status::Unsupported(
         "Boolean canonicalization has no candidate projection; use "
-        "BooleanCertainSql");
+        "BooleanSolveSql");
   }
-  Result<CanonicalJoin> join = RenderCanonicalJoin(canonical);
-  if (!join.ok()) return join.status();
+  // The join of the atoms: FROM aliases q0..qm-1, WHERE conditions
+  // equating repeated variables and pinning constants, and each
+  // variable's first-occurrence column.
+  std::string from;
+  std::vector<std::string> conds;
+  std::map<SymbolId, std::string> var_exprs;
+  const std::vector<Atom>& atoms = canonical.query.atoms();
+  for (size_t a = 0; a < atoms.size(); ++a) {
+    std::string alias = "q" + std::to_string(a);
+    if (a > 0) from += ", ";
+    from += SqlTableName(atoms[a].relation()) + " AS " + alias;
+    for (int i = 0; i < atoms[a].arity(); ++i) {
+      const Term& t = atoms[a].terms()[i];
+      std::string column = alias + "." + SqlColumnName(i);
+      if (t.is_const()) {
+        conds.push_back(column + " = " + IdLiteral(t.id()));
+      } else if (auto it = var_exprs.find(t.id()); it != var_exprs.end()) {
+        conds.push_back(column + " = " + it->second);
+      } else {
+        var_exprs.emplace(t.id(), column);
+      }
+    }
+  }
   std::string out = "SELECT DISTINCT ";
   for (size_t i = 0; i < canonical.params.size(); ++i) {
-    auto it = join->var_exprs.find(canonical.params[i]);
-    if (it == join->var_exprs.end()) {
+    auto it = var_exprs.find(canonical.params[i]);
+    if (it == var_exprs.end()) {
       return Status::Unsupported("parameter " +
                                  SymbolName(canonical.params[i]) +
                                  " does not occur in the query");
@@ -269,8 +298,8 @@ Result<std::string> CandidateSelectSql(const CanonicalQuery& canonical) {
     if (i > 0) out += ", ";
     out += it->second + " AS " + ParamColumn(static_cast<int>(i));
   }
-  out += " FROM " + join->from;
-  if (!join->conds.empty()) out += " WHERE " + JoinAnd(join->conds);
+  out += " FROM " + from;
+  if (!conds.empty()) out += " WHERE " + JoinAnd(conds);
   return out;
 }
 
@@ -296,29 +325,11 @@ Result<std::string> CertainAnswersCountSql(const CanonicalQuery& canonical,
   return "SELECT COUNT(*) " + *body;
 }
 
-Result<std::string> BooleanCertainSql(const CanonicalQuery& canonical,
-                                      const FoProgram& program) {
-  if (!program.params().empty()) {
-    return Status::Internal(
-        "BooleanCertainSql requires a parameterless program");
-  }
-  Result<CanonicalJoin> join = RenderCanonicalJoin(canonical);
-  if (!join.ok()) return join.status();
-  Result<std::string> condition = LowerProgramCondition(program, {});
-  if (!condition.ok()) return condition.status();
-  // ComputeCertainFull's Boolean path: the query must be *possible*
-  // (some embedding exists) and the rewriting must hold.
-  return "SELECT EXISTS (SELECT 1 FROM " + join->from + " WHERE " +
-         JoinAnd(join->conds) + ") AND (" + *condition + ")";
-}
-
 Result<std::string> BooleanSolveSql(const FoProgram& program) {
   if (!program.params().empty()) {
     return Status::Internal("BooleanSolveSql requires a parameterless program");
   }
-  Result<std::string> condition = LowerProgramCondition(program, {});
-  if (!condition.ok()) return condition.status();
-  return "SELECT " + *condition;
+  return RowDecisionSql(program);
 }
 
 Result<std::vector<std::string>> ProgramIndexDdl(const FoProgram& program) {

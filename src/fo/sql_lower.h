@@ -5,21 +5,34 @@
 #include <vector>
 
 #include "cq/canonicalize.h"
+#include "cq/query.h"
 #include "fo/program.h"
 #include "util/status.h"
 
 /// \file
-/// SQL lowering of compiled FO plans — the execution-grade twin of
-/// fo/sql_gen.h. The pretty-printer walks the Formula AST and renders
-/// symbol *names*; this lowering walks the flat physical `FoProgram`
-/// (one correlated EXISTS / NOT EXISTS subquery per semijoin / antijoin
-/// op) and renders a statement an embedded RDBMS executes over a table
-/// mirror that stores interned `SymbolId`s as INTEGER columns:
+/// The SQL tier's one generator: SQL lowering of compiled FO plans. It
+/// walks the flat physical `FoProgram` (one correlated EXISTS / NOT
+/// EXISTS subquery per semijoin / antijoin op) and renders either of two
+/// statement families, which differ only in how a constant renders:
+///
+///   * `CertainSqlRewriting(q)` — the ConQuer deployment path pioneered
+///     by Fuxman–Miller (cited as the origin of the CERTAINTY(q) program
+///     in Section 2): the certain rewriting of q as one Boolean statement
+///     over tables named by the relation names, with constants as quoted
+///     string literals, which an RDBMS runs over the *inconsistent*
+///     database directly, no repair enumeration anywhere;
+///   * everything else here — the statements the SQLite backend executes
+///     over a table mirror that stores interned `SymbolId`s as INTEGER
+///     columns, so a constant renders as its id.
+///
+/// Conventions:
 ///
 ///   * relation R of arity n is a table `QuoteSqlIdentifier(name)` with
-///     INTEGER columns c1..cn (key positions first), PRIMARY KEY over
-///     all columns (facts are a set) — the clustered PK doubles as the
-///     key-prefix index `FactIndex` probes;
+///     columns c1..cn (key positions first); in the mirror they are
+///     INTEGER, with a PRIMARY KEY over all columns (facts are a set) —
+///     the clustered PK doubles as the key-prefix index `FactIndex`
+///     probes;
+///   * truth values render as 1 and 0 (SQLite's dialect);
 ///   * integer storage makes `ORDER BY c1, c2, ...` coincide exactly
 ///     with the lexicographic `std::vector<SymbolId>` order the
 ///     in-memory `RowSet` is sorted by, so a pushed-down answer set is
@@ -33,14 +46,28 @@
 
 namespace cqa {
 
+/// Renders `name` as a quoted SQL identifier: wrapped in double quotes
+/// with embedded double quotes doubled. Relation names are user input
+/// (the same hostile-name discipline store/ applies to tenant dirs):
+/// a relation named `R; DROP TABLE` or `R" OR "1"="1` must land in the
+/// emitted SQL as data, never as syntax.
+std::string QuoteSqlIdentifier(const std::string& name);
+
+/// The certain rewriting of `q` (Theorem 1) as one complete statement
+/// `SELECT <condition>;`: `CertainRewriting(q)`, lowered to a program
+/// and rendered with each constant as a string literal (single quotes
+/// doubled). Fails when the attack graph of `q` is cyclic or the query
+/// has a self-join.
+Result<std::string> CertainSqlRewriting(const Query& q);
+
 /// The table identifier (already quoted) mirroring `relation`.
 std::string SqlTableName(SymbolId relation);
 
 /// Column identifier of 0-based position `pos`: c1..cn.
 std::string SqlColumnName(int pos);
 
-/// Lowers the program's root condition to one SQL boolean expression.
-/// `param_exprs` renders register i (one entry per program parameter):
+/// Lowers the program's root condition to one SQL boolean expression
+/// over the mirror (constants as INTEGER ids). `param_exprs` renders register i (one entry per program parameter):
 /// positional placeholders ("?1") for a prepared per-row statement,
 /// column expressions ("cand.p1") for a correlated outer query.
 Result<std::string> LowerProgramCondition(
@@ -54,8 +81,8 @@ Result<std::string> RowDecisionSql(const FoProgram& program);
 /// projections of its embeddings onto the parameters, one output column
 /// pI per parameter. Exactly `CollectProjectionsSorted` as SQL (without
 /// the ORDER BY — callers append it or wrap the query). Boolean
-/// canonicalizations (no parameters) are rejected; use
-/// `BooleanCertainSql`.
+/// canonicalizations (no parameters) are rejected: a Boolean plan is
+/// decided by `BooleanSolveSql`.
 Result<std::string> CandidateSelectSql(const CanonicalQuery& canonical);
 
 /// The whole certain-answer set in ONE statement: candidates (inner
@@ -74,15 +101,9 @@ Result<std::string> CertainAnswersPageSql(const CanonicalQuery& canonical,
 Result<std::string> CertainAnswersCountSql(const CanonicalQuery& canonical,
                                            const FoProgram& program);
 
-/// Boolean serving semantics of ComputeCertainFull in one statement:
-/// `SELECT (possible) AND (certain)` where `possible` is an EXISTS over
-/// the canonical query's joins and `certain` is the lowered rewriting.
-/// Returns exactly one row with one 0/1 column.
-Result<std::string> BooleanCertainSql(const CanonicalQuery& canonical,
-                                      const FoProgram& program);
-
-/// `SELECT <certain>` alone — the pushdown of `QueryPlan::Solve` (no
-/// possibility conjunct, mirroring the plan-level Boolean solve).
+/// `SELECT <certain>` — the pushdown of `QueryPlan::Solve`, which
+/// decides a Boolean solve and a Boolean answer page alike (a certain
+/// query is always possible, so the page needs no possibility check).
 Result<std::string> BooleanSolveSql(const FoProgram& program);
 
 /// Index DDL statements (CREATE INDEX IF NOT EXISTS ...) suggested by

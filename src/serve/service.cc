@@ -206,7 +206,7 @@ std::shared_ptr<Session> Service::MakeSession(
     // A failed load degrades the backend — it starts declining every
     // pushdown and the session serves in-memory — but never blocks the
     // database from coming up.
-    Status loaded = backend->Load(db, initial_epoch);
+    Status loaded = backend->Load(db);
     (void)loaded;
   }
   if (db_store != nullptr) {
@@ -636,7 +636,8 @@ Result<Service::CertainAnswersResponse> Service::ContinueStream(
   } else {
     // Backend-paged stream: the rows come straight off the backend's
     // pinned read snapshot (e.g. a SQLite read transaction).
-    Result<Backend::RowSet> rows = backend_cursor->Fetch(offset, end - offset);
+    Result<Backend::RowSet> rows =
+        backend_cursor->Fetch(offset, end - offset, request.deadline);
     if (!rows.ok()) return rows.status();
     response.rows = *std::move(rows);
     response.total_rows = total;
@@ -695,16 +696,20 @@ Result<Service::CertainAnswersResponse> Service::CertainAnswers(
   // natively pages straight out of the backend — SQL LIMIT/OFFSET over
   // a pinned read snapshot — without ever materializing the full answer
   // set in session memory. A decline (null cursor) or a first-fetch
-  // failure falls through to the materialized path below.
+  // failure other than the deadline falls through to the materialized
+  // path below.
   if ((*plan)->parameterized()) {
     uint64_t cursor_epoch = 0;
     Result<std::shared_ptr<Backend::AnswerCursor>> pushed =
-        (*session)->OpenAnswerCursor(*plan, &cursor_epoch);
+        (*session)->OpenAnswerCursor(*plan, &cursor_epoch, request.deadline);
     if (!pushed.ok()) return pushed.status();
     if (*pushed != nullptr) {
       size_t total = (*pushed)->total_rows();
       size_t end = std::min(page_size, total);
-      Result<Backend::RowSet> rows = (*pushed)->Fetch(0, end);
+      Result<Backend::RowSet> rows = (*pushed)->Fetch(0, end, request.deadline);
+      if (rows.status().code() == StatusCode::kDeadlineExceeded) {
+        return rows.status();
+      }
       if (rows.ok()) {
         CertainAnswersResponse response;
         response.rows = *std::move(rows);

@@ -286,7 +286,7 @@ Result<uint64_t> Session::ApplyDelta(const Delta& delta) {
     // A mirror failure degrades the backend (it starts declining every
     // pushdown) but never the committed delta: the in-memory database
     // is authoritative.
-    Status mirrored = options_.backend->ApplyMutations(*actions, db_, next);
+    Status mirrored = options_.backend->ApplyMutations(*actions);
     (void)mirrored;
   }
   if (options_.post_commit_hook) options_.post_commit_hook(db_, next);
@@ -368,24 +368,25 @@ void Session::RunOnPool(
   done_cv.wait(lock, [&] { return remaining == 0; });
 }
 
+Status Session::AdmitPlan(const QueryPlan& plan) {
+  if (options_.backend == nullptr) return Status::OK();
+  return options_.backend->AdmitFallback(plan,
+                                         static_cast<size_t>(db_.size()));
+}
+
 Result<SolveOutcome> Session::SolvePlanRouted(EvalContext& ctx,
                                               const QueryPlan& plan,
                                               const Deadline& deadline) {
-  Backend* backend = options_.backend.get();
-  if (backend != nullptr) {
-    if (backend->SupportsNatively(plan)) {
-      Result<std::optional<bool>> pushed = backend->SolveCertain(plan);
-      if (!pushed.ok()) return pushed.status();
-      if (pushed->has_value()) {
-        SolveOutcome out;
-        out.certain = **pushed;
-        out.complexity = plan.complexity();
-        out.solver = plan.solver_kind();
-        return out;
-      }
-    } else {
-      CQA_RETURN_NOT_OK(
-          backend->AdmitFallback(plan, static_cast<size_t>(db_.size())));
+  if (options_.backend != nullptr) {
+    Result<std::optional<bool>> pushed =
+        options_.backend->SolveCertain(plan, deadline);
+    if (!pushed.ok()) return pushed.status();
+    if (pushed->has_value()) {
+      SolveOutcome out;
+      out.certain = **pushed;
+      out.complexity = plan.complexity();
+      out.solver = plan.solver_kind();
+      return out;
     }
   }
   return plan.Solve(ctx, deadline);
@@ -397,11 +398,14 @@ Result<std::vector<char>> Session::DecideRows(EvalContext& ctx,
                                               const Deadline& deadline) {
   size_t n = rows.size();
   if (n == 0) return std::vector<char>();
-  if (options_.backend != nullptr && options_.backend->SupportsNatively(plan)) {
-    // The backend decides the rows itself, on its one serialized
-    // connection: hand it the whole batch instead of queueing pool
-    // workers on that connection.
-    return options_.backend->DecideRows(ctx, plan, rows, deadline);
+  if (options_.backend != nullptr) {
+    // A backend that runs the plan decides the rows itself, on its one
+    // serialized connection: it gets the whole batch instead of pool
+    // workers queueing on that connection.
+    Result<std::optional<std::vector<char>>> pushed =
+        options_.backend->DecideRows(plan, rows, deadline);
+    if (!pushed.ok()) return pushed.status();
+    if (pushed->has_value()) return std::move(**pushed);
   }
   size_t threshold = options_.parallel_row_threshold;
   if (threshold == 0 || n < threshold || pool_->size() < 2) {
@@ -461,7 +465,9 @@ std::vector<Result<SolveOutcome>> Session::SolveBatch(
           Status::DeadlineExceeded("deadline expired before batch item ran");
       return;
     }
-    results[i] = SolvePlanRouted(ctx, *plans[i], deadline);
+    Status admitted = AdmitPlan(*plans[i]);
+    results[i] = admitted.ok() ? SolvePlanRouted(ctx, *plans[i], deadline)
+                               : Result<SolveOutcome>(admitted);
   });
   {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
@@ -488,7 +494,8 @@ Result<std::shared_ptr<const RowBlock>> Session::CertainAnswers(
 }
 
 Result<std::shared_ptr<Backend::AnswerCursor>> Session::OpenAnswerCursor(
-    const std::shared_ptr<const QueryPlan>& plan, uint64_t* epoch_out) {
+    const std::shared_ptr<const QueryPlan>& plan, uint64_t* epoch_out,
+    const Deadline& deadline) {
   if (options_.backend == nullptr) {
     return std::shared_ptr<Backend::AnswerCursor>();
   }
@@ -502,10 +509,7 @@ Result<std::shared_ptr<Backend::AnswerCursor>> Session::OpenAnswerCursor(
   if (epoch_out != nullptr) {
     *epoch_out = epoch_.load(std::memory_order_relaxed);
   }
-  if (!options_.backend->SupportsNatively(*plan)) {
-    return std::shared_ptr<Backend::AnswerCursor>();
-  }
-  return options_.backend->OpenAnswerCursor(*plan);
+  return options_.backend->OpenAnswerCursor(*plan, deadline);
 }
 
 namespace {
@@ -658,11 +662,20 @@ Result<RowBlock> Session::ComputeCertainFull(
     EvalContext& ctx, const Query& q,
     const std::vector<SymbolId>& free_vars, const QueryPlan& plan,
     std::optional<size_t> previous_rows, const Deadline& deadline) {
+  if (free_vars.empty()) {
+    // Boolean: the entry holds the empty row iff q is certain. A certain
+    // q is possible (every database has a repair, and a query that holds
+    // in a subset holds in the whole), so the decision alone settles it.
+    Result<SolveOutcome> solved = SolvePlanRouted(ctx, plan, deadline);
+    if (!solved.ok()) return solved.status();
+    RowBlock out(0);
+    if (solved->certain) out.Append({});
+    return out;
+  }
   if (options_.backend != nullptr) {
     // Pushdown: one SQL statement computes the whole contract of this
-    // function (candidates filtered by the rewriting, sorted; for
-    // Boolean plans possible AND certain). A decline (nullopt) falls
-    // through to the in-memory path below.
+    // function (candidates filtered by the rewriting, sorted). A decline
+    // (nullopt) falls through to the in-memory path below.
     Result<std::optional<RowSet>> pushed =
         options_.backend->CertainAnswerSet(plan, deadline);
     if (!pushed.ok()) return pushed.status();
@@ -672,8 +685,8 @@ Result<RowBlock> Session::ComputeCertainFull(
   // conditions and the 1.5x rule the declaration states. A one-atom q
   // has no join to skip.
   const Atom* cover = nullptr;
-  if (q.atoms().size() > 1 && !free_vars.empty() &&
-      previous_rows.has_value() && plan.DecidesRowsByProgram()) {
+  if (q.atoms().size() > 1 && previous_rows.has_value() &&
+      plan.DecidesRowsByProgram()) {
     cover = CoveringAtom(ctx.fact_index(), q, free_vars);
     if (cover != nullptr &&
         2 * ctx.fact_index().Facts(cover->relation()).size() >
@@ -688,16 +701,6 @@ Result<RowBlock> Session::ComputeCertainFull(
       free_vars, deadline);
   if (!candidates.ok()) return candidates.status();
   RowBlock out(free_vars.size());
-  if (free_vars.empty()) {
-    // Boolean semantics: q must be possible (certain answers are always
-    // possible answers) and then certain.
-    if (!candidates->empty()) {
-      Result<SolveOutcome> solved = plan.Solve(ctx, deadline);
-      if (!solved.ok()) return solved.status();
-      if (solved->certain) out.Append({});
-    }
-    return out;
-  }
   // One set-at-a-time execution decides every candidate row —
   // partitioned across the pool's live indexes when the batch is large
   // enough (DecideRows), on this worker's alone otherwise.
@@ -815,14 +818,10 @@ Result<std::shared_ptr<const RowBlock>> Session::ServeCertain(
     EvalContext& ctx, const std::shared_ptr<const QueryPlan>& plan,
     const Query& q, const std::vector<SymbolId>& free_vars,
     const Deadline& deadline) {
-  if (options_.backend != nullptr &&
-      !options_.backend->SupportsNatively(*plan)) {
-    // Fallback-admission gate: a SQLite-only tenant over its resident
-    // budget refuses plans it cannot push down instead of silently
-    // serving them from RAM.
-    CQA_RETURN_NOT_OK(options_.backend->AdmitFallback(
-        *plan, static_cast<size_t>(db_.size())));
-  }
+  // The request's one admission: a SQLite-only tenant over its resident
+  // budget refuses plans it cannot push down instead of silently serving
+  // them from RAM.
+  CQA_RETURN_NOT_OK(AdmitPlan(*plan));
   const std::string& key = plan->cache_key();
   uint64_t now = epoch_.load(std::memory_order_relaxed);
 

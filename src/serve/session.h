@@ -167,8 +167,10 @@ class Session {
     /// in memory: every decision runs on the session's own
     /// FoProgram/solver path. A SQLite backend mirrors deltas into its
     /// embedded database and serves FO-rewritable plans as pushed-down
-    /// SQL; plans it cannot push down pass its AdmitFallback policy gate
-    /// before the in-memory engine serves them.
+    /// SQL. Each request passes its AdmitFallback gate once, which
+    /// admits a plan the backend runs and applies the fallback policy to
+    /// any other; a request the backend then declines is served in
+    /// memory.
     std::shared_ptr<Backend> backend;
     /// Called under the exclusive epoch gate after a delta validates
     /// and BEFORE anything mutates, with the epoch the delta will
@@ -255,9 +257,10 @@ class Session {
   /// snapshot is exactly `*epoch_out`). A null cursor (no backend, plan
   /// not natively servable, or no snapshot support) is not an error —
   /// the caller serves through the materialized-snapshot path instead.
+  /// The backend counts the pinned set under `deadline`.
   Result<std::shared_ptr<Backend::AnswerCursor>> OpenAnswerCursor(
       const std::shared_ptr<const QueryPlan>& plan,
-      uint64_t* epoch_out = nullptr);
+      uint64_t* epoch_out = nullptr, const Deadline& deadline = Deadline());
 
   struct Stats {
     uint64_t deltas_applied = 0;
@@ -321,18 +324,22 @@ class Session {
   void RunOnPool(size_t n,
                  const std::function<void(EvalContext&, size_t)>& serve);
 
-  /// Boolean decision of `plan` routed through the backend: a natively
-  /// supported plan may be answered by pushed-down SQL; a non-native
-  /// plan passes the backend's fallback-admission gate; everything else
-  /// (and every decline) runs plan.Solve(ctx, deadline).
+  /// The request's one backend gate: OK without a backend, else the
+  /// backend's AdmitFallback (OK for a plan it runs, its fallback
+  /// policy for any other).
+  Status AdmitPlan(const QueryPlan& plan);
+
+  /// Boolean decision of an admitted `plan`: the backend's pushed-down
+  /// solve, or plan.Solve(ctx, deadline) without a backend or on a
+  /// decline.
   Result<SolveOutcome> SolvePlanRouted(EvalContext& ctx,
                                        const QueryPlan& plan,
                                        const Deadline& deadline);
 
   /// Decides `rows` against `plan`, equivalent to
-  /// `plan.IsCertainRows(ctx, rows)`. An empty batch calls nothing. A
-  /// plan the backend supports natively goes to the backend whole;
-  /// otherwise the batch is partitioned across the pool in contiguous
+  /// `plan.IsCertainRows(ctx, rows)`. An empty batch calls nothing. The
+  /// backend, if any, gets the whole batch first; without one or on a
+  /// decline the batch is partitioned across the pool in contiguous
   /// chunks when it is large enough (`Options::parallel_row_threshold`)
   /// and workers are available.
   /// Deterministic: output and error selection are independent of the
@@ -350,7 +357,8 @@ class Session {
       const Query& q, const std::vector<SymbolId>& free_vars,
       const Deadline& deadline = Deadline());
 
-  /// Full candidate enumeration + one batched (set-at-a-time) decision.
+  /// Full candidate enumeration + one batched (set-at-a-time) decision;
+  /// a Boolean entry is the plan's decision alone (SolvePlanRouted).
   /// The candidates are π_free(q(D)), the possible answers, unless q
   /// has two or more atoms, the plan decides rows by its FO program and
   /// `previous_rows` (the answer count of the entry's stale snapshot) is

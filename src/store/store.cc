@@ -22,8 +22,7 @@ DbStore::DbStore(Env* env, std::string dir, const Options& options,
       dir_(std::move(dir)),
       options_(options),
       wal_(std::move(wal)),
-      wal_epoch_(wal_epoch),
-      last_compact_attempt_bytes_(wal_ != nullptr ? wal_->bytes() : 0) {
+      wal_epoch_(wal_epoch) {
   stats_.epoch = wal_epoch;
   stats_.wal_bytes = wal_ != nullptr ? wal_->bytes() : 0;
 }
@@ -202,14 +201,16 @@ void DbStore::MaybeCompact(const Database& db, uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mu_);
   if (read_only_ || options_.compaction_threshold_bytes == 0) return;
   if (wal_->bytes() < options_.compaction_threshold_bytes) return;
+  // The live WAL holds no delta past its own epoch: nothing to fold, and
+  // the new pair's WAL would be the live file itself.
+  if (epoch == wal_epoch_) return;
   // Back off after a failed attempt: retry only once the WAL has grown
   // by another threshold, not on every subsequent delta.
-  if (wal_->bytes() < last_compact_attempt_bytes_ +
-                          options_.compaction_threshold_bytes &&
-      last_compact_attempt_bytes_ > 0) {
+  if (failed_compact_bytes_ > 0 &&
+      wal_->bytes() <
+          failed_compact_bytes_ + options_.compaction_threshold_bytes) {
     return;
   }
-  last_compact_attempt_bytes_ = wal_->bytes();
 
   std::string new_wal_path = JoinPath(dir_, WalFileName(epoch));
   if (env_->FileExists(new_wal_path)) {
@@ -221,6 +222,7 @@ void DbStore::MaybeCompact(const Database& db, uint64_t epoch) {
       Wal::Create(env_, new_wal_path, options_.wal);
   if (!new_wal.ok()) {
     ++stats_.compaction_failures;
+    failed_compact_bytes_ = wal_->bytes();
     return;
   }
   // The rename inside WriteSnapshot is the commit point: before it the
@@ -229,6 +231,7 @@ void DbStore::MaybeCompact(const Database& db, uint64_t epoch) {
   Status st = WriteSnapshot(env_, dir_, db, epoch);
   if (!st.ok()) {
     ++stats_.compaction_failures;
+    failed_compact_bytes_ = wal_->bytes();
     Status cleanup = env_->RemoveFile(new_wal_path);
     (void)cleanup;
     return;
@@ -236,7 +239,7 @@ void DbStore::MaybeCompact(const Database& db, uint64_t epoch) {
   uint64_t old_epoch = wal_epoch_;
   wal_ = std::move(*new_wal);
   wal_epoch_ = epoch;
-  last_compact_attempt_bytes_ = wal_->bytes();
+  failed_compact_bytes_ = 0;
   ++stats_.snapshots_written;
   stats_.wal_bytes = wal_->bytes();
   RemoveObsoleteFiles(epoch);

@@ -144,9 +144,10 @@ class DbStore {
   std::unique_ptr<Wal> wal_;
   /// Epoch of the live (snapshot, WAL) pair.
   uint64_t wal_epoch_;
-  /// WAL size at the last compaction attempt — backoff so a failing
-  /// compaction is not retried on every single delta.
-  uint64_t last_compact_attempt_bytes_ = 0;
+  /// WAL size at the last compaction attempt that failed, 0 when none
+  /// has since the last success — backoff so a failing compaction is
+  /// not retried on every single delta.
+  uint64_t failed_compact_bytes_ = 0;
   bool read_only_ = false;
   Stats stats_;
 };

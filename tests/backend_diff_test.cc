@@ -11,7 +11,9 @@
 #include "db/database.h"
 #include "gen/db_gen.h"
 #include "net/codec.h"
+#include "plan/query_plan.h"
 #include "serve/service.h"
+#include "util/deadline.h"
 #include "util/status.h"
 
 /// \file
@@ -78,8 +80,8 @@ Delta FreshBlockDelta(const Query& q, uint64_t tag) {
   return d;
 }
 
-/// Serves (Boolean solve + fully-paginated certain answers) the query
-/// against BOTH services and asserts byte-identical results.
+/// Serves (Boolean solve, Boolean page, fully-paginated certain answers)
+/// the query against BOTH services and asserts byte-identical results.
 void ExpectBackendsAgree(Service& mem, Service& sq,
                          const std::string& db_name, const Query& q,
                          const std::string& context) {
@@ -95,6 +97,22 @@ void ExpectBackendsAgree(Service& mem, Service& sq,
     EXPECT_EQ(via_mem->outcome.certain, via_sq->outcome.certain)
         << context << "\nquery: " << q.ToString();
     EXPECT_EQ(via_mem->epoch, via_sq->epoch) << context;
+  }
+
+  // Boolean page: the one empty row iff q is certain, on both sides.
+  Service::CertainAnswersRequest boolean;
+  boolean.database = db_name;
+  boolean.query = q;
+  Result<Session::RowSet> page_mem = Reassemble(mem, boolean);
+  Result<Session::RowSet> page_sq = Reassemble(sq, boolean);
+  ASSERT_EQ(page_mem.status().code(), page_sq.status().code())
+      << context << "\n" << page_mem.status() << "\n" << page_sq.status();
+  if (page_mem.ok()) {
+    EXPECT_EQ(*page_mem, *page_sq) << context << "\nquery: " << q.ToString();
+    if (via_mem.ok()) {
+      EXPECT_EQ(page_mem->size(), via_mem->outcome.certain ? 1u : 0u)
+          << context << "\nquery: " << q.ToString();
+    }
   }
 
   // Parameterized: all variables free, tiny pages (forces the cursor
@@ -493,6 +511,122 @@ TEST(BackendDiffTest, EmptyRefreshCallsNoBackend) {
   EXPECT_EQ(r.after.backend.pushed_row_spans,
             r.before.backend.pushed_row_spans);
   EXPECT_EQ(r.after.backend.pushed_rows, r.before.backend.pushed_rows);
+}
+
+// ------------------------------------------------------------ deadlines
+
+/// A pushed solve under a deadline that has passed runs no SQL and
+/// answers kDeadlineExceeded; the backend stays healthy and the next
+/// solve pushes down.
+TEST(BackendDiffTest, SolveCertainStopsAtTheDeadline) {
+  if (!SqliteBackendAvailable()) {
+    GTEST_SKIP() << "built without CQA_WITH_SQLITE";
+  }
+  Result<std::unique_ptr<Backend>> backend = MakeSqliteBackend("", 0);
+  ASSERT_TRUE(backend.ok()) << backend.status();
+  ASSERT_TRUE((*backend)->Load(JoinDb(8)).ok());
+  Result<std::shared_ptr<const QueryPlan>> plan =
+      QueryPlan::Compile(MustParseQuery("R(x | y), S(y | z)"));
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  Result<std::optional<bool>> late =
+      (*backend)->SolveCertain(**plan, Deadline::AfterMillis(0));
+  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ((*backend)->stats().pushed_solves, 0u);
+
+  Result<std::optional<bool>> solved =
+      (*backend)->SolveCertain(**plan, Deadline());
+  ASSERT_TRUE(solved.ok()) << solved.status();
+  ASSERT_TRUE(solved->has_value());
+  EXPECT_TRUE(**solved);
+  Backend::Stats stats = (*backend)->stats();
+  EXPECT_EQ(stats.pushed_solves, 1u);
+  EXPECT_FALSE(stats.degraded);
+}
+
+/// A file-backed cursor counts its pinned set and fetches its pages
+/// under the deadline it is given.
+TEST(BackendDiffTest, CursorOpenAndFetchStopAtTheDeadline) {
+  if (!SqliteBackendAvailable()) {
+    GTEST_SKIP() << "built without CQA_WITH_SQLITE";
+  }
+  Result<std::unique_ptr<Backend>> backend = MakeSqliteBackend(
+      ::testing::TempDir() + "/cqa_backend_deadline.sqlite3", 0);
+  ASSERT_TRUE(backend.ok()) << backend.status();
+  ASSERT_TRUE((*backend)->Load(JoinDb(8)).ok());
+  Result<std::shared_ptr<const QueryPlan>> plan = QueryPlan::Compile(
+      MustParseQuery("R(x | y), S(y | z)"), {InternSymbol("x")});
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  EXPECT_EQ((*backend)
+                ->OpenAnswerCursor(**plan, Deadline::AfterMillis(0))
+                .status()
+                .code(),
+            StatusCode::kDeadlineExceeded);
+  Result<std::shared_ptr<Backend::AnswerCursor>> cursor =
+      (*backend)->OpenAnswerCursor(**plan, Deadline());
+  ASSERT_TRUE(cursor.ok()) << cursor.status();
+  ASSERT_NE(*cursor, nullptr);
+  EXPECT_EQ((*cursor)->total_rows(), 8u);
+  EXPECT_EQ((*cursor)->Fetch(0, 4, Deadline::AfterMillis(0)).status().code(),
+            StatusCode::kDeadlineExceeded);
+  Result<Backend::RowSet> page = (*cursor)->Fetch(0, 4, Deadline());
+  ASSERT_TRUE(page.ok()) << page.status();
+  EXPECT_EQ(page->size(), 4u);
+  EXPECT_FALSE((*backend)->stats().degraded);
+  cursor->reset();
+  (*backend)->TearDown();
+}
+
+/// One R-block of `n` facts R(a | b_i), every b_i but the last joined to
+/// an S-block: R(x | y), S(y | z) is not certain, and its solve
+/// statement scans the block once per fact of it before it says so.
+Database OneLongBlockDb(int n) {
+  Database db;
+  for (int i = 0; i < n; ++i) {
+    std::string b = "b" + std::to_string(i);
+    EXPECT_TRUE(db.AddFact(Fact::Make("R", {"a", b}, 1)).ok());
+    if (i + 1 < n) {
+      EXPECT_TRUE(db.AddFact(Fact::Make("S", {b, "c"}, 1)).ok());
+    }
+  }
+  return db;
+}
+
+/// A Boolean page on a SQLite tenant is the pushed-down solve, and it
+/// stops once the request deadline passes inside the statement; the
+/// backend stays healthy, and without a deadline the same page serves.
+TEST(BackendDiffTest, BooleanPageStopsAtTheDeadline) {
+  if (!SqliteBackendAvailable()) {
+    GTEST_SKIP() << "built without CQA_WITH_SQLITE";
+  }
+  Service sq(SqliteOptions());
+  ASSERT_TRUE(sq.CreateDatabase("t", OneLongBlockDb(2000)).ok());
+  Service::CertainAnswersRequest req;
+  req.database = "t";
+  req.query = MustParseQuery("R(x | y), S(y | z)");
+  req.deadline = Deadline::AfterMillis(20);
+  EXPECT_EQ(sq.CertainAnswers(req).status().code(),
+            StatusCode::kDeadlineExceeded);
+  Service::StatsResponse stats = sq.Stats({}).value();
+  EXPECT_EQ(stats.degraded_backends, 0u);
+  EXPECT_EQ(stats.backend.pushed_solves, 0u);
+
+  Service sq_small(SqliteOptions());
+  Service mem(MemOptions());
+  ASSERT_TRUE(sq_small.CreateDatabase("t", OneLongBlockDb(16)).ok());
+  ASSERT_TRUE(mem.CreateDatabase("t", OneLongBlockDb(16)).ok());
+  req.deadline = Deadline();
+  Result<Service::CertainAnswersResponse> page = sq_small.CertainAnswers(req);
+  Result<Service::CertainAnswersResponse> page_mem = mem.CertainAnswers(req);
+  ASSERT_TRUE(page.ok()) << page.status();
+  ASSERT_TRUE(page_mem.ok()) << page_mem.status();
+  EXPECT_EQ(page->total_rows, 0u);
+  EXPECT_EQ(page->rows, page_mem->rows);
+  stats = sq_small.Stats({}).value();
+  EXPECT_EQ(stats.backend.pushed_solves, 1u);
+  EXPECT_EQ(stats.backend.pushed_answer_sets, 0u);
+  EXPECT_EQ(stats.degraded_backends, 0u);
 }
 
 }  // namespace

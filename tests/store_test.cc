@@ -498,6 +498,63 @@ TEST(DbStoreTest, CompactionSwitchesTheLivePairAndDropsObsoleteFiles) {
   EXPECT_EQ(SortedFacts(reopened->db), SortedFacts(db));
 }
 
+/// A store reopened over a WAL already past the threshold compacts at
+/// its first chance: a recovered WAL is no failed attempt to back off
+/// from.
+TEST(DbStoreTest, ReopenedStoreCompactsAWalPastTheThreshold) {
+  MemEnv env;
+  DbStore::Options off;
+  off.wal.policy = Wal::SyncPolicy::kAlways;
+  off.compaction_threshold_bytes = 0;
+  Result<std::unique_ptr<DbStore>> created =
+      DbStore::Create(&env, "/db", Database(), 0, off);
+  ASSERT_TRUE(created.ok()) << created.status();
+  Database db;
+  uint64_t epoch = 0;
+  for (int i = 0; i < 40; ++i) {
+    Delta d = MakeDelta(i);
+    ASSERT_TRUE(ApplyDeltaToDatabase(d, &db).ok());
+    ASSERT_TRUE((*created)->AppendDelta(d, ++epoch).ok());
+  }
+  uint64_t wal_bytes = (*created)->stats().wal_bytes;
+  created->reset();  // process exit releases the tenant lease
+
+  DbStore::Options on = off;
+  on.compaction_threshold_bytes = wal_bytes / 2;
+  ASSERT_GT(on.compaction_threshold_bytes, 0u);
+  Result<DbStore::Recovered> reopened = DbStore::Open(&env, "/db", on);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  ASSERT_EQ(reopened->epoch, epoch);
+  DbStore& store = *reopened->store;
+  EXPECT_GE(store.stats().wal_bytes, on.compaction_threshold_bytes);
+  store.MaybeCompact(reopened->db, reopened->epoch);
+  DbStore::Stats stats = store.stats();
+  EXPECT_EQ(stats.snapshots_written, 1u);
+  EXPECT_EQ(stats.compaction_failures, 0u);
+  EXPECT_LT(stats.wal_bytes, on.compaction_threshold_bytes);
+}
+
+/// A store whose WAL holds no delta has nothing to fold, however low
+/// the threshold: compacting would only replace the live pair with
+/// itself.
+TEST(DbStoreTest, CompactionAtTheLiveEpochFoldsNothing) {
+  MemEnv env;
+  DbStore::Options options;
+  options.compaction_threshold_bytes = 1;
+  Result<std::unique_ptr<DbStore>> created =
+      DbStore::Create(&env, "/db", SmallDb(), 0, options);
+  ASSERT_TRUE(created.ok()) << created.status();
+  ASSERT_GE((*created)->stats().wal_bytes, 1u);
+  (*created)->MaybeCompact(SmallDb(), 0);
+  EXPECT_EQ((*created)->stats().snapshots_written, 0u);
+  Result<std::vector<std::string>> names = env.ListDir("/db");
+  ASSERT_TRUE(names.ok());
+  std::vector<std::string> expected = {"LOCK", SnapshotFileName(0),
+                                       WalFileName(0)};
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(*names, expected);
+}
+
 // ---------------------------------------------------------- tenant lease
 
 TEST(EnvLockTest, PosixFlockLeaseIsExclusivePerPath) {
