@@ -70,13 +70,14 @@ void BM_Backend_CertainAnswers(benchmark::State& state) {
   first.free_vars = {InternSymbol("x")};
   first.page_size = 256;
 
+  // One whole stream, every page of it.
   size_t rows = 0;
-  for (auto _ : state) {
+  auto stream = [&]() -> bool {
     Result<Service::CertainAnswersResponse> page =
         service.CertainAnswers(first);
     if (!page.ok()) {
       state.SkipWithError(page.status().message().c_str());
-      return;
+      return false;
     }
     rows = page->total_rows;
     while (!page->next_page_token.empty()) {
@@ -86,10 +87,18 @@ void BM_Backend_CertainAnswers(benchmark::State& state) {
       page = service.CertainAnswers(next);
       if (!page.ok()) {
         state.SkipWithError(page.status().message().c_str());
-        return;
+        return false;
       }
       benchmark::DoNotOptimize(page->rows);
     }
+    return true;
+  };
+  // The tenant's first stream also compiles the plan's SQL and creates
+  // the mirror's indexes; untimed, so that a point timing one stream a
+  // repetition times a stream like every other.
+  if (!stream()) return;
+  for (auto _ : state) {
+    if (!stream()) return;
   }
 
   Service::StatsResponse stats = service.Stats({}).value();

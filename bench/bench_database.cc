@@ -1,8 +1,10 @@
 // The storage layer's price list: what building, copying and
 // restricting an uncertain database costs in time and in allocator
-// bytes per fact. Every serving tenant holds a `Database`, and
-// `Service::CreateDatabase` and the scoped solves beyond FO
-// (`QueryPlan::Solve` on `Database::Restrict`) copy one.
+// bytes per fact, and what the fact index over it holds once an FO
+// request has probed it. Every serving tenant holds a `Database` and
+// one `FactIndex` over it, and `Service::CreateDatabase` and the scoped
+// solves beyond FO (`QueryPlan::Solve` on `Database::Restrict`) copy a
+// database.
 //
 // The facts are shaped like perfbench's answers_full tenant: two
 // columns, key arity one, and one block in seven holding two facts.
@@ -128,6 +130,44 @@ void BM_Database_Restrict(benchmark::State& state) {
       BytesPerFact([&] { return db.Restrict(relations); });
 }
 BENCHMARK(BM_Database_Restrict)
+    ->Arg(cqa_bench::RangeLimit(1024, 256))
+    ->Arg(cqa_bench::RangeLimit(4096, 512))
+    ->Arg(cqa_bench::RangeLimit(28672, 1024))
+    ->Unit(benchmark::kMillisecond);
+
+/// A fresh context's index after one FO decision pass of R(x | y),
+/// S(y | z) with x free (the candidates, then IsCertainRows) and one
+/// Boolean solve of the same query: the probes of an answers_full
+/// request. R's values are not S's keys here, so no row is a candidate
+/// and no embedding exists, but every R fact still probes S by key.
+/// `index_bytes_per_fact` is the allocator's in-use bytes that the
+/// context holds after the pass (its index, and nothing else outlives
+/// the pass), divided by the facts.
+void BM_Database_IndexBytes(benchmark::State& state) {
+  Database db = Build(AnswersShapedFacts(state.range(0)));
+  Query q = MustParseQuery("R(x | y), S(y | z)");
+  const std::vector<SymbolId> free_vars = {InternSymbol("x")};
+  auto rows_plan = QueryPlan::Compile(q, free_vars);
+  auto bool_plan = QueryPlan::Compile(q);
+  if (!rows_plan.ok() || !bool_plan.ok()) std::abort();
+  auto pass = [&](EvalContext& ctx) {
+    std::vector<std::vector<SymbolId>> candidates =
+        CollectProjectionsSorted(ctx.fact_index(), q, Valuation(), free_vars);
+    benchmark::DoNotOptimize((*rows_plan)->IsCertainRows(ctx, candidates));
+    benchmark::DoNotOptimize((*bool_plan)->Solve(ctx));
+  };
+  for (auto _ : state) {
+    EvalContext ctx(db);
+    pass(ctx);
+  }
+  state.counters["facts"] = db.size();
+  double before = AllocatedBytes();
+  EvalContext ctx(db);
+  pass(ctx);
+  state.counters["index_bytes_per_fact"] =
+      (AllocatedBytes() - before) / db.size();
+}
+BENCHMARK(BM_Database_IndexBytes)
     ->Arg(cqa_bench::RangeLimit(1024, 256))
     ->Arg(cqa_bench::RangeLimit(4096, 512))
     ->Arg(cqa_bench::RangeLimit(28672, 1024))

@@ -90,7 +90,8 @@ class JsonAppendReporter : public benchmark::ConsoleReporter {
       // sets them.
       for (const char* key :
            {"plan_hits", "plan_misses", "hit_rate", "qps", "threads",
-            "parallel_chunks", "bytes_per_fact"}) {
+            "parallel_chunks", "bytes_per_fact", "index_bytes_per_fact",
+            "full_per_request"}) {
         auto cit = run.counters.find(key);
         if (cit != run.counters.end()) {
           line << ",\"" << key << "\":" << cit->second.value;

@@ -19,7 +19,10 @@
 ///    "plan_hits"/"plan_misses"/"hit_rate"/"qps"/"threads": <serving and
 ///    plan-cache counters, present when the benchmark sets them>,
 ///    "parallel_chunks": <pool chunks per request, likewise>,
-///    "bytes_per_fact": <allocator bytes per stored fact, likewise>}
+///    "bytes_per_fact": <allocator bytes per stored fact, likewise>,
+///    "index_bytes_per_fact": <allocator bytes per fact of a probed
+///    FactIndex, likewise>,
+///    "full_per_request": <full answer recomputes per request, likewise>}
 ///
 /// Under --benchmark_repetitions=N (N > 1) the record holds the median
 /// of the N repetitions (its wall_ms and counters) and carries

@@ -1,10 +1,12 @@
 #ifndef CQA_CQ_MATCHER_H_
 #define CQA_CQ_MATCHER_H_
 
+#include <atomic>
+#include <cstddef>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "cq/query.h"
@@ -22,36 +24,49 @@
 ///
 /// ## Index structures
 ///
-/// `FactIndex` maintains, per relation R:
+/// A `FactIndex` names facts by int id and answers every probe with a
+/// `FactRun`, a contiguous run of ids, without allocating:
 ///
-///   * the plain fact list (`Facts`), as before;
-///   * *position indexes* — for a position p, a hash map
-///     `value -> facts of R with values()[p] == value` (`FactsAt`);
-///   * *key-prefix indexes* — for a prefix length k, a hash map
-///     `(v_1..v_k) -> facts of R whose first k values are v_1..v_k`
-///     (`FactsWithKeyPrefix`). With k = the key arity of R the buckets
-///     are exactly the primary-key blocks of the database, so a lookup
-///     with a fully bound key returns one block.
+///   * `Facts(R)`: every fact of R;
+///   * `FactsAt(R, p, v)`: the facts of R with values()[p] == v;
+///   * `FactsWithKeyPrefix(R, v_1..v_k)`: the facts of R whose first k
+///     values are v_1..v_k. With k = the key arity of R the run is one
+///     primary-key block of the database;
+///   * `Contains(fact)`: membership by value.
 ///
-/// Both kinds are built lazily, on the first probe of a (relation,
-/// position) or (relation, prefix-length) pair, and are maintained
-/// incrementally by `Add`/`Remove`/`SwapFact`. `SwapFact` is the repair
-/// hot path: enumerating repairs changes one block's choice at a time, so
-/// solvers mutate one shared index per block-choice change instead of
-/// rebuilding an index per repair (see RepairEnumerator::ForEachIndexed).
+/// An index over a `Database` (the serving session's, one per tenant,
+/// and every `EvalContext`'s) uses the database's fact ids and reads
+/// what the database already stores: `Facts` reads `FactsOf`, a
+/// full-key probe (and position 0 of a key-arity-1 relation) reads the
+/// block table, and `Contains` reads the fact table. Every other
+/// (relation, position) and (relation, prefix length) gets a flat
+/// open-addressing table of fact-id runs, built on its first probe, once,
+/// behind its own once-flag, so threads may share the index and probe it
+/// concurrently. A table slot is 16 bytes, a key with one fact keeps its
+/// id in the slot, and the other runs lie end to end in one id array, so
+/// a table costs about 16 bytes a key plus 4 a fact in a run of two or
+/// more. The database's owner reports each change
+/// (`Inserted`/`Erasing`) and the built tables are patched in place.
+///
+/// An owning index (`FactIndex()`, `FactIndex(repair)`) holds facts by
+/// address, added and removed one at a time (`Add`/`Remove`/`SwapFact`),
+/// with ids of its own; its relation lists and block tables are tables
+/// like the rest. `SwapFact` is the repair hot path: enumerating repairs
+/// changes one block's choice at a time, so solvers mutate one shared
+/// index per block-choice change instead of rebuilding an index per
+/// repair (see RepairEnumerator::ForEachIndexed).
 ///
 /// ## Join evaluation and atom ordering
 ///
 /// The indexed matcher picks, at every search node, the *not-yet-matched
 /// atom with the fewest candidate facts under the current partial
 /// valuation* (dynamic selectivity ordering), where the candidate set of
-/// an atom is the smallest of: its key-prefix bucket (when every key
-/// position is a constant or bound variable), its single-position buckets
+/// an atom is the smallest of: its key-prefix run (when every key
+/// position is a constant or bound variable), its single-position runs
 /// over all bound positions, and the whole relation. A branch dies as
-/// soon as any remaining atom has zero candidates. This subsumes the old
-/// static order-by-relation-size heuristic: once the first atom binds a
-/// join variable, subsequent atoms are matched by hash lookup on that
-/// binding rather than by scanning their relation.
+/// soon as any remaining atom has zero candidates. Once the first atom
+/// binds a join variable, subsequent atoms are matched by hash lookup on
+/// that binding rather than by scanning their relation.
 ///
 /// The pre-index matcher is retained as `MatcherMode::kNaive` (static
 /// atom order, full relation scans) and serves as the differential-
@@ -64,81 +79,144 @@ namespace cqa {
 /// production path; kNaive is the retained scan-based oracle.
 enum class MatcherMode { kIndexed, kNaive };
 
-/// A hash-indexed per-relation view over a set of facts. Used both for
-/// whole databases and for individual repairs (which are just fact
-/// lists). Facts are referenced by pointer; callers keep them alive.
-/// Lazy sub-indexes make the accessors logically-const but not
-/// thread-safe (matching the single-threaded session model).
+/// A probe's answer: a contiguous run of fact ids (`FactIndex::fact`
+/// resolves one). Valid until the index, or the database under it, next
+/// changes.
+class FactRun {
+ public:
+  FactRun() = default;
+  FactRun(const int* data, size_t size) : data_(data), size_(size) {}
+  const int* begin() const { return data_; }
+  const int* end() const { return data_ + size_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  int operator[](size_t i) const { return data_[i]; }
+
+ private:
+  const int* data_ = nullptr;
+  size_t size_ = 0;
+};
+
+/// A hash-indexed per-relation view over a set of facts; see the file
+/// comment. Probes are const and thread-safe against each other; the
+/// mutators need the index (and, over a database, the database) to
+/// themselves.
 class FactIndex {
  public:
-  FactIndex() = default;
+  /// An empty owning index: facts enter by Add.
+  FactIndex();
+  /// An index over `db`, which must outlive it. Ids are db's fact ids.
+  /// A change to db must be reported through Inserted/Erasing.
   explicit FactIndex(const Database& db);
+  /// An owning index over the repair's facts.
   explicit FactIndex(const Repair& repair);
+  ~FactIndex();
+  FactIndex(const FactIndex&) = delete;
+  FactIndex& operator=(const FactIndex&) = delete;
 
-  /// Inserts `fact`. The pointer must stay valid until removed.
+  /// Inserts `fact`, whose address must stay valid until removed. Ids
+  /// stay dense: a new fact takes the next one. An index over a database
+  /// that Add, Remove or SwapFact change becomes an owning index over
+  /// the database's facts first, with the same ids (the database itself
+  /// is left alone).
   void Add(const Fact* fact);
 
-  /// Removes a pointer previously passed to Add (no-op for strangers).
+  /// Removes an address previously passed to Add, or a fact of the
+  /// database the index was built over (no-op for strangers). The last
+  /// id moves into the freed one.
   void Remove(const Fact* fact);
 
-  /// Remove(old_fact) + Add(new_fact): the per-block repair transition.
+  /// Remove(old_fact) + Add(new_fact), with new_fact taking old_fact's
+  /// id: the per-block repair transition.
   void SwapFact(const Fact* old_fact, const Fact* new_fact);
 
-  /// All facts of `relation`, in insertion order (mutations may permute).
-  const std::vector<const Fact*>& Facts(SymbolId relation) const;
+  /// Index over a database: the database just stored facts()[id].
+  void Inserted(int id);
+
+  /// Index over a database: the database is about to remove facts()[id],
+  /// which moves its last fact into `id` (Database::RemoveFact).
+  void Erasing(int id);
+
+  /// The fact with this id.
+  const Fact& fact(int id) const {
+    return db_ != nullptr ? db_->facts()[id] : *ptrs_[id];
+  }
+
+  /// All facts of `relation`.
+  FactRun Facts(SymbolId relation) const;
 
   /// Facts of `relation` with values()[position] == value. `position`
   /// must be >= 0; facts of arity <= position are never included.
-  const std::vector<const Fact*>& FactsAt(SymbolId relation, int position,
-                                          SymbolId value) const;
+  FactRun FactsAt(SymbolId relation, int position, SymbolId value) const;
 
-  /// Facts of `relation` whose first prefix.size() values equal `prefix`.
-  /// With prefix.size() == key arity these buckets are the blocks.
-  const std::vector<const Fact*>& FactsWithKeyPrefix(
-      SymbolId relation, const std::vector<SymbolId>& prefix) const;
+  /// Facts of `relation` whose first `len` values equal prefix[0..len).
+  /// With len == key arity the run is a block.
+  FactRun FactsWithKeyPrefix(SymbolId relation, const SymbolId* prefix,
+                             size_t len) const;
+  FactRun FactsWithKeyPrefix(SymbolId relation,
+                             const std::vector<SymbolId>& prefix) const {
+    return FactsWithKeyPrefix(relation, prefix.data(), prefix.size());
+  }
 
-  /// Membership test by fact value (hash lookup; the value-identity
-  /// multiset is built lazily on first use).
-  bool Contains(const Fact& fact) const;
+  /// Membership by value.
+  bool Contains(const Fact& fact) const {
+    return Contains(fact.relation(), fact.values().data(), fact.arity(),
+                    fact.key_arity());
+  }
+  /// Membership of the fact (relation, values[0..arity)) with key arity
+  /// `key_arity`, without building a `Fact`.
+  bool Contains(SymbolId relation, const SymbolId* values, size_t arity,
+                int key_arity) const;
 
-  size_t total() const { return total_; }
+  size_t total() const;
+
+  /// Bytes of the flat tables built so far: their slot arrays and id
+  /// runs (vector capacities). Readable while other threads probe.
+  size_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
 
  private:
-  struct VecHash {
-    size_t operator()(const std::vector<SymbolId>& k) const {
-      size_t h = 0x9e3779b97f4a7c15ull;
-      for (SymbolId v : k) h = h * 1000003u + v;
-      return h;
-    }
-  };
-  using Bucket = std::vector<const Fact*>;
+  class RunTable;
+  struct Table;
+  struct Relation;
 
-  struct Relation {
-    Bucket facts;
-    /// fact pointer -> slot in `facts`, for O(1) swap-with-last removal.
-    /// Built lazily on the first Remove/SwapFact of the relation, so
-    /// read-only indexes (the common case) never pay for it.
-    mutable std::unordered_map<const Fact*, size_t> slot;
-    mutable bool slots_built = false;
-    /// Lazy position indexes; by_position[p] exists once FactsAt probed p.
-    mutable std::unordered_map<int, std::unordered_map<SymbolId, Bucket>>
-        by_position;
-    /// Lazy key-prefix indexes, keyed by prefix length.
-    mutable std::unordered_map<int,
-                               std::unordered_map<std::vector<SymbolId>,
-                                                  Bucket, VecHash>>
-        by_prefix;
-  };
+  Relation* FindRelation(SymbolId relation) const;
+  /// The relation's entry, created when new, with tables for `arity`
+  /// positions at least.
+  Relation* AddRelation(SymbolId relation, int arity, int key_arity);
+  /// `table` of `relation`, built first if it is not yet.
+  const RunTable& Built(Table& table, SymbolId relation) const;
+  /// Whether the fact `rep` has `table`'s key `key`.
+  bool KeyEqual(const Table& table, const SymbolId* key, int rep) const;
+  /// The run of `key` in `table` of `relation`.
+  FactRun Probe(Table& table, SymbolId relation, const SymbolId* key) const;
+  /// Over a database: the block (relation, key[0..key_arity)).
+  FactRun Block(SymbolId relation, const SymbolId* key,
+                size_t key_arity) const;
+  /// Adds `id` to, or drops it from, every structure holding it: the
+  /// relation's built tables, and an owning index's relation list and
+  /// address table.
+  void Attach(int id);
+  void Detach(int id);
+  /// Adds `id`, the id of `fact`, to `table`, keeping bytes_ current.
+  void AddTo(Table& table, int id, const Fact& fact);
+  /// Every structure holding `from` holds `to` instead.
+  void Renumber(int from, int to);
+  /// The owning index's id of `fact`'s address, or -1.
+  int IdOfAddress(const Fact* fact) const;
+  /// Turns an index over a database into an owning index over its facts.
+  void Own();
 
-  const Relation* FindRelation(SymbolId relation) const;
-  static void DropFromBucket(Bucket* bucket, const Fact* fact);
-
-  std::unordered_map<SymbolId, Relation> rels_;
-  /// Value-identity multiset (distinct pointers may carry equal facts),
-  /// built lazily on the first Contains.
-  mutable std::unordered_map<Fact, int, FactHash> fact_counts_;
-  mutable bool counts_built_ = false;
-  size_t total_ = 0;
+  /// The database this index follows, or null for an owning index.
+  const Database* db_ = nullptr;
+  std::vector<std::unique_ptr<Relation>> rels_;
+  /// rels_ by relation id: open addressing over a power-of-two array.
+  std::vector<Relation*> dir_;
+  /// Owning index only: id -> fact, its slot in its relation's list, and
+  /// the ids by address.
+  std::vector<const Fact*> ptrs_;
+  std::vector<int> rel_slots_;
+  std::unique_ptr<RunTable> by_address_;
+  mutable std::atomic<size_t> bytes_{0};
 };
 
 /// True iff some valuation embeds `q` into the indexed facts.
@@ -154,13 +232,14 @@ bool ForEachEmbedding(const FactIndex& index, const Query& q,
                       const std::function<bool(const Valuation&)>& fn,
                       MatcherMode mode = MatcherMode::kIndexed);
 
-/// Like ForEachEmbedding, but also hands the callback the matched facts,
-/// aligned with q.atoms(): facts_by_atom[i] == θ(q.atom(i)). Consumers
-/// that need fact identities (SAT encoding, repair counting, conflict
-/// graphs) read them directly instead of re-materializing θ(atom) and
-/// hashing it back to a fact id.
+/// Like ForEachEmbedding, but also hands the callback the ids of the
+/// matched facts, aligned with q.atoms(): index.fact(fact_ids[i]) ==
+/// θ(q.atom(i)). Over an index on a database these are its fact ids, so
+/// consumers that need fact identities (SAT encoding, repair counting,
+/// conflict graphs) read them directly instead of re-materializing
+/// θ(atom) and hashing it back to an id.
 using EmbeddingFactsFn = std::function<bool(
-    const Valuation&, const std::vector<const Fact*>& facts_by_atom)>;
+    const Valuation&, const std::vector<int>& fact_ids)>;
 bool ForEachEmbeddingFacts(const FactIndex& index, const Query& q,
                            const Valuation& initial,
                            const EmbeddingFactsFn& fn);

@@ -21,7 +21,17 @@ uint32_t Mix(uint64_t h) {
   return static_cast<uint32_t>(h);
 }
 
-uint32_t HashFact(const Fact& fact) { return Mix(FactHash()(fact)); }
+/// FactHash of the fact (relation, values[0..arity)), mixed.
+uint32_t HashValues(SymbolId relation, const SymbolId* values,
+                    size_t arity) {
+  size_t h = std::hash<uint32_t>()(relation);
+  for (size_t i = 0; i < arity; ++i) h = h * 1000003u + values[i];
+  return Mix(h);
+}
+
+uint32_t HashFact(const Fact& fact) {
+  return HashValues(fact.relation(), fact.values().data(), fact.arity());
+}
 
 uint32_t HashBlock(SymbolId relation, const SymbolId* key,
                    size_t key_arity) {
@@ -250,8 +260,14 @@ Status Database::RemoveFact(const Fact& fact) {
 
 const Database::Block* Database::FindBlock(
     SymbolId relation, const std::vector<SymbolId>& key) const {
-  int id = FindBlockId(relation, key.data(), key.size(),
-                       HashBlock(relation, key.data(), key.size()));
+  return FindBlock(relation, key.data(), key.size());
+}
+
+const Database::Block* Database::FindBlock(SymbolId relation,
+                                           const SymbolId* key,
+                                           size_t key_arity) const {
+  int id = FindBlockId(relation, key, key_arity,
+                       HashBlock(relation, key, key_arity));
   return id < 0 ? nullptr : &blocks_[id];
 }
 
@@ -279,6 +295,17 @@ const Database::Block& Database::BlockOf(const Fact& fact) const {
 
 int Database::FactId(const Fact& fact) const {
   return FindFact(fact, HashFact(fact));
+}
+
+int Database::FactId(SymbolId relation, const SymbolId* values,
+                     size_t arity, int key_arity) const {
+  return fact_table_.Find(
+      HashValues(relation, values, arity), [&](int id) {
+        const Fact& f = facts_[id];
+        return f.relation() == relation && f.key_arity() == key_arity &&
+               f.values().size() == arity &&
+               std::equal(f.values().begin(), f.values().end(), values);
+      });
 }
 
 int Database::BlockIdOf(const Fact& fact) const {

@@ -19,13 +19,12 @@
 /// a *repair* picks exactly one fact from each block (Section 3).
 ///
 /// Facts live in a deque, so a stored fact's address is stable under
-/// AddFact — this is what lets long-lived `FactIndex`es (and the serving
-/// `Session`'s per-worker indexes) reference facts by pointer while the
-/// database keeps growing. RemoveFact compacts by moving the *last* fact
-/// into the vacated slot, so exactly two addresses are affected per
-/// removal (the removed slot, whose contents change, and the popped back
-/// slot, which dies); callers maintaining external indexes read
-/// `FactPtr`/`LastFact` before the removal and patch accordingly (see
+/// AddFact, so a fact handed out by address (`FactPtr`, a `Repair`)
+/// stays put while the database keeps growing. RemoveFact compacts by
+/// moving the *last* fact into the vacated slot, so exactly two ids and
+/// addresses are affected per removal (the removed slot, whose contents
+/// change, and the popped back slot, which dies); an index kept over the
+/// database hears of it before the removal (`FactIndex::Erasing`, see
 /// serve/session.cc).
 ///
 /// Layout. Two flat open-addressing tables of int32 ids index the
@@ -81,6 +80,11 @@ class Database {
   /// their own fact -> id maps.
   int FactId(const Fact& fact) const;
 
+  /// FactId of the fact (relation, values[0..arity)) with key arity
+  /// `key_arity`, without building a `Fact`.
+  int FactId(SymbolId relation, const SymbolId* values, size_t arity,
+             int key_arity) const;
+
   /// Id of a fact referenced by its *storage address* (a pointer handed
   /// out by FactPtr or observed through a FactIndex over this database);
   /// -1 for strangers, equal facts stored elsewhere included. Resolves
@@ -105,7 +109,9 @@ class Database {
   /// Index of the block containing `fact` in blocks(), or -1 when absent.
   int BlockIdOf(const Fact& fact) const;
 
-  /// Fact indices (into facts()) of all facts of `relation`.
+  /// Fact indices (into facts()) of all facts of `relation`. Once the
+  /// relation holds a fact, the reference stays valid (and follows the
+  /// relation's changes) for the database's lifetime.
   const std::vector<int>& FactsOf(SymbolId relation) const;
 
   /// A block: maximal set of key-equal facts.
@@ -125,6 +131,10 @@ class Database {
   /// delta layer's lookup for ReplaceBlock ops.
   const Block* FindBlock(SymbolId relation,
                          const std::vector<SymbolId>& key) const;
+  /// The block (relation, key[0..key_arity)), or nullptr: the key-prefix
+  /// probe of an index over this database.
+  const Block* FindBlock(SymbolId relation, const SymbolId* key,
+                         size_t key_arity) const;
 
   /// True iff every block is a singleton.
   bool IsConsistent() const;

@@ -33,11 +33,8 @@ bool RepairEnumerator::ForEachIndexed(
   size_t n = blocks.size();
   std::vector<size_t> choice(n, 0);
   Repair repair(n, nullptr);
-  FactIndex index;
-  for (size_t i = 0; i < n; ++i) {
-    repair[i] = &facts[blocks[i].fact_ids[0]];
-    index.Add(repair[i]);
-  }
+  for (size_t i = 0; i < n; ++i) repair[i] = &facts[blocks[i].fact_ids[0]];
+  FactIndex index(repair);
   for (;;) {
     if (!fn(index, repair)) return false;
     // Odometer increment; every flipped block is one SwapFact (digits

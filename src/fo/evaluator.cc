@@ -54,7 +54,7 @@ bool UnifyGuard(const Atom& guard, const Fact& fact, Valuation* binding,
 }  // namespace
 
 FormulaEvaluator::FormulaEvaluator(const Database& db)
-    : owned_index_(db), index_(&*owned_index_) {}
+    : owned_index_(std::in_place, db), index_(&*owned_index_) {}
 
 FormulaEvaluator::FormulaEvaluator(const FactIndex& index) : index_(&index) {}
 
@@ -93,9 +93,11 @@ bool FormulaEvaluator::EvalRec(const Formula& f, Valuation* binding) const {
       return false;
     }
     case Formula::Kind::kExistsGuard: {
-      for (const Fact* fact : index_->Facts(f.atom().relation())) {
+      for (int id : index_->Facts(f.atom().relation())) {
         std::vector<SymbolId> bound;
-        if (!UnifyGuard(f.atom(), *fact, binding, &bound)) continue;
+        if (!UnifyGuard(f.atom(), index_->fact(id), binding, &bound)) {
+          continue;
+        }
         bool ok = EvalRec(*f.children()[0], binding);
         for (SymbolId v : bound) binding->Unbind(v);
         if (ok) return true;
@@ -103,9 +105,11 @@ bool FormulaEvaluator::EvalRec(const Formula& f, Valuation* binding) const {
       return false;
     }
     case Formula::Kind::kForallGuard: {
-      for (const Fact* fact : index_->Facts(f.atom().relation())) {
+      for (int id : index_->Facts(f.atom().relation())) {
         std::vector<SymbolId> bound;
-        if (!UnifyGuard(f.atom(), *fact, binding, &bound)) continue;
+        if (!UnifyGuard(f.atom(), index_->fact(id), binding, &bound)) {
+          continue;
+        }
         bool ok = EvalRec(*f.children()[0], binding);
         for (SymbolId v : bound) binding->Unbind(v);
         if (!ok) return false;

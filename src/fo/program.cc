@@ -266,8 +266,6 @@ constexpr size_t kChunkRows = 512;
 /// keeps the overhead of an armed deadline under ~0.1% of row cost.
 constexpr int kDeadlineCheckRows = 256;
 
-using Bucket = std::vector<const Fact*>;
-
 /// A batch of partial bindings: a flat rows x width register matrix.
 struct Table {
   size_t width = 0;
@@ -303,7 +301,7 @@ class Executor {
     std::vector<char> decided;     // semijoin: witnessed; antijoin: failed.
     std::vector<char> tmp, acc, rem;
     std::vector<SymbolId> prefix;
-    std::vector<SymbolId> values;  // kContains fact; ∃-membership row.
+    std::vector<SymbolId> values;  // kContains values; ∃-membership row.
   };
 
   Scratch& At(int depth) {
@@ -329,27 +327,27 @@ class Executor {
     return expired_;
   }
 
-  /// The smallest candidate bucket the index offers for the guard under
-  /// `row`: key-prefix block, best bound-position bucket, or the whole
-  /// relation. Buckets are stable for the duration of an evaluation
-  /// (lazy builds only create new map entries).
-  const Bucket& ProbeBucket(const Op& op, const SymbolId* row, Scratch& s) {
-    const Bucket* best = &index_.Facts(op.relation);
-    if (op.prefix_len > 0 && !best->empty()) {
+  /// The smallest candidate run the index offers for the guard under
+  /// `row`: key-prefix run, best bound-position run, or the whole
+  /// relation. Runs stay valid for the duration of an evaluation (a lazy
+  /// build only fills a table nobody has read yet).
+  FactRun ProbeRun(const Op& op, const SymbolId* row, Scratch& s) {
+    FactRun best = index_.Facts(op.relation);
+    if (op.prefix_len > 0 && !best.empty()) {
       s.prefix.clear();
       for (int i = 0; i < op.prefix_len; ++i) {
         s.prefix.push_back(SlotValue(op.slots[i], row));
       }
-      const Bucket& block = index_.FactsWithKeyPrefix(op.relation, s.prefix);
-      if (block.size() < best->size()) best = &block;
+      FactRun block = index_.FactsWithKeyPrefix(op.relation, s.prefix);
+      if (block.size() < best.size()) best = block;
     }
     for (int p : op.probe_positions) {
-      if (best->size() <= 1) break;
-      const Bucket& bucket =
+      if (best.size() <= 1) break;
+      FactRun run =
           index_.FactsAt(op.relation, p, SlotValue(op.slots[p], row));
-      if (bucket.size() < best->size()) best = &bucket;
+      if (run.size() < best.size()) best = run;
     }
-    return *best;
+    return best;
   }
 
   /// Unifies the guard against `fact` on the extension row `row` (which
@@ -398,9 +396,9 @@ void Executor::FilterJoin(const Op& op, bool anti, int depth, Table& t,
       if (!mask[i]) continue;
       const SymbolId* r = t.row(i);
       std::copy(r, r + W, s.values.begin());
-      const Bucket& bucket = ProbeBucket(op, r, s);
-      mask[i] = std::any_of(bucket.begin(), bucket.end(), [&](const Fact* f) {
-        return MatchBind(op, *f, s.values.data());
+      FactRun run = ProbeRun(op, r, s);
+      mask[i] = std::any_of(run.begin(), run.end(), [&](int id) {
+        return MatchBind(op, index_.fact(id), s.values.data());
       });
     }
     return;
@@ -433,7 +431,7 @@ void Executor::FilterJoin(const Op& op, bool anti, int depth, Table& t,
     if (CheckDeadline()) break;
     if (!mask[i]) continue;
     const SymbolId* r = t.row(i);
-    for (const Fact* fact : ProbeBucket(op, r, s)) {
+    for (int id : ProbeRun(op, r, s)) {
       // A flush may have decided row i (first witness / first
       // counterexample — the interpreter's short-circuit at chunk
       // granularity).
@@ -442,7 +440,7 @@ void Executor::FilterJoin(const Op& op, bool anti, int depth, Table& t,
       s.chunk.data.resize(pos + W);
       SymbolId* ext = s.chunk.data.data() + pos;
       std::copy(r, r + W, ext);
-      if (!MatchBind(op, *fact, ext)) {
+      if (!MatchBind(op, index_.fact(id), ext)) {
         s.chunk.data.resize(pos);
         continue;
       }
@@ -490,7 +488,8 @@ void Executor::Filter(int op_idx, int depth, Table& t,
         for (const Slot& slot : op.slots) {
           s.values.push_back(SlotValue(slot, r));
         }
-        if (!index_.Contains(Fact(op.relation, s.values, op.key_arity))) {
+        if (!index_.Contains(op.relation, s.values.data(), s.values.size(),
+                             op.key_arity)) {
           mask[i] = 0;
         }
       }

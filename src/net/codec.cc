@@ -582,6 +582,7 @@ std::map<std::string, uint64_t> FlattenStats(
   out["session.rows_decided"] = stats.session.rows_decided;
   out["session.parallel_batches"] = stats.session.parallel_batches;
   out["session.parallel_chunks"] = stats.session.parallel_chunks;
+  out["session.index_bytes"] = stats.session.index_bytes;
   out["contention.interner_lookups"] = stats.contention.interner_lookups;
   out["contention.interner_misses"] = stats.contention.interner_misses;
   out["contention.interner_symbols"] = stats.contention.interner_symbols;

@@ -21,6 +21,7 @@ bool IsGauge(const std::string& key) {
       "service.databases",         "service.prepared_queries",
       "service.open_cursors",      "store.durable_databases",
       "store.read_only_databases", "store.wal_bytes",
+      "session.index_bytes",
   };
   return kGauges.count(key) != 0;
 }

@@ -279,24 +279,25 @@ Result<Database> QueryPlan::ScopeRow(EvalContext& ctx,
   for (size_t i = 0; i < row.size(); ++i) {
     seed.Bind(canonical_.params[i], row[i]);
   }
-  std::vector<const Fact*> touched;
+  // The context's index is over ctx.db(), so the matched ids are its.
+  std::vector<int> touched;
   uint64_t embeddings = 0;
   bool complete = ForEachEmbeddingFacts(
       ctx.fact_index(), canonical_.query, seed,
-      [&](const Valuation&, const std::vector<const Fact*>& facts) {
+      [&](const Valuation&, const std::vector<int>& fact_ids) {
         if ((++embeddings & 255) == 0 && deadline.Expired()) return false;
-        touched.insert(touched.end(), facts.begin(), facts.end());
+        touched.insert(touched.end(), fact_ids.begin(), fact_ids.end());
         return true;
       });
   if (!complete) {
     return Status::DeadlineExceeded("deadline expired scoping a row");
   }
-  std::sort(touched.begin(), touched.end(), std::less<const Fact*>());
+  std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   const Database& db = ctx.db();
   std::vector<int> blocks;
   blocks.reserve(touched.size());
-  for (const Fact* fact : touched) blocks.push_back(db.BlockIdOf(*fact));
+  for (int id : touched) blocks.push_back(db.BlockIdOf(db.facts()[id]));
   std::sort(blocks.begin(), blocks.end());
   blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
   std::vector<int> ids;

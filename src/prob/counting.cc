@@ -154,17 +154,16 @@ BigInt Counting::CountByDecomposition(const Database& db, const Query& q) {
   }
   // Collect embeddings as (block, fact) requirement lists and union the
   // blocks each embedding touches. The matcher hands back the matched
-  // facts; their ids come from `Database::FactIdOf`.
+  // facts' ids, which are db's: the index is over db.
   UnionFind uf(static_cast<int>(db.blocks().size()));
   std::vector<std::vector<std::pair<int, int>>> embeddings;
   FactIndex index(db);
   ForEachEmbeddingFacts(index, q, Valuation(), [&](
-      const Valuation&, const std::vector<const Fact*>& facts) {
+      const Valuation&, const std::vector<int>& fact_ids) {
     std::vector<std::pair<int, int>> req;
-    req.reserve(facts.size());
+    req.reserve(fact_ids.size());
     bool consistent = true;
-    for (const Fact* fact : facts) {
-      int fid = db.FactIdOf(fact);
+    for (int fid : fact_ids) {
       int b = block_of[fid];
       bool dup = false;
       for (auto [eb, ef] : req) {

@@ -59,6 +59,7 @@ void Accumulate(Session::Stats* into, const Session::Stats& from) {
   into->parallel_chunks += from.parallel_chunks;
   into->gate_writer_handoffs += from.gate_writer_handoffs;
   into->gate_reader_waits += from.gate_reader_waits;
+  into->index_bytes += from.index_bytes;
 }
 
 void AccumulateStore(Service::StoreStats* into,

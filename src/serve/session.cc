@@ -166,14 +166,14 @@ Status ApplyDeltaToDatabase(const Delta& delta, Database* db) {
 Session::Session(Database db) : Session(std::move(db), Options()) {}
 
 Session::Session(Database db, const Options& options)
-    : options_(options), db_(std::move(db)) {
+    : options_(options), db_(std::move(db)), index_(db_) {
   epoch_.store(options_.initial_epoch, std::memory_order_release);
   int n = options_.num_threads > 0 ? options_.num_threads
                                    : DefaultServingThreads();
   pool_ = std::make_unique<ThreadPool>(n);
   workers_.reserve(pool_->size());
   for (int i = 0; i < pool_->size(); ++i) {
-    workers_.push_back(std::make_unique<EvalContext>(db_));
+    workers_.push_back(std::make_unique<EvalContext>(db_, index_));
   }
 }
 
@@ -188,40 +188,26 @@ Session::Stats Session::stats() const {
   WriterPriorityGate::Stats gate = epoch_mu_.stats();
   out.gate_writer_handoffs = gate.writer_handoffs;
   out.gate_reader_waits = gate.reader_waits;
+  out.index_bytes = index_.bytes();
   return out;
-}
-
-void Session::ForEachLiveIndex(const std::function<void(FactIndex&)>& fn) {
-  for (const std::unique_ptr<EvalContext>& worker : workers_) {
-    if (FactIndex* index = worker->fact_index_if_built()) fn(*index);
-  }
 }
 
 void Session::ApplyAdd(const Fact& fact) {
   Status st = db_.AddFact(fact);
   assert(st.ok());
   (void)st;
-  const Fact* added = db_.FactPtr(fact);
-  ForEachLiveIndex([&](FactIndex& index) { index.Add(added); });
+  index_.Inserted(db_.FactId(fact));
 }
 
 void Session::ApplyRemove(const Fact& fact) {
-  // RemoveFact relocates the last fact into the vacated slot, so live
-  // indexes must drop both affected addresses while their contents are
-  // still valid, and re-add the slot once it holds the relocated fact.
-  const Fact* target = db_.FactPtr(fact);
-  const Fact* last = db_.LastFact();
-  assert(target != nullptr && last != nullptr);
-  ForEachLiveIndex([&](FactIndex& index) {
-    index.Remove(target);
-    if (last != target) index.Remove(last);
-  });
+  // The index drops the fact's id and renumbers the last fact, which
+  // RemoveFact moves into that id, while both still read as before.
+  int id = db_.FactId(fact);
+  assert(id >= 0);
+  index_.Erasing(id);
   Status st = db_.RemoveFact(fact);
   assert(st.ok());
   (void)st;
-  if (last != target) {
-    ForEachLiveIndex([&](FactIndex& index) { index.Add(target); });
-  }
 }
 
 void Session::MarkDefunct() {
@@ -536,11 +522,11 @@ const Atom* CoveringAtom(const FactIndex& index, const Query& q,
 }
 
 /// A reach refresh costs about one seeded decision per reached row; a
-/// full recompute decides about as many candidates as the entry holds
-/// rows. In BM_Session_ReachRule the two meet at two fifths to a half of
-/// the cached rows, so the reach rule keeps a refresh incremental up to
-/// a third of them (or max_dirty_patterns, if more).
-constexpr size_t kCachedRowsPerReachRow = 3;
+/// full recompute one decision per candidate. In BM_Session_ReachRule the
+/// two meet at two fifths to a half of the rows a recompute decides, so
+/// the reach rule keeps a refresh incremental up to a third of them (or
+/// max_dirty_patterns, if more).
+constexpr size_t kFullRowsPerReachRow = 3;
 
 /// Whether some variable is in both sets.
 bool SharesVariable(const VarSet& a, const VarSet& b) {
@@ -661,7 +647,9 @@ Result<std::optional<Session::RowSet>> ReachedRows(
 Result<RowBlock> Session::ComputeCertainFull(
     EvalContext& ctx, const Query& q,
     const std::vector<SymbolId>& free_vars, const QueryPlan& plan,
-    std::optional<size_t> previous_rows, const Deadline& deadline) {
+    std::optional<size_t> previous_rows, const Deadline& deadline,
+    size_t* decided) {
+  *decided = 0;
   if (free_vars.empty()) {
     // Boolean: the entry holds the empty row iff q is certain. A certain
     // q is possible (every database has a repair, and a query that holds
@@ -679,7 +667,10 @@ Result<RowBlock> Session::ComputeCertainFull(
     Result<std::optional<RowSet>> pushed =
         options_.backend->CertainAnswerSet(plan, deadline);
     if (!pushed.ok()) return pushed.status();
-    if (pushed->has_value()) return RowBlock(free_vars.size(), **pushed);
+    if (pushed->has_value()) {
+      *decided = (*pushed)->size();
+      return RowBlock(free_vars.size(), **pushed);
+    }
   }
   // Candidates from one covering atom instead of the join, under the
   // conditions and the 1.5x rule the declaration states. A one-atom q
@@ -702,7 +693,7 @@ Result<RowBlock> Session::ComputeCertainFull(
   if (!candidates.ok()) return candidates.status();
   RowBlock out(free_vars.size());
   // One set-at-a-time execution decides every candidate row —
-  // partitioned across the pool's live indexes when the batch is large
+  // partitioned across the pool's workers when the batch is large
   // enough (DecideRows), on this worker's alone otherwise.
   Result<std::vector<char>> certain =
       DecideRows(ctx, plan, *candidates, deadline);
@@ -710,6 +701,7 @@ Result<RowBlock> Session::ComputeCertainFull(
   for (size_t i = 0; i < candidates->size(); ++i) {
     if ((*certain)[i]) out.Append((*candidates)[i]);
   }
+  *decided = candidates->size();
   {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     stats_.rows_decided += candidates->size();
@@ -721,7 +713,7 @@ Result<RowBlock> Session::ComputeCertainFull(
 Result<std::optional<std::vector<RowPattern>>> Session::DirtyPatternsSince(
     EvalContext& ctx, uint64_t from_epoch, const QueryPlan& plan,
     const Query& q, const std::vector<SymbolId>& free_vars,
-    size_t cached_rows, const Deadline& deadline) const {
+    size_t full_rows, const Deadline& deadline) const {
   using Patterns = std::optional<std::vector<RowPattern>>;
   // Reads delta_log_ under the shared epoch lock held by the caller
   // (the log only mutates under the exclusive lock).
@@ -796,7 +788,7 @@ Result<std::optional<std::vector<RowPattern>>> Session::DirtyPatternsSince(
     Result<std::optional<RowSet>> reached = ReachedRows(
         ctx.fact_index(), q, *untouched, free_vars, unpinned,
         std::max(options_.max_dirty_patterns - out.size(),
-                 cached_rows / kCachedRowsPerReachRow),
+                 full_rows / kFullRowsPerReachRow),
         deadline);
     if (!reached.ok()) return reached.status();
     if (!reached->has_value()) return Patterns();
@@ -827,30 +819,31 @@ Result<std::shared_ptr<const RowBlock>> Session::ServeCertain(
 
   // The snapshot is shared with the cache entry — no row copy on this
   // read, nor on the cache-hit return below.
-  std::optional<std::pair<uint64_t, std::shared_ptr<const RowBlock>>> cached;
+  std::optional<CacheEntry> cached;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
     auto it = answers_.find(key);
     if (it != answers_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-      cached.emplace(it->second.epoch, it->second.rows);
+      cached = it->second;
     }
   }
-  if (cached.has_value() && cached->first == now) {
+  if (cached.has_value() && cached->epoch == now) {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.answers_cached;
-    return cached->second;
+    return cached->rows;
   }
 
   std::shared_ptr<const RowBlock> snapshot;
+  std::optional<size_t> full_rows;
   if (cached.has_value()) {
     Result<std::optional<std::vector<RowPattern>>> patterns =
-        DirtyPatternsSince(ctx, cached->first, *plan, q, free_vars,
-                           cached->second->size(), deadline);
+        DirtyPatternsSince(ctx, cached->epoch, *plan, q, free_vars,
+                           cached->full_rows, deadline);
     if (!patterns.ok()) return patterns.status();
     if (patterns->has_value() && (*patterns)->empty()) {
       // No changed block reaches the entry: the snapshot stands.
-      snapshot = cached->second;
+      snapshot = cached->rows;
       std::lock_guard<std::mutex> stats_lock(stats_mu_);
       ++stats_.answers_incremental;
     } else if (patterns->has_value()) {
@@ -880,7 +873,7 @@ Result<std::shared_ptr<const RowBlock>> Session::ServeCertain(
       // refresh can splice them into the cached rows.
       size_t reused = 0;
       snapshot = std::make_shared<const RowBlock>(
-          RowBlock::Refresh(*cached->second, dirty, decided, &reused));
+          RowBlock::Refresh(*cached->rows, dirty, decided, &reused));
       std::lock_guard<std::mutex> stats_lock(stats_mu_);
       ++stats_.answers_incremental;
       stats_.rows_reused += reused;
@@ -890,11 +883,13 @@ Result<std::shared_ptr<const RowBlock>> Session::ServeCertain(
 
   if (snapshot == nullptr) {
     std::optional<size_t> previous_rows;
-    if (cached.has_value()) previous_rows = cached->second->size();
-    Result<RowBlock> full =
-        ComputeCertainFull(ctx, q, free_vars, *plan, previous_rows, deadline);
+    if (cached.has_value()) previous_rows = cached->rows->size();
+    size_t decided = 0;
+    Result<RowBlock> full = ComputeCertainFull(
+        ctx, q, free_vars, *plan, previous_rows, deadline, &decided);
     if (!full.ok()) return full.status();
     snapshot = std::make_shared<const RowBlock>(*std::move(full));
+    full_rows = decided;
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.answers_full;
   }
@@ -909,6 +904,7 @@ Result<std::shared_ptr<const RowBlock>> Session::ServeCertain(
       if (it->second.epoch <= now) {
         it->second.epoch = now;
         it->second.rows = snapshot;
+        if (full_rows.has_value()) it->second.full_rows = *full_rows;
       }
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     } else {
@@ -916,6 +912,10 @@ Result<std::shared_ptr<const RowBlock>> Session::ServeCertain(
       CacheEntry entry;
       entry.epoch = now;
       entry.rows = snapshot;
+      // A refresh of an entry evicted meanwhile keeps the bound it read.
+      entry.full_rows = full_rows.value_or(cached.has_value()
+                                                ? cached->full_rows
+                                                : snapshot->size());
       entry.lru_pos = lru_.begin();
       answers_.emplace(key, std::move(entry));
       while (answers_.size() > options_.answer_cache_capacity) {

@@ -36,11 +36,14 @@
 /// over a *persistent* worker pool, while the database evolves through
 /// transactional deltas:
 ///
-///   * each pool worker keeps one `EvalContext` whose `FactIndex`
-///     survives across calls — `ApplyDelta` patches the already-built
-///     indexes in place through the incremental `FactIndex::Add/Remove`
-///     paths instead of letting the next call reindex the world; the
-///     index is all the per-worker state a delta has to patch;
+///   * the session keeps ONE `FactIndex` over its database, shared by
+///     every pool worker's `EvalContext` and surviving across calls. It
+///     reads the database's own fact, relation and block tables, and
+///     builds any other table on its first probe, once, behind that
+///     table's own once-flag. `ApplyDelta` patches the built tables in
+///     place (`FactIndex::Inserted/Erasing`) instead of letting the next
+///     call reindex the world; the index is all the state a delta has to
+///     patch besides the database;
 ///   * deltas are transactional (`Insert` / `Remove` / `ReplaceBlock`
 ///     ops validate as a unit against the pre-delta state; an invalid
 ///     op rejects the whole delta and mutates nothing) and bump the
@@ -149,8 +152,9 @@ class Session {
     /// Dirty key patterns tolerated per (entry, delta-range) before the
     /// incremental path gives up and recomputes in full. The rows the
     /// reach rule finds are full-row patterns; they are tolerated up to
-    /// this many less the key patterns, or a third of the cached rows if
-    /// that is more (see DirtyPatternsSince).
+    /// this many less the key patterns, or a third of the rows the
+    /// entry's last full recompute decided if that is more (see
+    /// DirtyPatternsSince).
     size_t max_dirty_patterns = 32;
     /// Minimum candidate rows in one decision batch before it is
     /// partitioned across the pool; smaller batches run on the calling
@@ -186,7 +190,7 @@ class Session {
   /// Takes ownership of the database snapshot.
   explicit Session(Database db);
   /// Takes ownership of `db` and spins up the persistent worker pool
-  /// (each worker's FactIndex builds lazily on first use).
+  /// (the shared index's tables build on first probe).
   Session(Database db, const Options& options);
   /// Joins the pool. Row-set snapshots handed out earlier stay valid —
   /// they are shared, immutable, and own their storage.
@@ -204,9 +208,9 @@ class Session {
   const Database& db() const { return db_; }
 
   /// Applies the delta transactionally: validates every op against the
-  /// pre-delta state, then mutates the database and patches every
-  /// worker's live indexes incrementally. Returns the new epoch. On
-  /// error nothing changed.
+  /// pre-delta state, then mutates the database and patches the shared
+  /// index incrementally. Returns the new epoch. On error nothing
+  /// changed.
   Result<uint64_t> ApplyDelta(const Delta& delta);
 
   /// Marks the session dropped (taken off a registry). Acquires the
@@ -288,9 +292,13 @@ class Session {
     /// hand-offs and readers parked behind an announced writer.
     uint64_t gate_writer_handoffs = 0;
     uint64_t gate_reader_waits = 0;
+    /// Gauge: bytes of the shared index's tables (slot arrays and id
+    /// runs), however many workers probe it.
+    uint64_t index_bytes = 0;
   };
   /// One consistent copy of the serving counters (taken under the
-  /// stats lock; gate counters read from the gate's own atomics).
+  /// stats lock; gate counters read from the gate's own atomics, the
+  /// index gauge from the index's).
   Stats stats() const;
 
  private:
@@ -303,6 +311,9 @@ class Session {
     /// Immutable shared snapshot; replaced wholesale on refresh, never
     /// mutated, so callers holding the pointer are unaffected.
     std::shared_ptr<const RowBlock> rows;
+    /// The rows the entry's last full recompute decided: what the next
+    /// one would cost, and so the reach bound (see DirtyPatternsSince).
+    size_t full_rows = 0;
     std::list<std::string>::iterator lru_pos;
   };
 
@@ -370,18 +381,22 @@ class Session {
   /// join: in BM_Session_CoveringRule, where each answer has one
   /// embedding (the join at its cheapest), A is faster at 1×, level with
   /// the join near 1.4× and slower from 1.6×.
+  /// `*decided` receives the rows decided: the candidates, or the
+  /// answers of a pushed-down set.
   Result<RowBlock> ComputeCertainFull(EvalContext& ctx, const Query& q,
                                       const std::vector<SymbolId>& free_vars,
                                       const QueryPlan& plan,
                                       std::optional<size_t> previous_rows,
-                                      const Deadline& deadline);
+                                      const Deadline& deadline,
+                                      size_t* decided);
 
   /// The dirty patterns (rows to re-decide) of (q, free_vars) since
   /// `from_epoch`, or nullopt when incremental serving is not possible:
   /// a log gap, a Boolean entry one of whose atoms a changed block
   /// matches, a changed block whose reach cannot be bounded, more than
   /// max_dirty_patterns distinct key patterns, or more reached rows than
-  /// the reach bound below. `cached_rows` is the entry's row count.
+  /// the reach bound below. `full_rows` is the rows the entry's last full
+  /// recompute decided.
   ///
   /// A changed block matching an atom's key pattern gives the pattern
   /// binding the free variables that key pins. When it pins none, the
@@ -405,26 +420,30 @@ class Session {
   /// databases.
   ///
   /// The reach bound is max_dirty_patterns less the key patterns, or
-  /// cached_rows / 3 if that is more, and the enumeration stops as soon
-  /// as the reached rows pass it. A reach refresh costs about one seeded
+  /// full_rows / 3 if that is more, and the enumeration stops as soon as
+  /// the reached rows pass it. A reach refresh costs about one seeded
   /// decision per reached row, a full recompute one decision per
   /// candidate; in BM_Session_ReachRule (1,024 to 16,384 R-blocks, one
   /// S-block dropped or restored per request) the two meet at two fifths
-  /// to a half of the cached rows.
+  /// to a half of the rows a recompute decides. Bounding by those rows,
+  /// not by the cached answers, keeps a delta that drops k reached rows
+  /// from shrinking the bound for the delta that restores them.
   /// The enumeration polls `deadline` (kDeadlineExceeded).
   Result<std::optional<std::vector<RowPattern>>> DirtyPatternsSince(
       EvalContext& ctx, uint64_t from_epoch, const QueryPlan& plan,
       const Query& q, const std::vector<SymbolId>& free_vars,
-      size_t cached_rows,
-      const Deadline& deadline) const;
+      size_t full_rows, const Deadline& deadline) const;
 
-  /// Applies one validated primitive action and patches live indexes.
+  /// Applies one validated primitive action and patches the index.
   void ApplyAdd(const Fact& fact);
   void ApplyRemove(const Fact& fact);
-  void ForEachLiveIndex(const std::function<void(FactIndex&)>& fn);
 
   Options options_;
   Database db_;
+  /// The one index over db_, which every worker's context borrows. Its
+  /// tables build on first probe behind their own once-flags, under the
+  /// shared gate; ApplyDelta patches it under the exclusive gate.
+  FactIndex index_;
 
   /// Serving holds it shared for a whole call; ApplyDelta exclusively.
   /// Writer-priority (pending-writer counter + condvar): the moment a
@@ -435,7 +454,8 @@ class Session {
   std::atomic<uint64_t> epoch_{0};
   std::atomic<bool> defunct_{false};
 
-  /// Per-worker contexts, index-aligned with the pool's workers.
+  /// Per-worker contexts, index-aligned with the pool's workers; each
+  /// borrows index_.
   std::vector<std::unique_ptr<EvalContext>> workers_;
 
   /// Applied-delta history, newest at the back, trimmed to

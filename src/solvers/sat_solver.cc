@@ -38,20 +38,19 @@ bool Encode(EvalContext& ctx, const Query& q, Encoding* out) {
     }
   }
   // Forbid every embedding of q. The matcher hands back the matched
-  // facts; their ids come from `Database::FactIdOf`. The index comes
-  // from the context, so a batch worker reuses one set of lazily built
-  // buckets across every query it serves.
+  // facts' ids: the context's index is over ctx.db(), so they are its
+  // fact ids. A batch worker reuses the context's lazily built tables
+  // across every query it serves.
   // The deadline is polled every 256 embeddings.
   const Deadline& deadline = ctx.deadline();
   uint64_t embeddings = 0;
   return ForEachEmbeddingFacts(
       ctx.fact_index(), q, Valuation(),
-      [&](const Valuation&, const std::vector<const Fact*>& facts) {
+      [&](const Valuation&, const std::vector<int>& fact_ids) {
         if ((++embeddings & 255) == 0 && deadline.Expired()) return false;
         std::vector<int> clause;
         clause.reserve(q.size());
-        for (const Fact* fact : facts) {
-          int fid = db.FactIdOf(fact);
+        for (int fid : fact_ids) {
           int lit = -enc.fact_var[fid];
           // Dedup repeated literals (two atoms hitting the same fact).
           bool dup = false;

@@ -83,8 +83,8 @@ void SolverStats::Record(const SolverCall& call) {
   }
 }
 
-FactIndex& EvalContext::fact_index() {
-  if (!index_.has_value()) index_.emplace(db_);
+const FactIndex& EvalContext::fact_index() {
+  if (index_ == nullptr) index_ = &owned_.emplace(db_);
   return *index_;
 }
 

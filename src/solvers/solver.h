@@ -27,10 +27,9 @@
 /// that is how the plan compiler maps a complexity class to an
 /// implementation.
 ///
-/// `EvalContext` bundles the per-thread evaluation state (a lazily built
-/// `FactIndex` for one database) so a batch worker reuses one set of
-/// indexes across every query it serves instead of rebuilding them per
-/// call.
+/// `EvalContext` bundles a decision's evaluation state: the database,
+/// the deadline and the `FactIndex` over the database, which a serving
+/// session's workers share instead of rebuilding per call.
 
 namespace cqa {
 
@@ -91,15 +90,23 @@ struct SolverStats {
   void Record(const SolverCall& call);
 };
 
-/// Per-thread evaluation state for one database: the database reference
-/// plus lazily built, reusable indexes. Not thread-safe — each serving
-/// worker owns one. The solvers that can exploit shared indexes (FO
-/// evaluation, SAT embedding enumeration) pull them from here; the rest
-/// just read `db()`.
+/// Per-call evaluation state for one database: the database, the
+/// decision's deadline and the `FactIndex` over the database. A serving
+/// `Session` keeps ONE index per tenant and each worker's context borrows
+/// it: the index's probes are thread-safe, and the session patches it
+/// under its exclusive gate. A context built over a bare database (a
+/// direct call, a scoped solve beyond FO) owns an index, built on first
+/// use. The solvers that exploit the index (FO evaluation, SAT embedding
+/// enumeration) pull it from here; the rest just read `db()`.
 class EvalContext {
  public:
+  /// A context owning an index over `db`, built on first use.
   explicit EvalContext(const Database& db, const Deadline& deadline = {})
       : db_(db), deadline_(deadline) {}
+  /// A context borrowing `index`, which must be over `db` and outlive it.
+  EvalContext(const Database& db, const FactIndex& index,
+              const Deadline& deadline = {})
+      : db_(db), deadline_(deadline), index_(&index) {}
 
   const Database& db() const { return db_; }
 
@@ -108,22 +115,15 @@ class EvalContext {
   /// kDeadlineExceeded; the other solvers run to completion.
   const Deadline& deadline() const { return deadline_; }
 
-  /// Lazily built hash index over db's facts, shared across calls.
-  FactIndex& fact_index();
-
-  /// The fact index, when already built (null otherwise). A long-lived
-  /// serving `Session` keeps one EvalContext per worker and patches a
-  /// built index in place after each database delta instead of
-  /// rebuilding it (see serve/session.cc); an index never built needs
-  /// no patching, since its first use reads the post-delta database.
-  FactIndex* fact_index_if_built() {
-    return index_.has_value() ? &*index_ : nullptr;
-  }
+  /// The index over db(): the borrowed one, or the owned one, built on
+  /// the first call.
+  const FactIndex& fact_index();
 
  private:
   const Database& db_;
   Deadline deadline_;
-  std::optional<FactIndex> index_;
+  const FactIndex* index_ = nullptr;
+  std::optional<FactIndex> owned_;
 };
 
 /// The unified interface all decision procedures implement. A solver is

@@ -22,8 +22,8 @@ std::vector<std::pair<int, int>> ConflictPairs(const Database& db,
   FactIndex index(db);
   ForEachEmbeddingFacts(
       index, q, Valuation(),
-      [&](const Valuation&, const std::vector<const Fact*>& facts) {
-        pairs.emplace_back(db.FactIdOf(facts[0]), db.FactIdOf(facts[1]));
+      [&](const Valuation&, const std::vector<int>& fact_ids) {
+        pairs.emplace_back(fact_ids[0], fact_ids[1]);
         return true;
       });
   // Dedup (repeated variables can produce the same pair twice).

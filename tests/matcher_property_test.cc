@@ -234,9 +234,9 @@ Database SmallDb() {
   return db;
 }
 
-std::multiset<Fact> BucketFacts(const std::vector<const Fact*>& bucket) {
+std::multiset<Fact> BucketFacts(const FactIndex& index, FactRun bucket) {
   std::multiset<Fact> out;
-  for (const Fact* f : bucket) out.insert(*f);
+  for (int id : bucket) out.insert(index.fact(id));
   return out;
 }
 
@@ -297,11 +297,12 @@ TEST(FactIndexTest, SwapFactKeepsLazyIndexesCoherent) {
   fresh.Add(&db.facts()[2]);
   for (int i = 3; i < 6; ++i) fresh.Add(&db.facts()[i]);
   for (SymbolId rel : {r, InternSymbol("S")}) {
-    EXPECT_EQ(BucketFacts(index.Facts(rel)), BucketFacts(fresh.Facts(rel)));
+    EXPECT_EQ(BucketFacts(index, index.Facts(rel)),
+              BucketFacts(fresh, fresh.Facts(rel)));
     for (int pos = 0; pos < 3; ++pos) {
       for (SymbolId v : db.ActiveDomain()) {
-        EXPECT_EQ(BucketFacts(index.FactsAt(rel, pos, v)),
-                  BucketFacts(fresh.FactsAt(rel, pos, v)))
+        EXPECT_EQ(BucketFacts(index, index.FactsAt(rel, pos, v)),
+                  BucketFacts(fresh, fresh.FactsAt(rel, pos, v)))
             << SymbolName(rel) << " pos " << pos << " val "
             << SymbolName(v);
       }
@@ -330,6 +331,201 @@ TEST(FactIndexTest, RemoveOfStrangerIsNoOp) {
   Fact stranger = Fact::Make("R", {"zz", "zz"}, 1);
   index.Remove(&stranger);
   EXPECT_EQ(index.total(), 6u);
+}
+
+// --------------------------------------- FactIndex model differential
+
+/// Three relations over constants c0..c2: R(a | b, c), S(a, b | c) and
+/// T(a | b). Every probe the index answers over them, plus a relation it
+/// never saw and positions and prefixes past every arity.
+struct IndexProbes {
+  std::vector<SymbolId> relations = {InternSymbol("R"), InternSymbol("S"),
+                                     InternSymbol("T"), InternSymbol("U")};
+  std::vector<SymbolId> values = {InternSymbol("c0"), InternSymbol("c1"),
+                                  InternSymbol("c2"), InternSymbol("zz")};
+  std::vector<Query> queries = {
+      MustParseQuery("R(x | y, z), S(y, z | w)"),
+      MustParseQuery("R(x | y, y)"),
+      MustParseQuery("T(x | y), R(y | x, z)"),
+      MustParseQuery("S(x, y | 'c0'), T(y | x)"),
+  };
+
+  /// Every prefix over `values` of length 0 to 3.
+  std::vector<std::vector<SymbolId>> Prefixes() const {
+    std::vector<std::vector<SymbolId>> out = {{}};
+    for (size_t begin = 0, len = 0; len < 3; ++len) {
+      size_t end = out.size();
+      for (size_t i = begin; i < end; ++i) {
+        for (SymbolId v : values) {
+          out.push_back(out[i]);
+          out.back().push_back(v);
+        }
+      }
+      begin = end;
+    }
+    return out;
+  }
+};
+
+/// Expects every probe of `index` to answer what `fresh`, built from
+/// scratch over the same facts, answers, as a multiset of facts; each
+/// (relation, probe) pair is checked with chance `num` in 4, so the
+/// index builds its tables at different points of the sequence. Also
+/// checks Contains over `pool` and Satisfies against the naive matcher.
+void ExpectIndexAgrees(const FactIndex& index, const FactIndex& fresh,
+                       const std::vector<Fact>& pool,
+                       const IndexProbes& probes, Rng* rng, int num,
+                       const std::string& context) {
+  ASSERT_EQ(index.total(), fresh.total()) << context;
+  auto same = [&](FactRun got, FactRun want, const std::string& what) {
+    ASSERT_EQ(BucketFacts(index, got), BucketFacts(fresh, want))
+        << context << ": " << what;
+  };
+  for (SymbolId rel : probes.relations) {
+    const std::string name = SymbolName(rel);
+    same(index.Facts(rel), fresh.Facts(rel), "Facts(" + name + ")");
+    for (int pos = 0; pos < 4; ++pos) {
+      if (!rng->Chance(num, 4)) continue;
+      for (SymbolId v : probes.values) {
+        same(index.FactsAt(rel, pos, v), fresh.FactsAt(rel, pos, v),
+             "FactsAt(" + name + ", " + std::to_string(pos) + ", " +
+                 SymbolName(v) + ")");
+      }
+    }
+    for (size_t len = 0; len <= 3; ++len) {
+      if (!rng->Chance(num, 4)) continue;
+      for (const std::vector<SymbolId>& prefix : probes.Prefixes()) {
+        if (prefix.size() != len) continue;
+        same(index.FactsWithKeyPrefix(rel, prefix),
+             fresh.FactsWithKeyPrefix(rel, prefix),
+             "FactsWithKeyPrefix(" + name + ", " + std::to_string(len) +
+                 " values)");
+      }
+    }
+  }
+  for (const Fact& f : pool) {
+    ASSERT_EQ(index.Contains(f), fresh.Contains(f))
+        << context << ": Contains(" << f.ToString() << ")";
+  }
+  for (const Query& q : probes.queries) {
+    bool naive = false;
+    ForEachEmbedding(
+        fresh, q, Valuation(),
+        [&](const Valuation&) {
+          naive = true;
+          return false;
+        },
+        MatcherMode::kNaive);
+    ASSERT_EQ(Satisfies(index, q), naive) << context << ": " << q.ToString();
+  }
+}
+
+/// A random fact of R, S or T over c0..c2 (and, rarely, c3, which no
+/// probe names).
+Fact RandomPoolFact(Rng* rng) {
+  static const char* kValues[] = {"c0", "c1", "c2", "c3"};
+  auto value = [&] { return kValues[rng->Chance(1, 12) ? 3 : rng->Below(3)]; };
+  switch (rng->Below(3)) {
+    case 0:
+      return Fact::Make("R", {value(), value(), value()}, 1);
+    case 1:
+      return Fact::Make("S", {value(), value(), value()}, 2);
+    default:
+      return Fact::Make("T", {value(), value()}, 1);
+  }
+}
+
+/// Model-based differential of the owning index: random Add, Remove
+/// (of live addresses and of strangers) and SwapFact over a pool in which
+/// equal facts sit at distinct addresses, checked after every step
+/// against a fresh index over the live addresses. Odd seeds start from
+/// an index over a database, which the first mutation turns into an
+/// owning one.
+TEST(FactIndexTest, RandomMutationsMatchAFreshIndex) {
+  const IndexProbes probes;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed * 7919 + 1);
+    std::vector<Fact> pool;
+    for (int i = 0; i < 20; ++i) pool.push_back(RandomPoolFact(&rng));
+    for (int i = 0; i < 4; ++i) pool.push_back(pool[rng.Below(pool.size())]);
+    Database db;
+    std::vector<const Fact*> live;
+    if (seed % 2 == 1) {
+      for (const Fact& f : pool) {
+        if (rng.Chance(1, 2)) {
+          ASSERT_TRUE(db.AddFact(f).ok());
+        }
+      }
+      for (const Fact& f : db.facts()) live.push_back(&f);
+    }
+    std::optional<FactIndex> index;
+    if (seed % 2 == 1) {
+      index.emplace(db);
+    } else {
+      index.emplace();
+    }
+    const int num = 1 + static_cast<int>(seed % 4);
+    for (int step = 0; step < 40; ++step) {
+      const Fact* pick = &pool[rng.Below(pool.size())];
+      switch (live.empty() ? 0 : rng.Below(4)) {
+        case 0:
+        case 1:
+          index->Add(pick);
+          live.push_back(pick);
+          break;
+        case 2: {
+          size_t at = rng.Below(live.size());
+          const Fact* gone = rng.Chance(1, 5) ? &pool[0] : live[at];
+          auto it = std::find(live.begin(), live.end(), gone);
+          index->Remove(gone);
+          if (it != live.end()) live.erase(it);
+          break;
+        }
+        default: {
+          size_t at = rng.Below(live.size());
+          index->SwapFact(live[at], pick);
+          live[at] = pick;
+          break;
+        }
+      }
+      FactIndex fresh(live);
+      ExpectIndexAgrees(*index, fresh, pool, probes, &rng, num,
+                        "seed " + std::to_string(seed) + " step " +
+                            std::to_string(step));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+/// The same differential for an index that follows a database, the
+/// serving session's shared index: random AddFact and RemoveFact on the
+/// database, each reported through Inserted or Erasing, checked after
+/// every step against a fresh index over the database.
+TEST(FactIndexTest, FollowedDatabaseMatchesAFreshIndex) {
+  const IndexProbes probes;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed * 104729 + 3);
+    std::vector<Fact> pool;
+    for (int i = 0; i < 24; ++i) pool.push_back(RandomPoolFact(&rng));
+    Database db;
+    FactIndex index(db);
+    const int num = 1 + static_cast<int>(seed % 4);
+    for (int step = 0; step < 40; ++step) {
+      const Fact& f = pool[rng.Below(pool.size())];
+      if (db.Contains(f)) {
+        index.Erasing(db.FactId(f));
+        ASSERT_TRUE(db.RemoveFact(f).ok());
+      } else {
+        ASSERT_TRUE(db.AddFact(f).ok());
+        index.Inserted(db.FactId(f));
+      }
+      FactIndex fresh(db);
+      ExpectIndexAgrees(index, fresh, pool, probes, &rng, num,
+                        "seed " + std::to_string(seed) + " step " +
+                            std::to_string(step));
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 // ------------------------------------------------ EnumerateProjections
@@ -420,37 +616,49 @@ TEST(EnumerateProjectionsTest, RowsSortLikeVectorsAcrossEveryByte) {
   }
 }
 
-/// 1100 x 1000 embeddings projected onto x: the flat buffer passes its
-/// compaction threshold and must still yield exactly the 1100 x values.
+/// 1100 x 1000 embeddings projected onto x, and onto x and y: the flat
+/// buffer passes its compaction threshold and must still yield exactly
+/// the 1100 distinct rows, through the one-column sort and the radix
+/// sort alike.
 TEST(EnumerateProjectionsTest, CompactionKeepsTheDistinctRows) {
   Database db;
-  std::vector<std::vector<SymbolId>> expected;
+  std::vector<std::vector<SymbolId>> xs;
   for (int i = 0; i < 1100; ++i) {
     std::string x = "x" + std::to_string(i);
     ASSERT_TRUE(db.AddFact(Fact::Make("R", {x, "hub"}, 1)).ok());
-    expected.push_back({InternSymbol(x)});
+    xs.push_back({InternSymbol(x)});
   }
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(
         db.AddFact(Fact::Make("S", {"hub", "z" + std::to_string(i)}, 1)).ok());
   }
-  std::sort(expected.begin(), expected.end());
   FactIndex index(db);
   Query q = MustParseQuery("R(x | y), S(y | z)");
-  Result<std::vector<std::vector<SymbolId>>> rows =
-      EnumerateProjections(index, q, {Valuation()}, {InternSymbol("x")});
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(*rows, expected);
-  // Under a cap the buffer is compacted far more often; the 1000
-  // repeats of each row must still count once.
-  for (size_t max_rows : {size_t{1100}, size_t{1099}}) {
-    Result<std::optional<std::vector<std::vector<SymbolId>>>> capped =
-        EnumerateProjectionsAtMost(index, q, {Valuation()},
-                                   {InternSymbol("x")}, max_rows);
-    ASSERT_TRUE(capped.ok());
-    ASSERT_EQ(capped->has_value(), max_rows == 1100);
-    if (capped->has_value()) {
-      EXPECT_EQ(**capped, expected);
+  for (bool with_y : {false, true}) {
+    std::vector<SymbolId> vars = {InternSymbol("x")};
+    if (with_y) vars.push_back(InternSymbol("y"));
+    std::vector<std::vector<SymbolId>> expected = xs;
+    if (with_y) {
+      for (std::vector<SymbolId>& row : expected) {
+        row.push_back(InternSymbol("hub"));
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    Result<std::vector<std::vector<SymbolId>>> rows =
+        EnumerateProjections(index, q, {Valuation()}, vars);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(*rows, expected) << vars.size() << " column(s)";
+    // Under a cap the buffer is compacted far more often; the 1000
+    // repeats of each row must still count once.
+    for (size_t max_rows : {size_t{1100}, size_t{1099}}) {
+      Result<std::optional<std::vector<std::vector<SymbolId>>>> capped =
+          EnumerateProjectionsAtMost(index, q, {Valuation()}, vars, max_rows);
+      ASSERT_TRUE(capped.ok());
+      ASSERT_EQ(capped->has_value(), max_rows == 1100)
+          << vars.size() << " column(s)";
+      if (capped->has_value()) {
+        EXPECT_EQ(**capped, expected) << vars.size() << " column(s)";
+      }
     }
   }
 }
@@ -504,8 +712,9 @@ TEST(RepairEnumeratorTest, IndexedEnumerationMatchesPlain) {
     std::multiset<Fact> from_index;
     for (const Database::Block& b : db.blocks()) {
       std::vector<SymbolId> key = b.key;
-      for (const Fact* f : index.FactsWithKeyPrefix(b.relation, key)) {
-        if (f->KeyValues() == key) from_index.insert(*f);
+      for (int id : index.FactsWithKeyPrefix(b.relation, key)) {
+        const Fact& f = index.fact(id);
+        if (f.KeyValues() == key) from_index.insert(f);
       }
     }
     std::multiset<Fact> from_repair;

@@ -528,6 +528,7 @@ TEST(MetricsRenderTest, PrometheusTextExposition) {
       {"store.durable_databases", 2},
       {"store.read_only_databases", 0},
       {"store.wal_bytes", 4096},
+      {"session.index_bytes", 2048},
       {"session.solves", 7},
       {"session.answers_covered", 2},
       {"solver.sat.calls", 3},
@@ -547,7 +548,8 @@ TEST(MetricsRenderTest, PrometheusTextExposition) {
         "backend_degraded_backends 0", "server_connections_active 4",
         "service_databases 3", "service_prepared_queries 6",
         "service_open_cursors 1", "store_durable_databases 2",
-        "store_read_only_databases 0", "store_wal_bytes 4096"}) {
+        "store_read_only_databases 0", "store_wal_bytes 4096",
+        "session_index_bytes 2048"}) {
     std::string name = gauge;
     name = "cqa_" + name.substr(0, name.find(' '));
     EXPECT_NE(text.find("# TYPE " + name + " gauge\ncqa_" + gauge + "\n"),

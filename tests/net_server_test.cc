@@ -434,7 +434,8 @@ TEST_F(WireServerTest, MetricsVerbRendersPrometheusText) {
         "cqa_backend_degraded_backends", "cqa_server_connections_active",
         "cqa_service_databases", "cqa_service_prepared_queries",
         "cqa_service_open_cursors", "cqa_store_durable_databases",
-        "cqa_store_read_only_databases", "cqa_store_wal_bytes"}) {
+        "cqa_store_read_only_databases", "cqa_store_wal_bytes",
+        "cqa_session_index_bytes"}) {
     EXPECT_NE(text.find(std::string("# TYPE ") + gauge + " gauge\n"),
               std::string::npos)
         << gauge;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <string>
@@ -246,6 +247,68 @@ TEST(ParallelRows, ConcurrentBatchesWithNestedPartitioning) {
   }
   for (std::thread& t : callers) t.join();
   EXPECT_EQ(disagreements.load(), 0);
+}
+
+/// One index shared by four workers, as a session's is: each worker's
+/// first probe is a (relation, position) pair of its own, so the four
+/// lazy table builds race each other, and then every worker probes every
+/// pair, racing the builds still running. Every run must equal the one a
+/// sequentially probed index gives, and the index must end up holding
+/// exactly one copy of each table.
+TEST(ParallelRows, WorkersRaceFirstProbesOfOneSharedIndex) {
+  Database db;
+  const std::vector<SymbolId> relations = {InternSymbol("P1"),
+                                           InternSymbol("P2")};
+  for (SymbolId rel : relations) {
+    for (int i = 0; i < 3000; ++i) {
+      std::vector<SymbolId> values = {
+          InternSymbol("k" + std::to_string(i)),
+          InternSymbol("u" + std::to_string(i % 97)),
+          InternSymbol("w" + std::to_string(i % 13))};
+      ASSERT_TRUE(db.AddFact(Fact(rel, values, 1)).ok());
+    }
+  }
+  // (relation, position) pairs whose tables the index builds itself.
+  std::vector<std::pair<SymbolId, int>> pairs;
+  for (SymbolId rel : relations) {
+    for (int pos : {1, 2}) pairs.emplace_back(rel, pos);
+  }
+  auto probe_all = [&](const FactIndex& index, size_t first) {
+    std::vector<std::vector<int>> runs;
+    for (size_t k = 0; k < pairs.size(); ++k) {
+      const auto& [rel, pos] = pairs[(first + k) % pairs.size()];
+      for (int v = 0; v < 100; ++v) {
+        std::string name = (pos == 1 ? "u" : "w") + std::to_string(v);
+        FactRun run = index.FactsAt(rel, pos, InternSymbol(name));
+        runs.emplace_back(run.begin(), run.end());
+        std::sort(runs.back().begin(), runs.back().end());
+      }
+    }
+    // Back in the pairs' own order, whatever order they were probed in.
+    std::rotate(runs.begin(), runs.end() - first * 100, runs.end());
+    return runs;
+  };
+  FactIndex sequential(db);
+  const std::vector<std::vector<int>> expected = probe_all(sequential, 0);
+  for (int round = 0; round < 8; ++round) {
+    FactIndex shared(db);
+    std::atomic<int> ready{0};
+    std::vector<std::vector<std::vector<int>>> got(pairs.size());
+    std::vector<std::thread> workers;
+    for (size_t w = 0; w < pairs.size(); ++w) {
+      workers.emplace_back([&, w] {
+        ready.fetch_add(1);
+        while (ready.load() < static_cast<int>(pairs.size())) {
+        }
+        got[w] = probe_all(shared, w);
+      });
+    }
+    for (std::thread& t : workers) t.join();
+    for (size_t w = 0; w < pairs.size(); ++w) {
+      EXPECT_EQ(got[w], expected) << "round " << round << " worker " << w;
+    }
+    EXPECT_EQ(shared.bytes(), sequential.bytes()) << "round " << round;
+  }
 }
 
 TEST(ParallelRows, InternerConcurrentInternAndLookup) {

@@ -652,5 +652,46 @@ TEST(ServiceTest, StatsSurfaceOneConsistentView) {
   EXPECT_EQ(service.Stats(one).status().code(), StatusCode::kNotFound);
 }
 
+/// A tenant holds ONE fact index, shared by its workers. The Boolean
+/// scan R(u | v), S(v | 'yes') probes S by key and value, a table of the
+/// index's own; before any solve the gauge reads 0, after the first it
+/// reads that table's bytes, and a batch that four workers serve at once
+/// builds no second copy: four workers report what one does.
+TEST(ServiceTest, IndexBytesGaugeCountsOneIndexPerTenant) {
+  Database db;
+  for (int i = 0; i < 256; ++i) {
+    std::string v = "v" + std::to_string(i % 64);
+    ASSERT_TRUE(db.AddFact(Fact::Make("R", {"u" + std::to_string(i), v}, 1))
+                    .ok());
+    if (i < 64) {
+      ASSERT_TRUE(
+          db.AddFact(Fact::Make("S", {v, i % 3 == 0 ? "no" : "yes"}, 1))
+              .ok());
+    }
+  }
+  uint64_t bytes[2] = {0, 0};
+  const int threads[2] = {1, 4};
+  for (int t = 0; t < 2; ++t) {
+    Service::Options options;
+    options.num_threads = threads[t];
+    Service service(options);
+    ASSERT_TRUE(service.CreateDatabase("scan", db).ok());
+    EXPECT_EQ(service.Stats({}).value().session.index_bytes, 0u);
+    Service::SolveRequest solve;
+    solve.database = "scan";
+    solve.query = MustParseQuery("R(u | v), S(v | 'yes')");
+    ASSERT_TRUE(service.Solve(solve).ok());
+    bytes[t] = service.Stats({}).value().session.index_bytes;
+    EXPECT_GT(bytes[t], 0u) << threads[t] << " worker(s)";
+    for (const Result<Service::SolveResponse>& served :
+         service.SolveBatch(std::vector<Service::SolveRequest>(8, solve))) {
+      ASSERT_TRUE(served.ok()) << served.status();
+    }
+    EXPECT_EQ(service.Stats({}).value().session.index_bytes, bytes[t])
+        << threads[t] << " worker(s)";
+  }
+  EXPECT_EQ(bytes[0], bytes[1]);
+}
+
 }  // namespace
 }  // namespace cqa

@@ -885,9 +885,12 @@ TEST(SessionTest, ReachFallsBackWhenTheChangedAtomSplitsTheCover) {
 }
 
 /// The reach rule's bound: the reached rows may number max_dirty_patterns
-/// less the key patterns, or a third of the cached rows if that is more.
-/// With max_dirty_patterns = 0 the third alone decides. 100 R-blocks, 20
-/// joined to S-block bA, 40 to bB and 40 to blocks of their own.
+/// less the key patterns, or a third of the rows the entry's last full
+/// recompute decided if that is more. With max_dirty_patterns = 0 the
+/// third alone decides. 100 R-blocks, 20 joined to S-block bA, 40 to bB
+/// and 40 to blocks of their own. Every full recompute here decides 100
+/// rows: the first and the last through the join, the other through the
+/// covering atom R.
 TEST(SessionTest, ReachStopsAtTheBound) {
   Database db;
   for (int i = 0; i < 100; ++i) {
@@ -920,11 +923,11 @@ TEST(SessionTest, ReachStopsAtTheBound) {
     bool incremental;  // refreshed in place, not recomputed
   };
   const std::vector<Step> steps = {
-      {s_block("bB", false), 60, false},  // 40 reached, 100 cached: bound 33
-      {s_block("bA", false), 40, true},   // 20 of 60: bound 20
-      {s_block("bA", true), 60, false},   // 20 of 40: bound 13
-      {s_block("bB", true), 100, false},  // 40 of 60: bound 20
-      {s_block("bA", false), 80, true},   // 20 of 100: bound 33
+      {s_block("bB", false), 60, false},  // 40 reached, 100 decided: bound 33
+      {s_block("bA", false), 40, true},   // 20 reached: bound 33
+      {s_block("bA", true), 60, true},    // 20 reached: bound 33
+      {s_block("bB", true), 100, false},  // 40 reached: bound 33
+      {s_block("bA", false), 80, true},   // 20 reached: bound 33
   };
   for (size_t i = 0; i < steps.size(); ++i) {
     ASSERT_TRUE(session.ApplyDelta(steps[i].delta).ok());
@@ -941,6 +944,60 @@ TEST(SessionTest, ReachStopsAtTheBound) {
     EXPECT_EQ(after.answers_full - before.answers_full,
               steps[i].incremental ? 0u : 1u)
         << "step " << i;
+  }
+}
+
+/// A drop and the matching restore both refresh in place: the shape of
+/// BM_Session_ReachRule at 64/16, with max_dirty_patterns = 0. R(a_i |
+/// b_(i/16)) for 64 blocks, a dead second fact in every seventh, and one
+/// S-block per b_j. Dropping S(b0 | c0) reaches 16 rows and leaves 41
+/// answers of 54, so a bound of a third of the cached rows (13) would
+/// recompute the restore in full; the first computation decided 64
+/// rows, so the bound is 21 for both.
+TEST(SessionTest, ReachDropAndRestoreBothRefreshInPlace) {
+  Database db;
+  for (int i = 0; i < 64; ++i) {
+    std::string a = "a" + std::to_string(i);
+    std::string b = "b" + std::to_string(i / 16);
+    ASSERT_TRUE(db.AddFact(F("R", {a, b}, 1)).ok());
+    if (i % 7 == 0) {
+      ASSERT_TRUE(db.AddFact(F("R", {a, "dead" + std::to_string(i)}, 1)).ok());
+    }
+  }
+  for (int j = 0; j < 4; ++j) {
+    std::string b = "b" + std::to_string(j);
+    ASSERT_TRUE(db.AddFact(F("S", {b, "c" + std::to_string(j)}, 1)).ok());
+  }
+  Session::Options options;
+  options.num_threads = 2;
+  options.max_dirty_patterns = 0;
+  Session session(std::move(db), options);
+  Query q = MustParseQuery("R(x | y), S(y | z)");
+  std::vector<SymbolId> fv = {InternSymbol("x")};
+  Result<Rows> first = Serve(session, q, fv);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_EQ(first->size(), 54u);
+  for (int round = 0; round < 2; ++round) {
+    for (bool present : {false, true}) {
+      Delta delta;
+      std::vector<Fact> facts;
+      if (present) facts.push_back(F("S", {"b0", "c0"}, 1));
+      delta.ReplaceBlock(InternSymbol("S"), {InternSymbol("b0")},
+                         std::move(facts));
+      ASSERT_TRUE(session.ApplyDelta(delta).ok());
+      Session::Stats before = session.stats();
+      Result<Rows> served = Serve(session, q, fv);
+      ASSERT_TRUE(served.ok()) << served.status();
+      EXPECT_EQ(*served, *testutil::CertainAnswers(session.db(), q, fv));
+      EXPECT_EQ(served->size(), present ? 54u : 41u);
+      Session::Stats after = session.stats();
+      EXPECT_EQ(after.answers_incremental, before.answers_incremental + 1)
+          << "round " << round << (present ? ", restore" : ", drop");
+      EXPECT_EQ(after.answers_full, before.answers_full)
+          << "round " << round << (present ? ", restore" : ", drop");
+      EXPECT_EQ(after.rows_decided, before.rows_decided + (present ? 16 : 0))
+          << "round " << round << (present ? ", restore" : ", drop");
+    }
   }
 }
 
