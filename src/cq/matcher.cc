@@ -28,11 +28,6 @@ uint32_t HashKey(const SymbolId* key, int len) {
   return static_cast<uint32_t>(h ^ (h >> 32));
 }
 
-uint32_t HashAddress(const Fact* fact) {
-  uint64_t a = reinterpret_cast<uintptr_t>(fact);
-  return static_cast<uint32_t>(a ^ (a >> 32));
-}
-
 }  // namespace
 
 /// Runs of fact ids by a 32-bit tag: linear probing over a power-of-two
@@ -199,10 +194,6 @@ class FactIndex::RunTable {
 /// position table, values()[0..length) for a prefix table. Built on the
 /// first probe, once; from then on every mutation patches it.
 struct FactIndex::Table {
-  /// Whether `fact` is wide enough to have this table's key.
-  bool Keys(const Fact& fact) const {
-    return fact.arity() >= offset + length;
-  }
   /// The tag of the key key[0..length).
   uint32_t TagOf(const SymbolId* key) const {
     return length == 1 ? key[0] : HashKey(key, length);
@@ -220,15 +211,15 @@ struct FactIndex::Table {
 
 struct FactIndex::Relation {
   SymbolId id = 0;
-  /// Over a database: the schema's key arity, whose prefix runs are the
-  /// database's blocks. -1 in an owning index.
+  /// Following a database: the schema's key arity, whose prefix runs are
+  /// the database's blocks. -1 in a view, whose blocks may hide facts.
   int key_arity = -1;
-  /// The relation's ids: the database's FactsOf list, or `own`.
+  /// The relation's ids: the database's FactsOf list, or a view's `shown`.
   const std::vector<int>* all = nullptr;
-  std::vector<int> own;
+  std::vector<int> shown;
   /// One table per position in [0, arity), then one per prefix length in
   /// [2, arity] (a prefix of 0 is Facts, one of 1 is position 0), in one
-  /// allocation.
+  /// allocation. The schema fixes the arity of every fact of the relation.
   int arity = 0;
   std::unique_ptr<Table[]> tables;
 
@@ -244,22 +235,27 @@ struct FactIndex::Relation {
   }
 };
 
-FactIndex::FactIndex() : by_address_(std::make_unique<RunTable>()) {}
-
-FactIndex::FactIndex(const Database& db) : db_(&db) {
+FactIndex::FactIndex(const Database& db) : db_(db), view_(false) {
   // A relation without facts (a restricted copy keeps the whole schema)
   // gets its entry from Inserted, with its first fact.
   for (SymbolId relation : db.schema().relations()) {
-    if (db.FactsOf(relation).empty()) continue;
-    std::optional<Signature> sig = db.schema().Find(relation);
-    AddRelation(relation, sig->arity, sig->key_arity);
+    if (!db.FactsOf(relation).empty()) AddRelation(relation);
   }
 }
 
-FactIndex::FactIndex(const Repair& repair) : FactIndex() {
-  ptrs_.reserve(repair.size());
-  rel_slots_.reserve(repair.size());
-  for (const Fact* f : repair) Add(f);
+FactIndex::FactIndex(const Database& db, Shown shown)
+    : db_(db), view_(true), slots_(db.size(), -1) {
+  for (SymbolId relation : db.schema().relations()) {
+    const std::vector<int>& ids = db.FactsOf(relation);
+    if (ids.empty()) continue;
+    Relation* rel = AddRelation(relation);
+    if (shown == Shown::kNone) continue;
+    rel->shown = ids;
+    for (size_t slot = 0; slot < ids.size(); ++slot) {
+      slots_[ids[slot]] = static_cast<int>(slot);
+    }
+  }
+  if (shown == Shown::kAll) shown_ = db.size();
 }
 
 FactIndex::~FactIndex() = default;
@@ -274,39 +270,28 @@ FactIndex::Relation* FactIndex::FindRelation(SymbolId relation) const {
   }
 }
 
-FactIndex::Relation* FactIndex::AddRelation(SymbolId relation, int arity,
-                                            int key_arity) {
-  Relation* rel = FindRelation(relation);
-  if (rel == nullptr) {
-    rels_.push_back(std::make_unique<Relation>());
-    rel = rels_.back().get();
-    rel->id = relation;
-    rel->key_arity = db_ != nullptr ? key_arity : -1;
-    rel->all = db_ != nullptr ? &db_->FactsOf(relation) : &rel->own;
-    // At most half full.
-    if (2 * rels_.size() > dir_.size()) {
-      dir_.assign(std::max<size_t>(8, 2 * dir_.size()), nullptr);
-    } else {
-      dir_.assign(dir_.size(), nullptr);
-    }
-    const size_t mask = dir_.size() - 1;
-    for (const std::unique_ptr<Relation>& r : rels_) {
-      size_t i = Home(r->id, __builtin_ctzll(dir_.size()));
-      while (dir_[i] != nullptr) i = (i + 1) & mask;
-      dir_[i] = r.get();
-    }
+FactIndex::Relation* FactIndex::AddRelation(SymbolId relation) {
+  const Signature sig = *db_.schema().Find(relation);
+  rels_.push_back(std::make_unique<Relation>());
+  Relation* rel = rels_.back().get();
+  rel->id = relation;
+  rel->key_arity = view_ ? -1 : sig.key_arity;
+  rel->all = view_ ? &rel->shown : &db_.FactsOf(relation);
+  rel->arity = sig.arity;
+  rel->tables = std::make_unique<Table[]>(rel->TableCount());
+  for (int p = 0; p < sig.arity; ++p) rel->Position(p).offset = p;
+  for (int len = 2; len <= sig.arity; ++len) rel->Prefix(len).length = len;
+  // At most half full.
+  if (2 * rels_.size() > dir_.size()) {
+    dir_.assign(std::max<size_t>(8, 2 * dir_.size()), nullptr);
+  } else {
+    dir_.assign(dir_.size(), nullptr);
   }
-  if (arity > rel->arity) {
-    // Only an owning index meets a wider fact of a known relation (a
-    // database's schema fixes arities); its tables start over, unbuilt.
-    assert(rel->arity == 0 || db_ == nullptr);
-    rel->ForEachBuilt([&](Table& t) {
-      bytes_.fetch_sub(t.runs.bytes(), std::memory_order_relaxed);
-    });
-    rel->arity = arity;
-    rel->tables = std::make_unique<Table[]>(rel->TableCount());
-    for (int p = 0; p < arity; ++p) rel->Position(p).offset = p;
-    for (int len = 2; len <= arity; ++len) rel->Prefix(len).length = len;
+  const size_t mask = dir_.size() - 1;
+  for (const std::unique_ptr<Relation>& r : rels_) {
+    size_t i = Home(r->id, __builtin_ctzll(dir_.size()));
+    while (dir_[i] != nullptr) i = (i + 1) & mask;
+    dir_[i] = r.get();
   }
   return rel;
 }
@@ -317,7 +302,6 @@ const FactIndex::RunTable& FactIndex::Built(Table& t,
     std::call_once(t.once, [&] {
       for (int id : Facts(relation)) {
         const Fact& f = fact(id);
-        if (!t.Keys(f)) continue;
         t.runs.Add(t.TagOf(f), id, [&](int rep) {
           return KeyEqual(t, f.values().data() + t.offset, rep);
         });
@@ -347,7 +331,7 @@ FactRun FactIndex::Probe(Table& table, SymbolId relation,
 
 FactRun FactIndex::Block(SymbolId relation, const SymbolId* key,
                          size_t key_arity) const {
-  const Database::Block* block = db_->FindBlock(relation, key, key_arity);
+  const Database::Block* block = db_.FindBlock(relation, key, key_arity);
   return block == nullptr
              ? FactRun()
              : FactRun(block->fact_ids.data(), block->fact_ids.size());
@@ -362,10 +346,7 @@ FactRun FactIndex::Facts(SymbolId relation) const {
 FactRun FactIndex::FactsAt(SymbolId relation, int position,
                            SymbolId value) const {
   const Relation* rel = FindRelation(relation);
-  if (rel == nullptr ||
-      position >= rel->arity) {
-    return FactRun();
-  }
+  if (rel == nullptr || position >= rel->arity) return FactRun();
   if (position == 0 && rel->key_arity == 1) {
     return Block(relation, &value, 1);
   }
@@ -387,39 +368,17 @@ FactRun FactIndex::FactsWithKeyPrefix(SymbolId relation,
 
 bool FactIndex::Contains(SymbolId relation, const SymbolId* values,
                          size_t arity, int key_arity) const {
-  if (FindRelation(relation) == nullptr) return false;
-  if (db_ != nullptr) {
-    return db_->FactId(relation, values, arity, key_arity) >= 0;
-  }
-  // Owning: the facts of the block, compared whole.
-  for (int id :
-       FactsWithKeyPrefix(relation, values, static_cast<size_t>(key_arity))) {
-    const Fact& f = fact(id);
-    if (f.key_arity() == key_arity && f.values().size() == arity &&
-        std::equal(f.values().begin(), f.values().end(), values)) {
-      return true;
-    }
-  }
-  return false;
+  int id = db_.FactId(relation, values, arity, key_arity);
+  return id >= 0 && (!view_ || slots_[id] >= 0);
 }
 
 size_t FactIndex::total() const {
-  return db_ != nullptr ? static_cast<size_t>(db_->size()) : ptrs_.size();
+  return view_ ? shown_ : static_cast<size_t>(db_.size());
 }
 
-void FactIndex::Attach(int id) {
+void FactIndex::Attach(const Relation& rel, int id) {
   const Fact& f = fact(id);
-  Relation* rel = FindRelation(f.relation());
-  if (db_ == nullptr) {
-    rel_slots_[id] = static_cast<int>(rel->own.size());
-    rel->own.push_back(id);
-    const Fact* address = ptrs_[id];
-    by_address_->Add(HashAddress(address), id,
-                     [&](int rep) { return ptrs_[rep] == address; });
-  }
-  rel->ForEachBuilt([&](Table& t) {
-    if (t.Keys(f)) AddTo(t, id, f);
-  });
+  rel.ForEachBuilt([&](Table& t) { AddTo(t, id, f); });
 }
 
 void FactIndex::AddTo(Table& table, int id, const Fact& fact) {
@@ -433,134 +392,76 @@ void FactIndex::AddTo(Table& table, int id, const Fact& fact) {
   }
 }
 
-void FactIndex::Detach(int id) {
+void FactIndex::Detach(const Relation& rel, int id) {
   const Fact& f = fact(id);
-  Relation* rel = FindRelation(f.relation());
-  if (db_ == nullptr) {
-    std::vector<int>& own = rel->own;
-    int slot = rel_slots_[id];
-    int tail = own.back();
-    own[slot] = tail;
-    rel_slots_[tail] = slot;
-    own.pop_back();
-    by_address_->Remove(HashAddress(ptrs_[id]), id);
-  }
-  rel->ForEachBuilt([&](Table& t) {
-    if (t.Keys(f)) t.runs.Remove(t.TagOf(f), id);
-  });
-}
-
-void FactIndex::Renumber(int from, int to) {
-  const Fact& f = fact(from);
-  Relation* rel = FindRelation(f.relation());
-  if (db_ == nullptr) {
-    rel->own[rel_slots_[from]] = to;
-    rel_slots_[to] = rel_slots_[from];
-    by_address_->Renumber(HashAddress(ptrs_[from]), from, to);
-  }
-  rel->ForEachBuilt([&](Table& t) {
-    if (t.Keys(f)) t.runs.Renumber(t.TagOf(f), from, to);
-  });
-}
-
-int FactIndex::IdOfAddress(const Fact* fact) const {
-  FactRun run = by_address_->Find(
-      HashAddress(fact), [&](int rep) { return ptrs_[rep] == fact; });
-  return run.empty() ? -1 : run[run.size() - 1];
-}
-
-void FactIndex::Own() {
-  if (db_ == nullptr) return;
-  // The ids stay the database's, so every built table stays valid.
-  const int n = db_->size();
-  ptrs_.reserve(n);
-  for (int id = 0; id < n; ++id) ptrs_.push_back(&db_->facts()[id]);
-  rel_slots_.assign(n, -1);
-  for (const std::unique_ptr<Relation>& rel : rels_) {
-    rel->own = *rel->all;
-    rel->all = &rel->own;
-    rel->key_arity = -1;
-    for (size_t slot = 0; slot < rel->own.size(); ++slot) {
-      rel_slots_[rel->own[slot]] = static_cast<int>(slot);
-    }
-  }
-  by_address_ = std::make_unique<RunTable>();
-  for (int id = 0; id < n; ++id) {
-    const Fact* address = ptrs_[id];
-    by_address_->Add(HashAddress(address), id,
-                     [&](int rep) { return ptrs_[rep] == address; });
-  }
-  db_ = nullptr;
-}
-
-void FactIndex::Add(const Fact* fact) {
-  Own();
-  AddRelation(fact->relation(), fact->arity(), -1);
-  ptrs_.push_back(fact);
-  rel_slots_.push_back(-1);
-  Attach(static_cast<int>(ptrs_.size()) - 1);
-}
-
-void FactIndex::Remove(const Fact* fact) {
-  Own();
-  int id = IdOfAddress(fact);
-  if (id < 0) return;
-  Detach(id);
-  int last = static_cast<int>(ptrs_.size()) - 1;
-  if (id != last) {
-    Renumber(last, id);
-    ptrs_[id] = ptrs_[last];
-  }
-  ptrs_.pop_back();
-  rel_slots_.pop_back();
-}
-
-void FactIndex::SwapFact(const Fact* old_fact, const Fact* new_fact) {
-  if (old_fact == new_fact) return;
-  Own();
-  int id = IdOfAddress(old_fact);
-  if (id < 0) {
-    Add(new_fact);
-    return;
-  }
-  if (old_fact->relation() != new_fact->relation() ||
-      old_fact->arity() != new_fact->arity()) {
-    Detach(id);
-    AddRelation(new_fact->relation(), new_fact->arity(), -1);
-    ptrs_[id] = new_fact;
-    Attach(id);
-    return;
-  }
-  // One relation and arity: the id keeps its place in the relation's
-  // list, and a table in which both facts have one key keeps its run
-  // (within a block, every table over key positions does).
-  FindRelation(new_fact->relation())->ForEachBuilt([&](Table& t) {
-    const SymbolId* from = old_fact->values().data() + t.offset;
-    const SymbolId* to = new_fact->values().data() + t.offset;
-    if (!t.Keys(*new_fact) || std::equal(from, from + t.length, to)) return;
-    t.runs.Remove(t.TagOf(from), id);
-    AddTo(t, id, *new_fact);
-  });
-  by_address_->Remove(HashAddress(old_fact), id);
-  ptrs_[id] = new_fact;
-  by_address_->Add(HashAddress(new_fact), id,
-                   [&](int rep) { return ptrs_[rep] == new_fact; });
+  rel.ForEachBuilt([&](Table& t) { t.runs.Remove(t.TagOf(f), id); });
 }
 
 void FactIndex::Inserted(int id) {
-  assert(db_ != nullptr);
-  const Fact& f = fact(id);
-  Relation* rel = AddRelation(f.relation(), f.arity(), f.key_arity());
-  // The database's list for a relation it had no fact of is new.
-  rel->all = &db_->FactsOf(f.relation());
-  Attach(id);
+  assert(!view_);
+  SymbolId relation = fact(id).relation();
+  Relation* rel = FindRelation(relation);
+  // The database's list already holds the id.
+  Attach(rel != nullptr ? *rel : *AddRelation(relation), id);
 }
 
 void FactIndex::Erasing(int id) {
-  assert(db_ != nullptr);
-  Detach(id);
-  int last = db_->size() - 1;
-  if (id != last) Renumber(last, id);
+  assert(!view_);
+  Detach(*FindRelation(fact(id).relation()), id);
+  const int last = db_.size() - 1;
+  if (id == last) return;
+  // Every built table holding `last` holds `id` instead.
+  const Fact& moved = fact(last);
+  FindRelation(moved.relation())->ForEachBuilt([&](Table& t) {
+    t.runs.Renumber(t.TagOf(moved), last, id);
+  });
+}
+
+void FactIndex::Show(int id) {
+  assert(view_ && slots_[id] < 0);
+  Relation& rel = *FindRelation(fact(id).relation());
+  slots_[id] = static_cast<int>(rel.shown.size());
+  rel.shown.push_back(id);
+  ++shown_;
+  Attach(rel, id);
+}
+
+void FactIndex::Hide(int id) {
+  assert(view_ && slots_[id] >= 0);
+  Relation& rel = *FindRelation(fact(id).relation());
+  const int slot = slots_[id];
+  const int tail = rel.shown.back();
+  rel.shown[slot] = tail;
+  slots_[tail] = slot;
+  rel.shown.pop_back();
+  slots_[id] = -1;
+  --shown_;
+  Detach(rel, id);
+}
+
+void FactIndex::Swap(int from, int to) {
+  if (from == to) return;
+  assert(view_ && slots_[from] >= 0 && slots_[to] < 0);
+  const Fact& old_fact = fact(from);
+  const Fact& new_fact = fact(to);
+  assert(old_fact.KeyEqual(new_fact));
+  Relation& rel = *FindRelation(old_fact.relation());
+  // `to` takes `from`'s place in the relation's list and in every run the
+  // two facts share (within a block, every run keyed by key positions);
+  // only a table in which their keys differ re-files the id.
+  rel.shown[slots_[from]] = to;
+  slots_[to] = slots_[from];
+  slots_[from] = -1;
+  rel.ForEachBuilt([&](Table& t) {
+    const SymbolId* was = old_fact.values().data() + t.offset;
+    const SymbolId* now = new_fact.values().data() + t.offset;
+    if (std::equal(was, was + t.length, now)) {
+      t.runs.Renumber(t.TagOf(was), from, to);
+    } else {
+      t.runs.Remove(t.TagOf(was), from);
+      AddTo(t, to, new_fact);
+    }
+  });
 }
 
 // ------------------------------------------------------------ matching
@@ -976,10 +877,6 @@ void CollectProjections(const FactIndex& index, const Query& q,
 
 bool Satisfies(const Database& db, const Query& q) {
   return Satisfies(FactIndex(db), q);
-}
-
-bool Satisfies(const Repair& repair, const Query& q) {
-  return Satisfies(FactIndex(repair), q);
 }
 
 }  // namespace cqa

@@ -12,7 +12,6 @@
 #include "cq/query.h"
 #include "cq/valuation.h"
 #include "db/database.h"
-#include "db/repairs.h"
 #include "util/deadline.h"
 #include "util/status.h"
 
@@ -20,41 +19,51 @@
 /// Conjunctive query evaluation: db ⊨ q iff some valuation θ over vars(q)
 /// embeds every atom of q into db (Section 3). Implemented as a
 /// backtracking join over `FactIndex`, a hash-indexed per-relation view of
-/// a fact set.
+/// a database's facts.
 ///
 /// ## Index structures
 ///
-/// A `FactIndex` names facts by int id and answers every probe with a
+/// A `FactIndex` indexes one `Database` by the database's fact ids
+/// (`fact(id)` reads the database) and answers every probe with a
 /// `FactRun`, a contiguous run of ids, without allocating:
 ///
 ///   * `Facts(R)`: every fact of R;
 ///   * `FactsAt(R, p, v)`: the facts of R with values()[p] == v;
 ///   * `FactsWithKeyPrefix(R, v_1..v_k)`: the facts of R whose first k
 ///     values are v_1..v_k. With k = the key arity of R the run is one
-///     primary-key block of the database;
+///     primary-key block;
 ///   * `Contains(fact)`: membership by value.
 ///
-/// An index over a `Database` (the serving session's, one per tenant,
-/// and every `EvalContext`'s) uses the database's fact ids and reads
-/// what the database already stores: `Facts` reads `FactsOf`, a
-/// full-key probe (and position 0 of a key-arity-1 relation) reads the
-/// block table, and `Contains` reads the fact table. Every other
-/// (relation, position) and (relation, prefix length) gets a flat
-/// open-addressing table of fact-id runs, built on its first probe, once,
-/// behind its own once-flag, so threads may share the index and probe it
-/// concurrently. A table slot is 16 bytes, a key with one fact keeps its
-/// id in the slot, and the other runs lie end to end in one id array, so
-/// a table costs about 16 bytes a key plus 4 a fact in a run of two or
-/// more. The database's owner reports each change
-/// (`Inserted`/`Erasing`) and the built tables are patched in place.
+/// An index has one of two forms, fixed when it is built:
 ///
-/// An owning index (`FactIndex()`, `FactIndex(repair)`) holds facts by
-/// address, added and removed one at a time (`Add`/`Remove`/`SwapFact`),
-/// with ids of its own; its relation lists and block tables are tables
-/// like the rest. `SwapFact` is the repair hot path: enumerating repairs
-/// changes one block's choice at a time, so solvers mutate one shared
-/// index per block-choice change instead of rebuilding an index per
-/// repair (see RepairEnumerator::ForEachIndexed).
+///   * It follows its database (`FactIndex(db)`): the serving session's,
+///     one per tenant, and every `EvalContext`'s. It holds every fact and
+///     reads what the database already stores: `Facts` reads `FactsOf`, a
+///     full-key probe (and position 0 of a key-arity-1 relation) reads the
+///     block table, and `Contains` reads the fact table. The database's
+///     owner reports each change (`Inserted`/`Erasing`).
+///   * It is a view (`FactIndex(db, shown)`) of a database that does not
+///     change while the view lives, and holds a subset of its facts: all
+///     or none at first, then what `Show`, `Hide` and `Swap` pick. A
+///     repair (one fact of each block) and a purified database (whole
+///     blocks, Lemma 1) are such subsets, so repair enumeration,
+///     purification, sampling and the possible-worlds oracle run on views.
+///     A view keeps its own relation lists and answers full-key probes
+///     from its own prefix tables, since the database's blocks also hold
+///     hidden facts; `Contains` reads the fact table, then the view's slot
+///     map.
+///
+/// Every other (relation, position) and (relation, prefix length) gets a
+/// flat open-addressing table of fact-id runs, built on its first probe,
+/// once, behind its own once-flag, so threads may share the index and
+/// probe it concurrently. A table slot is 16 bytes, a key with one fact
+/// keeps its id in the slot, and the other runs lie end to end in one id
+/// array, so a table costs about 16 bytes a key plus 4 a fact in a run of
+/// two or more. Every change patches the built tables in place. `Swap`
+/// is the repair hot path: enumerating repairs changes one block's choice
+/// at a time, and the two facts of a block share every run keyed by key
+/// positions, where the swap only renumbers the id (see
+/// RepairEnumerator::ForEachIndexed).
 ///
 /// ## Join evaluation and atom ordering
 ///
@@ -97,50 +106,48 @@ class FactRun {
   size_t size_ = 0;
 };
 
-/// A hash-indexed per-relation view over a set of facts; see the file
+/// A hash-indexed per-relation view of a database's facts; see the file
 /// comment. Probes are const and thread-safe against each other; the
-/// mutators need the index (and, over a database, the database) to
-/// themselves.
+/// mutators need the index (and, for a followed database, the database)
+/// to themselves.
 class FactIndex {
  public:
-  /// An empty owning index: facts enter by Add.
-  FactIndex();
-  /// An index over `db`, which must outlive it. Ids are db's fact ids.
-  /// A change to db must be reported through Inserted/Erasing.
+  /// Which of its database's facts a view starts with.
+  enum class Shown { kAll, kNone };
+
+  /// An index following `db`, which must outlive it. A change to db must
+  /// be reported through Inserted/Erasing.
   explicit FactIndex(const Database& db);
-  /// An owning index over the repair's facts.
-  explicit FactIndex(const Repair& repair);
+  /// A view of `db`, which must outlive it and not change while it lives,
+  /// showing all or none of db's facts.
+  FactIndex(const Database& db, Shown shown);
+  /// An index over a temporary would outlive it.
+  FactIndex(const Database&&) = delete;
+  FactIndex(const Database&&, Shown) = delete;
   ~FactIndex();
   FactIndex(const FactIndex&) = delete;
   FactIndex& operator=(const FactIndex&) = delete;
 
-  /// Inserts `fact`, whose address must stay valid until removed. Ids
-  /// stay dense: a new fact takes the next one. An index over a database
-  /// that Add, Remove or SwapFact change becomes an owning index over
-  /// the database's facts first, with the same ids (the database itself
-  /// is left alone).
-  void Add(const Fact* fact);
-
-  /// Removes an address previously passed to Add, or a fact of the
-  /// database the index was built over (no-op for strangers). The last
-  /// id moves into the freed one.
-  void Remove(const Fact* fact);
-
-  /// Remove(old_fact) + Add(new_fact), with new_fact taking old_fact's
-  /// id: the per-block repair transition.
-  void SwapFact(const Fact* old_fact, const Fact* new_fact);
-
-  /// Index over a database: the database just stored facts()[id].
+  /// Following a database: the database just stored facts()[id].
   void Inserted(int id);
 
-  /// Index over a database: the database is about to remove facts()[id],
+  /// Following a database: the database is about to remove facts()[id],
   /// which moves its last fact into `id` (Database::RemoveFact).
   void Erasing(int id);
 
+  /// A view: shows the hidden fact `id`.
+  void Show(int id);
+
+  /// A view: hides the shown fact `id`.
+  void Hide(int id);
+
+  /// A view: hides the shown fact `from` and shows the hidden fact `to` of
+  /// the same block, the per-block repair transition. A no-op when
+  /// from == to.
+  void Swap(int from, int to);
+
   /// The fact with this id.
-  const Fact& fact(int id) const {
-    return db_ != nullptr ? db_->facts()[id] : *ptrs_[id];
-  }
+  const Fact& fact(int id) const { return db_.facts()[id]; }
 
   /// All facts of `relation`.
   FactRun Facts(SymbolId relation) const;
@@ -180,49 +187,40 @@ class FactIndex {
   struct Relation;
 
   Relation* FindRelation(SymbolId relation) const;
-  /// The relation's entry, created when new, with tables for `arity`
-  /// positions at least.
-  Relation* AddRelation(SymbolId relation, int arity, int key_arity);
+  /// A new entry for `relation`, which the database's schema knows.
+  Relation* AddRelation(SymbolId relation);
   /// `table` of `relation`, built first if it is not yet.
   const RunTable& Built(Table& table, SymbolId relation) const;
   /// Whether the fact `rep` has `table`'s key `key`.
   bool KeyEqual(const Table& table, const SymbolId* key, int rep) const;
   /// The run of `key` in `table` of `relation`.
   FactRun Probe(Table& table, SymbolId relation, const SymbolId* key) const;
-  /// Over a database: the block (relation, key[0..key_arity)).
+  /// Following a database: the block (relation, key[0..key_arity)).
   FactRun Block(SymbolId relation, const SymbolId* key,
                 size_t key_arity) const;
-  /// Adds `id` to, or drops it from, every structure holding it: the
-  /// relation's built tables, and an owning index's relation list and
-  /// address table.
-  void Attach(int id);
-  void Detach(int id);
+  /// Adds `id` to, or drops it from, the built tables of its relation
+  /// `rel`.
+  void Attach(const Relation& rel, int id);
+  void Detach(const Relation& rel, int id);
   /// Adds `id`, the id of `fact`, to `table`, keeping bytes_ current.
   void AddTo(Table& table, int id, const Fact& fact);
-  /// Every structure holding `from` holds `to` instead.
-  void Renumber(int from, int to);
-  /// The owning index's id of `fact`'s address, or -1.
-  int IdOfAddress(const Fact* fact) const;
-  /// Turns an index over a database into an owning index over its facts.
-  void Own();
 
-  /// The database this index follows, or null for an owning index.
-  const Database* db_ = nullptr;
+  const Database& db_;
+  /// Whether this index is a view; it never changes.
+  const bool view_;
   std::vector<std::unique_ptr<Relation>> rels_;
   /// rels_ by relation id: open addressing over a power-of-two array.
   std::vector<Relation*> dir_;
-  /// Owning index only: id -> fact, its slot in its relation's list, and
-  /// the ids by address.
-  std::vector<const Fact*> ptrs_;
-  std::vector<int> rel_slots_;
-  std::unique_ptr<RunTable> by_address_;
+  /// A view only: id -> its place in its relation's list, or -1 while
+  /// hidden; and the number of facts shown.
+  std::vector<int> slots_;
+  size_t shown_ = 0;
   mutable std::atomic<size_t> bytes_{0};
 };
 
 /// True iff some valuation embeds `q` into the indexed facts.
 bool Satisfies(const FactIndex& index, const Query& q);
 bool Satisfies(const Database& db, const Query& q);
-bool Satisfies(const Repair& repair, const Query& q);
 
 /// Enumerates embeddings θ with θ(q) ⊆ index. The callback returns false
 /// to stop; `initial` seeds the search with pre-bound variables.
@@ -234,10 +232,10 @@ bool ForEachEmbedding(const FactIndex& index, const Query& q,
 
 /// Like ForEachEmbedding, but also hands the callback the ids of the
 /// matched facts, aligned with q.atoms(): index.fact(fact_ids[i]) ==
-/// θ(q.atom(i)). Over an index on a database these are its fact ids, so
-/// consumers that need fact identities (SAT encoding, repair counting,
-/// conflict graphs) read them directly instead of re-materializing
-/// θ(atom) and hashing it back to an id.
+/// θ(q.atom(i)). These are the indexed database's fact ids, so consumers
+/// that need fact identities (SAT encoding, repair counting, conflict
+/// graphs) read them directly instead of re-materializing θ(atom) and
+/// hashing it back to an id.
 using EmbeddingFactsFn = std::function<bool(
     const Valuation&, const std::vector<int>& fact_ids)>;
 bool ForEachEmbeddingFacts(const FactIndex& index, const Query& q,

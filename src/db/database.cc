@@ -271,16 +271,6 @@ const Database::Block* Database::FindBlock(SymbolId relation,
   return id < 0 ? nullptr : &blocks_[id];
 }
 
-int Database::FactIdOf(const Fact* fact) const {
-  int id = FactId(*fact);
-  return id >= 0 && &facts_[id] == fact ? id : -1;
-}
-
-const Fact* Database::FactPtr(const Fact& fact) const {
-  int id = FactId(fact);
-  return id < 0 ? nullptr : &facts_[id];
-}
-
 const std::vector<int>& Database::FactsOf(SymbolId relation) const {
   static const std::vector<int> kEmpty;
   auto it = by_relation_.find(relation);

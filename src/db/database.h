@@ -18,26 +18,27 @@
 /// need not be satisfied. A *block* is a maximal set of key-equal facts;
 /// a *repair* picks exactly one fact from each block (Section 3).
 ///
-/// Facts live in a deque, so a stored fact's address is stable under
-/// AddFact, so a fact handed out by address (`FactPtr`, a `Repair`)
-/// stays put while the database keeps growing. RemoveFact compacts by
-/// moving the *last* fact into the vacated slot, so exactly two ids and
-/// addresses are affected per removal (the removed slot, whose contents
-/// change, and the popped back slot, which dies); an index kept over the
-/// database hears of it before the removal (`FactIndex::Erasing`, see
-/// serve/session.cc).
+/// Facts live in a deque and are named by their ids, indices into
+/// facts(). The deque's remaining reason is growth: a vector would move
+/// every stored fact each time it doubles and keep up to half its
+/// capacity unused, where a deque moves none and allocates in fixed
+/// chunks. RemoveFact compacts by moving the *last* fact into the
+/// vacated slot, so exactly two ids are affected per removal (the
+/// removed one, whose fact changes, and the last one, which dies); an
+/// index following the database hears of it before the removal
+/// (`FactIndex::Erasing`, see serve/session.cc).
 ///
 /// Layout. Two flat open-addressing tables of int32 ids index the
 /// facts and the blocks in place: the fact table hashes facts()[id] by
 /// value, the block table hashes blocks()[id] by (relation, key). A
 /// slot is an id and its key's 32-bit hash (8 bytes), and the tables
 /// stay at most three quarters full, so neither holds a second copy of
-/// a fact, a key or an address, and a copy of the database copies two
-/// flat vectors. For two-column facts in blocks of one or two, a fact
-/// costs about 220 allocator bytes (230 when built fact by fact, with
-/// the vectors' growth slack): its deque slot and values, its block's
-/// `Block` with two heap vectors, two ints of per-relation bookkeeping
-/// and the two tables' slots (`bench_database`).
+/// a fact or a key, and a copy of the database copies two flat vectors.
+/// For two-column facts in blocks of one or two, a fact costs about 220
+/// allocator bytes (230 when built fact by fact, with the vectors'
+/// growth slack): its deque slot and values, its block's `Block` with
+/// two heap vectors, two ints of per-relation bookkeeping and the two
+/// tables' slots (`bench_database`).
 
 namespace cqa {
 
@@ -46,9 +47,7 @@ class Database {
   Database() = default;
   explicit Database(Schema schema) : schema_(std::move(schema)) {}
 
-  // The tables hold ids, not addresses, so a copy copies them as they
-  // are; moves keep the deque's slots (and thus the handed-out fact
-  // addresses) alive.
+  // The tables hold ids, so a copy copies them as they are.
   Database(const Database&) = default;
   Database& operator=(const Database&) = default;
   Database(Database&&) = default;
@@ -59,13 +58,12 @@ class Database {
 
   /// Inserts `fact` (no-op when already present). Registers the relation
   /// in the schema when unknown; fails when the fact contradicts a known
-  /// signature. Addresses of previously stored facts are unaffected.
+  /// signature. References to previously stored facts stay valid.
   Status AddFact(const Fact& fact);
 
   /// Removes `fact`. Fails with NotFound when absent. Compacts fact ids
   /// by relocating the last fact into the removed slot (so ids stay
-  /// dense); the removed slot's contents and the last fact's address are
-  /// the only addresses invalidated — see the file comment.
+  /// dense); see the file comment.
   Status RemoveFact(const Fact& fact);
 
   /// All facts, in insertion order.
@@ -84,27 +82,6 @@ class Database {
   /// `key_arity`, without building a `Fact`.
   int FactId(SymbolId relation, const SymbolId* values, size_t arity,
              int key_arity) const;
-
-  /// Id of a fact referenced by its *storage address* (a pointer handed
-  /// out by FactPtr or observed through a FactIndex over this database);
-  /// -1 for strangers, equal facts stored elsewhere included. Resolves
-  /// the fact by value and then checks the address, so it dereferences
-  /// `fact`: the pointer must be live. Every caller passes a fact
-  /// matched through a FactIndex over this same database.
-  int FactIdOf(const Fact* fact) const;
-
-  /// Storage address of `fact`, or nullptr when absent. Stable until the
-  /// fact is removed (or the last fact is relocated over it).
-  const Fact* FactPtr(const Fact& fact) const;
-
-  /// Storage address of facts()[id] (id must be in range).
-  const Fact* FactPtrAt(int id) const { return &facts_[id]; }
-
-  /// Address of the highest-id fact — the one RemoveFact relocates.
-  /// Null when empty.
-  const Fact* LastFact() const {
-    return facts_.empty() ? nullptr : &facts_.back();
-  }
 
   /// Index of the block containing `fact` in blocks(), or -1 when absent.
   int BlockIdOf(const Fact& fact) const;
@@ -207,7 +184,7 @@ class Database {
 
   Schema schema_;
   std::deque<Fact> facts_;
-  /// facts_ by value: Contains, FactId, FactPtr and FactIdOf.
+  /// facts_ by value: Contains and FactId.
   IdTable fact_table_;
   /// rel_slots_[id] = position of `id` inside by_relation_[relation of
   /// facts_[id]]. Keeps RemoveFact O(block) instead of O(|relation|) —

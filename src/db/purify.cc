@@ -1,6 +1,5 @@
 #include "db/purify.h"
 
-#include <cassert>
 #include <vector>
 
 #include "cq/matcher.h"
@@ -54,13 +53,12 @@ Database Purify(const Database& db, const Query& q) {
 Database Purify(const Database& db, const Query& q,
                 std::vector<Fact>* removed_witnesses) {
   // Iterate to a fixpoint: removing a block can make other facts
-  // irrelevant. Irrelevance is monotone under removal, so dropping a
-  // doomed block from the shared index immediately (instead of
-  // rebuilding the database per round, as before) reaches the same
-  // fixpoint as the paper's one-block-at-a-time sequence — each pass
+  // irrelevant. Irrelevance is monotone under removal, so hiding each
+  // doomed block from one view of `db` as soon as it is found reaches the
+  // same fixpoint as the paper's one-block-at-a-time sequence: each pass
   // only sees fewer facts, never more.
   std::vector<Query> rests = RestQueries(q);
-  FactIndex index(db);
+  FactIndex view(db, FactIndex::Shown::kAll);
   std::vector<bool> doomed(db.blocks().size(), false);
   bool changed = true;
   while (changed) {
@@ -69,27 +67,26 @@ Database Purify(const Database& db, const Query& q,
       if (doomed[b]) continue;
       const Database::Block& block = db.blocks()[b];
       for (int fid : block.fact_ids) {
-        if (FactIsRelevant(index, q, rests, db.facts()[fid])) continue;
+        if (FactIsRelevant(view, q, rests, db.facts()[fid])) continue;
         doomed[b] = true;
         changed = true;
         if (removed_witnesses != nullptr) {
           removed_witnesses->push_back(db.facts()[fid]);
         }
-        for (int gone : block.fact_ids) index.Remove(&db.facts()[gone]);
+        for (int gone : block.fact_ids) view.Hide(gone);
         break;
       }
     }
   }
-  Database out(db.schema());
+  // The kept blocks in input order, each block's facts in order.
+  std::vector<int> kept;
+  kept.reserve(view.total());
   for (int b = 0; b < static_cast<int>(db.blocks().size()); ++b) {
     if (doomed[b]) continue;
-    for (int fid : db.blocks()[b].fact_ids) {
-      Status st = out.AddFact(db.facts()[fid]);
-      assert(st.ok());
-      (void)st;
-    }
+    const std::vector<int>& ids = db.blocks()[b].fact_ids;
+    kept.insert(kept.end(), ids.begin(), ids.end());
   }
-  return out;
+  return db.Subset(kept);
 }
 
 bool IsPurified(const Database& db, const Query& q) {

@@ -33,21 +33,22 @@ bool RepairEnumerator::ForEachIndexed(
   size_t n = blocks.size();
   std::vector<size_t> choice(n, 0);
   Repair repair(n, nullptr);
-  for (size_t i = 0; i < n; ++i) repair[i] = &facts[blocks[i].fact_ids[0]];
-  FactIndex index(repair);
+  FactIndex view(db_, FactIndex::Shown::kNone);
+  for (size_t i = 0; i < n; ++i) {
+    view.Show(blocks[i].fact_ids[0]);
+    repair[i] = &facts[blocks[i].fact_ids[0]];
+  }
   for (;;) {
-    if (!fn(index, repair)) return false;
-    // Odometer increment; every flipped block is one SwapFact (digits
-    // that wrap back to 0 included), so the index mutation cost per
-    // repair is the number of carried digits — amortised O(1).
+    if (!fn(view, repair)) return false;
+    // Odometer increment; every flipped block is one Swap (digits that
+    // wrap back to 0 included), so the index mutation cost per repair is
+    // the number of carried digits — amortised O(1).
     size_t i = 0;
     for (; i < n; ++i) {
-      size_t next = choice[i] + 1 < blocks[i].fact_ids.size()
-                        ? choice[i] + 1
-                        : 0;
-      const Fact* new_fact = &facts[blocks[i].fact_ids[next]];
-      index.SwapFact(repair[i], new_fact);
-      repair[i] = new_fact;
+      const std::vector<int>& ids = blocks[i].fact_ids;
+      size_t next = choice[i] + 1 < ids.size() ? choice[i] + 1 : 0;
+      view.Swap(ids[choice[i]], ids[next]);
+      repair[i] = &facts[ids[next]];
       choice[i] = next;
       if (next != 0) break;
     }

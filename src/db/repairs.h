@@ -32,11 +32,12 @@ class RepairEnumerator {
   /// The empty database has exactly one repair: the empty set.
   bool ForEach(const std::function<bool(const Repair&)>& fn) const;
 
-  /// Like ForEach, but also maintains ONE FactIndex over the current
-  /// repair, mutated via FactIndex::SwapFact on every block-choice
-  /// change (the odometer flips one block most of the time), instead of
-  /// letting callers rebuild an index per repair. This keeps the lazy
-  /// position / key-prefix indexes warm across the whole enumeration.
+  /// Like ForEach, but also maintains ONE FactIndex view of the database
+  /// showing the current repair, changed by FactIndex::Swap on every
+  /// block-choice change (the odometer flips one block most of the time),
+  /// instead of letting callers rebuild an index per repair. This keeps
+  /// the lazy position / key-prefix tables warm across the whole
+  /// enumeration.
   bool ForEachIndexed(
       const std::function<bool(const FactIndex&, const Repair&)>& fn) const;
 

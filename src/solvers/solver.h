@@ -107,6 +107,10 @@ class EvalContext {
   EvalContext(const Database& db, const FactIndex& index,
               const Deadline& deadline = {})
       : db_(db), deadline_(deadline), index_(&index) {}
+  /// A context over a temporary would outlive it.
+  EvalContext(const Database&&, const Deadline& = {}) = delete;
+  EvalContext(const Database&&, const FactIndex&, const Deadline& = {}) =
+      delete;
 
   const Database& db() const { return db_; }
 

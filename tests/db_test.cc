@@ -113,11 +113,8 @@ std::map<BlockKey, std::set<Fact>> ModelBlocks(const Model& model) {
 void ExpectLive(const Database& db, const Fact& f, int id) {
   ASSERT_TRUE(db.Contains(f)) << f.ToString();
   ASSERT_EQ(db.FactId(f), id) << f.ToString();
-  ASSERT_EQ(db.FactPtr(f), db.FactPtrAt(id)) << f.ToString();
-  ASSERT_EQ(*db.FactPtrAt(id), f);
-  ASSERT_EQ(db.FactIdOf(db.FactPtrAt(id)), id) << f.ToString();
+  ASSERT_EQ(db.facts()[id], f);
   Fact stranger = f;
-  ASSERT_EQ(db.FactIdOf(&stranger), -1) << f.ToString();
   ASSERT_EQ(db.FactId(stranger), id) << f.ToString();
   int b = db.BlockIdOf(f);
   ASSERT_GE(b, 0) << f.ToString();
@@ -136,8 +133,6 @@ void ExpectLive(const Database& db, const Fact& f, int id) {
 void ExpectAbsent(const Database& db, const Model& model, const Fact& f) {
   ASSERT_FALSE(db.Contains(f)) << f.ToString();
   ASSERT_EQ(db.FactId(f), -1) << f.ToString();
-  ASSERT_EQ(db.FactPtr(f), nullptr) << f.ToString();
-  ASSERT_EQ(db.FactIdOf(&f), -1) << f.ToString();
   // Facts order by relation, then values, so a block's facts follow its
   // key alone.
   auto first = model.lower_bound(Fact(f.relation(), f.KeyValues(), f.key_arity()));

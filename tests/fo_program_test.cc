@@ -287,7 +287,8 @@ TEST(FoProgramTest, SemijoinOverEmptyRelationIsFalse) {
   ExpectAgreement(f, {}, {{}}, EmptyDb(), "exists-empty");
   Result<FoProgram> program = FoProgram::Lower(f, {});
   ASSERT_TRUE(program.ok());
-  FactIndex index((Database()));
+  Database empty;
+  FactIndex index(empty);
   EXPECT_FALSE(program->EvaluateBool(index));
 }
 
@@ -298,7 +299,8 @@ TEST(FoProgramTest, AntijoinOverEmptyRelationIsVacuouslyTrue) {
   ExpectAgreement(f, {}, {{}}, EmptyDb(), "forall-empty");
   Result<FoProgram> program = FoProgram::Lower(f, {});
   ASSERT_TRUE(program.ok());
-  FactIndex index((Database()));
+  Database empty;
+  FactIndex index(empty);
   EXPECT_TRUE(program->EvaluateBool(index));
 
   Database with_fact;

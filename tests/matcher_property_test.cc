@@ -262,46 +262,43 @@ TEST(FactIndexTest, PositionAndKeyPrefixBuckets) {
   EXPECT_EQ(index.FactsWithKeyPrefix(r, {InternSymbol("b")}).size(), 1u);
 }
 
-TEST(FactIndexTest, SwapFactKeepsLazyIndexesCoherent) {
+TEST(FactIndexTest, SwapKeepsLazyIndexesCoherent) {
   Database db = SmallDb();
-  FactIndex index(db);
+  FactIndex view(db, FactIndex::Shown::kAll);
   SymbolId r = InternSymbol("R");
-  const Fact* ax = &db.facts()[0];  // R(a | x)
-  const Fact* ay = &db.facts()[1];  // R(a | y)
+  const int ax = 0;  // R(a | x)
+  const int ay = 1;  // R(a | y)
   // Force the lazy indexes into existence before mutating.
-  ASSERT_EQ(index.FactsAt(r, 1, InternSymbol("x")).size(), 2u);
-  ASSERT_EQ(index.FactsWithKeyPrefix(r, {InternSymbol("a")}).size(), 2u);
+  ASSERT_EQ(view.FactsAt(r, 1, InternSymbol("x")).size(), 2u);
+  ASSERT_EQ(view.FactsWithKeyPrefix(r, {InternSymbol("a")}).size(), 2u);
 
-  index.SwapFact(ax, ax);  // Self-swap is a no-op.
-  EXPECT_EQ(index.total(), 6u);
+  view.Swap(ax, ax);  // Self-swap is a no-op.
+  EXPECT_EQ(view.total(), 6u);
 
-  index.SwapFact(ay, ay);
-  index.Remove(ay);
-  EXPECT_EQ(index.total(), 5u);
-  EXPECT_FALSE(index.Contains(*ay));
-  EXPECT_EQ(index.Facts(r).size(), 2u);
-  EXPECT_EQ(index.FactsAt(r, 1, InternSymbol("y")).size(), 0u);
-  EXPECT_EQ(index.FactsWithKeyPrefix(r, {InternSymbol("a")}).size(), 1u);
+  view.Hide(ay);
+  EXPECT_EQ(view.total(), 5u);
+  EXPECT_FALSE(view.Contains(db.facts()[ay]));
+  EXPECT_EQ(view.Facts(r).size(), 2u);
+  EXPECT_EQ(view.FactsAt(r, 1, InternSymbol("y")).size(), 0u);
+  EXPECT_EQ(view.FactsWithKeyPrefix(r, {InternSymbol("a")}).size(), 1u);
 
-  index.SwapFact(ax, ay);
-  EXPECT_EQ(index.total(), 5u);
-  EXPECT_TRUE(index.Contains(*ay));
-  EXPECT_FALSE(index.Contains(*ax));
-  EXPECT_EQ(index.FactsAt(r, 1, InternSymbol("x")).size(), 1u);
-  EXPECT_EQ(index.FactsAt(r, 1, InternSymbol("y")).size(), 1u);
+  view.Swap(ax, ay);
+  EXPECT_EQ(view.total(), 5u);
+  EXPECT_TRUE(view.Contains(db.facts()[ay]));
+  EXPECT_FALSE(view.Contains(db.facts()[ax]));
+  EXPECT_EQ(view.FactsAt(r, 1, InternSymbol("x")).size(), 1u);
+  EXPECT_EQ(view.FactsAt(r, 1, InternSymbol("y")).size(), 1u);
 
   // After the mutations, every bucket must equal the one of an index
   // built from scratch over the same facts.
-  FactIndex fresh;
-  fresh.Add(ay);
-  fresh.Add(&db.facts()[2]);
-  for (int i = 3; i < 6; ++i) fresh.Add(&db.facts()[i]);
+  Database shown = db.Subset({ay, 2, 3, 4, 5});
+  FactIndex fresh(shown);
   for (SymbolId rel : {r, InternSymbol("S")}) {
-    EXPECT_EQ(BucketFacts(index, index.Facts(rel)),
+    EXPECT_EQ(BucketFacts(view, view.Facts(rel)),
               BucketFacts(fresh, fresh.Facts(rel)));
     for (int pos = 0; pos < 3; ++pos) {
       for (SymbolId v : db.ActiveDomain()) {
-        EXPECT_EQ(BucketFacts(index, index.FactsAt(rel, pos, v)),
+        EXPECT_EQ(BucketFacts(view, view.FactsAt(rel, pos, v)),
                   BucketFacts(fresh, fresh.FactsAt(rel, pos, v)))
             << SymbolName(rel) << " pos " << pos << " val "
             << SymbolName(v);
@@ -312,25 +309,15 @@ TEST(FactIndexTest, SwapFactKeepsLazyIndexesCoherent) {
 
 TEST(FactIndexTest, MutationBeforeFirstProbeIsSeenByLazyBuild) {
   Database db = SmallDb();
-  FactIndex index(db);
-  const Fact* ax = &db.facts()[0];
-  const Fact* ay = &db.facts()[1];
+  FactIndex view(db, FactIndex::Shown::kAll);
   // Mutate while no position index exists yet; the later lazy build
   // must reflect the mutation.
-  index.SwapFact(ax, ax);
-  index.Remove(ay);
+  view.Swap(0, 0);
+  view.Hide(1);  // R(a | y)
   SymbolId r = InternSymbol("R");
-  EXPECT_EQ(index.FactsAt(r, 1, InternSymbol("y")).size(), 0u);
-  EXPECT_EQ(index.FactsAt(r, 1, InternSymbol("x")).size(), 2u);
-  EXPECT_EQ(index.FactsWithKeyPrefix(r, {InternSymbol("a")}).size(), 1u);
-}
-
-TEST(FactIndexTest, RemoveOfStrangerIsNoOp) {
-  Database db = SmallDb();
-  FactIndex index(db);
-  Fact stranger = Fact::Make("R", {"zz", "zz"}, 1);
-  index.Remove(&stranger);
-  EXPECT_EQ(index.total(), 6u);
+  EXPECT_EQ(view.FactsAt(r, 1, InternSymbol("y")).size(), 0u);
+  EXPECT_EQ(view.FactsAt(r, 1, InternSymbol("x")).size(), 2u);
+  EXPECT_EQ(view.FactsWithKeyPrefix(r, {InternSymbol("a")}).size(), 1u);
 }
 
 // --------------------------------------- FactIndex model differential
@@ -435,61 +422,49 @@ Fact RandomPoolFact(Rng* rng) {
   }
 }
 
-/// Model-based differential of the owning index: random Add, Remove
-/// (of live addresses and of strangers) and SwapFact over a pool in which
-/// equal facts sit at distinct addresses, checked after every step
-/// against a fresh index over the live addresses. Odd seeds start from
-/// an index over a database, which the first mutation turns into an
-/// owning one.
-TEST(FactIndexTest, RandomMutationsMatchAFreshIndex) {
+/// Model-based differential of views: random Show, Hide and same-block
+/// Swap over a database of pool facts, checked after every step against
+/// a fresh index over db.Subset(the shown ids). Odd seeds start with
+/// every fact shown, even seeds with none.
+TEST(FactIndexTest, ViewMutationsMatchAFreshIndex) {
   const IndexProbes probes;
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     Rng rng(seed * 7919 + 1);
     std::vector<Fact> pool;
-    for (int i = 0; i < 20; ++i) pool.push_back(RandomPoolFact(&rng));
-    for (int i = 0; i < 4; ++i) pool.push_back(pool[rng.Below(pool.size())]);
+    for (int i = 0; i < 24; ++i) pool.push_back(RandomPoolFact(&rng));
     Database db;
-    std::vector<const Fact*> live;
-    if (seed % 2 == 1) {
-      for (const Fact& f : pool) {
-        if (rng.Chance(1, 2)) {
-          ASSERT_TRUE(db.AddFact(f).ok());
-        }
-      }
-      for (const Fact& f : db.facts()) live.push_back(&f);
-    }
-    std::optional<FactIndex> index;
-    if (seed % 2 == 1) {
-      index.emplace(db);
-    } else {
-      index.emplace();
-    }
+    for (const Fact& f : pool) ASSERT_TRUE(db.AddFact(f).ok());
+    const bool all = seed % 2 == 1;
+    FactIndex view(db, all ? FactIndex::Shown::kAll : FactIndex::Shown::kNone);
+    std::vector<bool> shown(db.size(), all);
     const int num = 1 + static_cast<int>(seed % 4);
     for (int step = 0; step < 40; ++step) {
-      const Fact* pick = &pool[rng.Below(pool.size())];
-      switch (live.empty() ? 0 : rng.Below(4)) {
-        case 0:
-        case 1:
-          index->Add(pick);
-          live.push_back(pick);
-          break;
-        case 2: {
-          size_t at = rng.Below(live.size());
-          const Fact* gone = rng.Chance(1, 5) ? &pool[0] : live[at];
-          auto it = std::find(live.begin(), live.end(), gone);
-          index->Remove(gone);
-          if (it != live.end()) live.erase(it);
-          break;
-        }
-        default: {
-          size_t at = rng.Below(live.size());
-          index->SwapFact(live[at], pick);
-          live[at] = pick;
-          break;
-        }
+      const int id = static_cast<int>(rng.Below(db.size()));
+      // A fact of id's block on the other side of the view, if any.
+      int other = -1;
+      for (int fid : db.BlockOf(db.facts()[id]).fact_ids) {
+        if (shown[fid] != shown[id]) other = fid;
       }
-      FactIndex fresh(live);
-      ExpectIndexAgrees(*index, fresh, pool, probes, &rng, num,
+      if (other >= 0 && rng.Chance(1, 2)) {
+        if (shown[id]) {
+          view.Swap(id, other);
+        } else {
+          view.Swap(other, id);
+        }
+        shown[other] = shown[id];
+      } else if (shown[id]) {
+        view.Hide(id);
+      } else {
+        view.Show(id);
+      }
+      shown[id] = !shown[id];
+      std::vector<int> ids;
+      for (int i = 0; i < db.size(); ++i) {
+        if (shown[i]) ids.push_back(i);
+      }
+      Database subset = db.Subset(ids);
+      FactIndex fresh(subset);
+      ExpectIndexAgrees(view, fresh, pool, probes, &rng, num,
                         "seed " + std::to_string(seed) + " step " +
                             std::to_string(step));
       if (HasFatalFailure()) return;
@@ -561,8 +536,9 @@ TEST(EnumerateProjectionsTest, DeadlineStopsASearchThatFindsNothing) {
     facts.push_back(Fact::Make(
         "S", {"c" + std::to_string(i), "d" + std::to_string(i)}, 1));
   }
-  FactIndex index;
-  for (const Fact& f : facts) index.Add(&f);
+  Database db;
+  for (const Fact& f : facts) ASSERT_TRUE(db.AddFact(f).ok());
+  FactIndex index(db);
   for (const char* text : {"R(x | x)", "R(x | y), S(y | z)"}) {
     Query q = MustParseQuery(text);
     std::vector<Valuation> seeds(65536);
@@ -592,8 +568,9 @@ TEST(EnumerateProjectionsTest, RowsSortLikeVectorsAcrossEveryByte) {
                                              pool[rng() % 16]},
                        1);
   }
-  FactIndex index;
-  for (const Fact& f : facts) index.Add(&f);
+  Database db;
+  for (const Fact& f : facts) ASSERT_TRUE(db.AddFact(f).ok());
+  FactIndex index(db);
   Query q = MustParseQuery("R(x | y, z)");
   const std::vector<SymbolId> names = {InternSymbol("x"), InternSymbol("y"),
                                        InternSymbol("z")};
@@ -676,8 +653,9 @@ TEST(EnumerateProjectionsTest, CapStopsACrossProductEarly) {
       facts.push_back(Fact::Make("T", {"t" + std::to_string(i), "v"}, 1));
     }
   }
-  FactIndex index;
-  for (const Fact& f : facts) index.Add(&f);
+  Database db;
+  for (const Fact& f : facts) ASSERT_TRUE(db.AddFact(f).ok());
+  FactIndex index(db);
   Result<std::optional<std::vector<std::vector<SymbolId>>>> capped =
       EnumerateProjectionsAtMost(index, MustParseQuery("R(x | y), T(z | w)"),
                                  {Valuation()},
@@ -722,8 +700,11 @@ TEST(RepairEnumeratorTest, IndexedEnumerationMatchesPlain) {
     EXPECT_EQ(from_index, from_repair);
     EXPECT_EQ(from_repair, plain[step]);
     EXPECT_EQ(index.total(), repair.size());
-    // Spot-check satisfaction parity against a fresh index.
-    EXPECT_EQ(Satisfies(index, q), Satisfies(repair, q));
+    // Spot-check satisfaction parity against an index over a database
+    // of the repair's facts.
+    Database repair_db(db.schema());
+    for (const Fact* f : repair) EXPECT_TRUE(repair_db.AddFact(*f).ok());
+    EXPECT_EQ(Satisfies(index, q), Satisfies(repair_db, q));
     ++step;
     return true;
   });
